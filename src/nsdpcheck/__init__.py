@@ -3,6 +3,7 @@ nonlinear semidefinite optimization."""
 
 from .cone import (
     dist_psd,
+    dist_psd_batch,
     is_psd,
     normal_cone_contains,
     project_psd,
@@ -17,7 +18,9 @@ from .nlsdp import (
     dF,
     d2F,
     eval_F,
+    eval_F_batch,
     eval_f,
+    eval_f_batch,
     grad_f,
     hess_f,
     lagrangian_grad,
@@ -47,6 +50,7 @@ from .subderivative import (
     NoFeasibleSampleError,
     PivotNotPositiveDefinite,
     ToleranceAnomalyError,
+    estimate_from_trace,
     estimate_subderivative_sampling,
     recovery_sequence,
     schur_feasibility,
@@ -61,6 +65,7 @@ from .symmat import (
     conjugate,
     eigen_decompose,
     frobenius_inner,
+    lower_to_dense,
     pseudoinverse,
 )
 

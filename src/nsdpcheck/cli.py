@@ -7,7 +7,7 @@ growth).  Reports go to stdout as text, or to a file as JSON with
 ``--json PATH``.
 
 Exit codes: 0 success / condition verified, 1 condition refuted,
-2 inconclusive search, 3 input or hypothesis error.
+2 inconclusive search, 3 input or hypothesis error, 4 numerical anomaly.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from .subderivative import (
     SAMPLING_N,
     SAMPLING_RADIUS,
     SAMPLING_T_GRID,
-    estimate_subderivative_sampling,
+    ToleranceAnomalyError,
+    estimate_from_trace,
     second_subderivative,
     subderivative_sampling_trace,
 )
-from .symmat import SymMat, eigen_decompose
+from .symmat import JacobiConvergenceError, SymMat, eigen_decompose
 
 SCHEMA_VERSION = "1"
 
@@ -199,6 +200,31 @@ REPORT_SCHEMA = {
 }
 
 
+# Reports of a run that stopped on an error instead of a result.
+ERROR_SCHEMA = {
+    "type": "object",
+    "required": ["schema_version", "command", "options", "error"],
+    "properties": {
+        **_BASE_PROPERTIES,
+        "error": {
+            "type": "object",
+            "required": ["kind", "message"],
+            "properties": {
+                "kind": {"enum": ["hypothesis_violation", "numerical_anomaly"]},
+                "message": {"type": "string"},
+            },
+        },
+    },
+}
+
+# Internal numerical failures: not a verdict on the input, so never exit 1.
+_NUMERICAL_ANOMALIES = (
+    ToleranceAnomalyError,
+    JacobiConvergenceError,
+    np.linalg.LinAlgError,
+)
+
+
 class _InputError(Exception):
     pass
 
@@ -240,6 +266,15 @@ def _emit(report: dict, json_path: str | None, text_lines: list[str]) -> None:
             print(line)
 
 
+def _error_report(args, kind: str, exc: Exception) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "options": {"tol": args.tol, "rank_tol": args.rank_tol},
+        "error": {"kind": kind, "message": str(exc)},
+    }
+
+
 def _fmt_vec(vec) -> str:
     return "[" + ", ".join(f"{float(v):.9g}" for v in np.atleast_1d(vec)) + "]"
 
@@ -274,10 +309,10 @@ def cmd_check_sosc(args) -> int:
         seed=args.seed,
     )
     try:
-        d = sosc._decompose_at(problem, xbar, opts.tol, opts.rank_tol)
+        report = sosc.check_sosc(problem, xbar, opts)
     except sosc.InfeasiblePointError as exc:
         raise _InputError(f"{exc} (dist to PSD cone: {exc.distance:.6e})") from exc
-    report = sosc.check_sosc(problem, xbar, opts)
+    d = report.decomposition
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -424,29 +459,16 @@ def cmd_subderivative(args) -> int:
             tol=args.tol,
         )
     except HypothesisViolation as exc:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "subderivative",
-            "options": {"tol": args.tol, "rank_tol": args.rank_tol},
-            "error": {"kind": "hypothesis_violation", "message": str(exc)},
-        }
-        _emit(payload, args.json, [f"hypothesis violation: {exc}"])
-        return 3
-    estimate = None
-    try:
-        estimate = estimate_subderivative_sampling(
-            y,
-            ystar,
-            v,
-            t_grid=SAMPLING_T_GRID,
-            radius=args.radius,
-            n_samples=args.samples,
-            seed=args.seed,
-            rank_tol=args.rank_tol,
-            tol=args.tol,
+        _emit(
+            _error_report(args, "hypothesis_violation", exc),
+            args.json,
+            [f"hypothesis violation: {exc}"],
         )
+        return 3
+    try:
+        estimate = estimate_from_trace(trace)
     except NoFeasibleSampleError:
-        pass
+        estimate = None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "subderivative",
@@ -543,6 +565,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _NUMERICAL_ANOMALIES as exc:
+        # LinAlgError is a ValueError, so this clause comes first.
+        print(f"error: numerical anomaly: {exc}", file=sys.stderr)
+        if args.json:
+            _emit(_error_report(args, "numerical_anomaly", exc), args.json, [])
+        return 4
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

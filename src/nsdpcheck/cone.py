@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symmat import OrderedEigenDecomposition, SymMat, block
+from .symmat import OrderedEigenDecomposition, SymMat, block, lower_to_dense
 
 DEFAULT_TOL = 1e-8
 
@@ -34,10 +34,19 @@ def project_psd(a: SymMat) -> SymMat:
     return SymMat.from_dense((q * clipped) @ q.T, check_symmetry=False)
 
 
+def dist_psd_batch(m: int, lower: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Frobenius distances to the PSD cone of the m x m matrices whose lower
+    triangles are the rows of ``lower``, with one stacked eigenvalue call.
+
+    ``work``, if given, is a (k, m, m) scratch buffer that is overwritten.
+    """
+    lam = np.linalg.eigvalsh(lower_to_dense(m, lower, work))
+    return np.sqrt(np.sum(np.minimum(lam, 0.0) ** 2, axis=-1))
+
+
 def dist_psd(a: SymMat) -> float:
     """Frobenius distance to the PSD cone: sqrt(sum of squared negative eigenvalues)."""
-    lam = np.linalg.eigvalsh(a.dense())
-    return float(np.sqrt(np.sum(np.minimum(lam, 0.0) ** 2)))
+    return float(dist_psd_batch(a.m, a.lower[None, :])[0])
 
 
 def tangent_cone_contains(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symmat import SymMat, _tril_size, frobenius_inner
+from .symmat import SymMat, _tril_size, frobenius_inner, lower_to_dense
 
 
 def _lower_to_dense(n: int, lower) -> np.ndarray:
@@ -22,11 +22,7 @@ def _lower_to_dense(n: int, lower) -> np.ndarray:
             f"lower triangle for dimension {n} needs {_tril_size(n)} entries, "
             f"got shape {lower.shape}"
         )
-    a = np.zeros((n, n))
-    i, j = np.tril_indices(n)
-    a[i, j] = lower
-    a[j, i] = lower
-    return a
+    return lower_to_dense(n, lower)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +126,21 @@ def _check_x(p: NlsdpProblem, x) -> np.ndarray:
     return x
 
 
+def _check_rows(p: NlsdpProblem, xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != p.n:
+        raise ValueError(f"points must have shape (k, {p.n}), got {xs.shape}")
+    return xs
+
+
+def eval_f_batch(p: NlsdpProblem, xs) -> np.ndarray:
+    """f at every row of the (k, n) array xs."""
+    xs = _check_rows(p, xs)
+    return p.f.c + xs @ p.f.g + 0.5 * np.einsum("ki,ki->k", xs @ p.f.h, xs)
+
+
 def eval_f(p: NlsdpProblem, x) -> float:
-    x = _check_x(p, x)
-    return float(p.f.c + p.f.g @ x + 0.5 * x @ p.f.h @ x)
+    return float(eval_f_batch(p, _check_x(p, x)[None, :])[0])
 
 
 def grad_f(p: NlsdpProblem, x) -> np.ndarray:
@@ -145,12 +153,20 @@ def hess_f(p: NlsdpProblem, x=None) -> np.ndarray:
     return p.f.h.copy()
 
 
-def eval_F(p: NlsdpProblem, x) -> SymMat:
-    x = _check_x(p, x)
-    lower = p.F.a0.lower + p.F._a_stack.T @ x
+def eval_F_batch(p: NlsdpProblem, xs) -> np.ndarray:
+    """Lower triangles of F at every row of the (k, n) array xs, as a
+    (k, m(m+1)/2) array."""
+    xs = _check_rows(p, xs)
+    lower = p.F.a0.lower + xs @ p.F._a_stack
     if p.F._b_stack is not None:
-        lower = lower + 0.5 * np.einsum("i,j,ijl->l", x, x, p.F._b_stack)
-    return SymMat(p.m, lower)
+        k, n = xs.shape
+        outer = np.einsum("ki,kj->kij", xs, xs).reshape(k, n * n)
+        lower += 0.5 * (outer @ p.F._b_stack.reshape(n * n, -1))
+    return lower
+
+
+def eval_F(p: NlsdpProblem, x) -> SymMat:
+    return SymMat(p.m, eval_F_batch(p, _check_x(p, x)[None, :])[0])
 
 
 def dF(p: NlsdpProblem, x, u) -> SymMat:

@@ -299,6 +299,12 @@ def estimate_subderivative_sampling(
     trace = subderivative_sampling_trace(
         y, ystar, v, t_grid, radius, n_samples, seed, rank_tol, tol
     )
+    return estimate_from_trace(trace)
+
+
+def estimate_from_trace(trace: list[dict]) -> float:
+    """Smallest quotient at the finest step of a sampling trace that admitted
+    feasible samples; raises NoFeasibleSampleError when no step did."""
     for level in reversed(trace):
         if level["feasible_samples"] > 0:
             return float(level["min_quotient"])

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,29 @@ class JacobiConvergenceError(RuntimeError):
 
 def _tril_size(m: int) -> int:
     return m * (m + 1) // 2
+
+
+@lru_cache(maxsize=64)
+def _tril_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the row-major lower triangle."""
+    i, j = np.tril_indices(m)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def lower_to_dense(m: int, lower: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense m x m matrices from lower triangles stacked along the last axis.
+
+    ``lower`` has shape (..., m(m+1)/2); the result has shape (..., m, m).
+    Every entry of ``out`` is overwritten, so a buffer can be reused.
+    """
+    if out is None:
+        out = np.empty(lower.shape[:-1] + (m, m))
+    i, j = _tril_indices(m)
+    out[..., i, j] = lower
+    out[..., j, i] = lower
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +131,7 @@ class SymMat:
     # -- basic arithmetic ---------------------------------------------------
 
     def dense(self) -> np.ndarray:
-        a = np.zeros((self.m, self.m))
-        i, j = np.tril_indices(self.m)
-        a[i, j] = self.lower
-        a[j, i] = self.lower
-        return a
+        return lower_to_dense(self.m, self.lower)
 
     def norm(self) -> float:
         """Frobenius norm."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from nsdpcheck import sosc
-from nsdpcheck.cli import REPORT_SCHEMA, main
+from nsdpcheck import SymMat, eigen_decompose, sosc
+from nsdpcheck.cli import ERROR_SCHEMA, REPORT_SCHEMA, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,6 +52,7 @@ def test_check_sosc_inconclusive_exit_code(monkeypatch, capsys):
         worst_direction=np.array([1.0, 0.0]),
         certificates=[],
         diagnostics="stub",
+        decomposition=eigen_decompose(SymMat.diagonal([1.0, 0.0])),
     )
     monkeypatch.setattr(sosc, "check_sosc", lambda *a, **k: report)
     code = run_cli("check-sosc", str(DATA / "p1.json"))
@@ -95,6 +97,44 @@ def test_subderivative_hypothesis_violation(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert run_cli("subderivative", str(path)) == 3
     assert "hypothesis violation" in capsys.readouterr().out
+
+
+def test_numerical_anomaly_exits_4(tmp_path, capsys):
+    # <Ystar, V> passes the absolute normal-cone test but fails the scaled
+    # polarity test in second_subderivative: an internal tolerance anomaly,
+    # which must not read as a refutation (exit 1) or escape as a traceback
+    path = tmp_path / "anomaly.json"
+    path.write_text(json.dumps({
+        "Y": {"m": 2, "lower": [1, 0, 0]},
+        "Ystar": {"m": 2, "lower": [5e-9, 0, -1e-3]},
+        "V": {"m": 2, "lower": [1e4, 0, 0]},
+    }))
+    assert run_cli("subderivative", str(path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: numerical anomaly:")
+
+    report_path = tmp_path / "anomaly_report.json"
+    assert run_cli("subderivative", str(path), "--json", str(report_path)) == 4
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    jsonschema.validate(report, ERROR_SCHEMA)
+    assert report["command"] == "subderivative"
+    assert report["error"]["kind"] == "numerical_anomaly"
+
+
+def test_hypothesis_violation_json_report(tmp_path, capsys):
+    obj = json.loads((DATA / "triple_basic.json").read_text())
+    obj["Ystar"] = {"m": 2, "lower": [1.0, 0.0, 0.0]}
+    path = tmp_path / "bad_triple.json"
+    path.write_text(json.dumps(obj))
+    report_path = tmp_path / "report.json"
+    assert run_cli("subderivative", str(path), "--json", str(report_path)) == 3
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    jsonschema.validate(report, ERROR_SCHEMA)
+    assert report["error"]["kind"] == "hypothesis_violation"
 
 
 def test_growth_exit_codes(capsys):
@@ -154,11 +194,15 @@ def test_json_reports_validate_and_repeat(tmp_path, capsys, argv, command):
 
 
 def test_console_script_runs():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nsdpcheck.cli", "check-sosc", str(DATA / "p1.json"),
          "--dirs", "16"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "VERIFIED_SAMPLED" in proc.stdout

@@ -16,15 +16,19 @@ from nsdpcheck import (
     QuadraticMatrixMap,
     QuadraticScalar,
     SoscOptions,
+    GrowthReport,
     SymMat,
     check_sosc,
     critical_cone_contains,
+    dist_psd,
     eigen_decompose,
     eval_F,
+    eval_f,
     find_multiplier,
     frobenius_inner,
     grad_f,
     normal_cone_contains,
+    problem_from_json,
     sample_critical_directions,
     sosc_margin,
     verify_growth,
@@ -145,6 +149,8 @@ def test_sosc_margin_quadratic_in_direction(p1):
 def test_check_sosc_verified(p1):
     report = check_sosc(p1, XBAR, FAST)
     assert report.verdict == VERIFIED_SAMPLED
+    assert report.decomposition.omega == (1,)
+    assert np.array_equal(report.decomposition.source.lower, eval_F(p1, XBAR).lower)
     assert report.directions_checked == 2
     assert 1.99 <= report.min_margin <= 2.01
     assert report.certificates
@@ -267,3 +273,112 @@ def test_direction_slope_breaks_ties_for_worst_direction(p1_negated):
     report = check_sosc(p1_negated, XBAR, SoscOptions(n_dirs=256, seed=3))
     slope = float(grad_f(p1_negated, XBAR) @ report.worst_direction)
     assert slope == pytest.approx(-1.0, abs=1e-9)
+
+
+def reference_growth(p, xbar, epsilon, beta, n_samples, seed, feas_tol=1e-9):
+    """verify_growth as a per-sample loop: the same draws, then one eval_F,
+    one dist_psd and one strict-< update per sample."""
+    n = p.n
+    rng = np.random.default_rng([seed, 2])
+    offsets = []
+    for i in range(n):
+        axis = np.zeros(n)
+        axis[i] = epsilon
+        offsets.extend((axis.copy(), -axis, 0.5 * axis, -0.5 * axis))
+    for _ in range(max(1, n_samples // 10)):
+        raw = rng.standard_normal(n)
+        nrm = np.linalg.norm(raw)
+        if nrm > 0:
+            offsets.append(epsilon * raw / nrm)
+    for _ in range(n_samples):
+        raw = rng.standard_normal(n)
+        nrm = np.linalg.norm(raw)
+        if nrm == 0:
+            continue
+        radius = epsilon * rng.uniform() ** (1.0 / n)
+        offsets.append(radius * raw / nrm)
+
+    f0 = eval_f(p, xbar)
+    min_ratio, worst = math.inf, xbar.copy()
+    violations = feasible_samples = feasible_violations = total = 0
+    feasible_min_ratio = None
+    for off in offsets:
+        sq = float(off @ off)
+        if sq == 0.0:
+            continue
+        total += 1
+        x = xbar + off
+        gap = eval_f(p, x) - f0
+        dist = dist_psd(eval_F(p, x))
+        ratio = max(gap, dist) / sq
+        if ratio < min_ratio:
+            min_ratio, worst = ratio, x
+        violations += ratio < beta
+        if dist <= feas_tol:
+            feasible_samples += 1
+            fr = gap / sq
+            if feasible_min_ratio is None or fr < feasible_min_ratio:
+                feasible_min_ratio = fr
+            feasible_violations += fr < beta
+    return GrowthReport(
+        epsilon, beta, total, violations, min_ratio, worst,
+        feasible_samples, feasible_violations, feasible_min_ratio,
+    )
+
+
+def samples_for_rows(n, rows):
+    """n_samples whose sample rows 4n + max(1, N // 10) + N total `rows`."""
+    return next(k for k in range(1, rows) if 4 * n + max(1, k // 10) + k == rows)
+
+
+def growth_problems():
+    rng = np.random.default_rng(23)
+    return {
+        "p1": build_p1(1.0),
+        "p1_negated": build_p1(-1.0),
+        "kkt_n3_m4": kkt_consistent_problem(rng, 3, 4),
+        "kkt_n5_m3": kkt_consistent_problem(rng, 5, 3),
+    }
+
+
+def assert_same_growth(new, ref):
+    assert new.samples == ref.samples
+    assert new.violations == ref.violations
+    assert new.feasible_samples == ref.feasible_samples
+    assert new.feasible_violations == ref.feasible_violations
+    assert np.array_equal(new.worst_point, ref.worst_point)
+    assert new.min_ratio == pytest.approx(ref.min_ratio, rel=1e-12, abs=0.0)
+    if ref.feasible_min_ratio is None:
+        assert new.feasible_min_ratio is None
+    else:
+        assert new.feasible_min_ratio == pytest.approx(
+            ref.feasible_min_ratio, rel=1e-12, abs=0.0
+        )
+
+
+@pytest.mark.parametrize("name", ["p1", "p1_negated", "kkt_n3_m4", "kkt_n5_m3"])
+@pytest.mark.parametrize("rows", [255, 256, 257, 1000])
+def test_verify_growth_matches_per_sample_reference(name, rows):
+    p = growth_problems()[name]
+    assert (p.F.b is not None) == name.startswith("kkt")
+    n_samples = samples_for_rows(p.n, rows)
+    for seed, beta, shift in ((0, 0.25, 0.0), (5, 2.0, 0.01)):
+        xbar = np.full(p.n, shift)
+        new = verify_growth(p, xbar, 0.1, beta, n_samples=n_samples, seed=seed)
+        ref = reference_growth(p, xbar, 0.1, beta, n_samples, seed)
+        assert new.samples == rows
+        assert_same_growth(new, ref)
+
+
+def test_verify_growth_without_variables():
+    p, xbar = problem_from_json(
+        {"n": 0, "m": 1, "f": {"c": 0, "g": [], "h": []},
+         "F": {"A0": {"m": 1, "lower": [1]}, "A": [], "B": None}, "xbar": []}
+    )
+    report = verify_growth(p, xbar, epsilon=0.1, beta=0.25, n_samples=100)
+    assert report.samples == 0
+    assert report.violations == 0
+    assert report.min_ratio == math.inf
+    assert report.worst_point.shape == (0,)
+    assert report.feasible_min_ratio is None
+    assert_same_growth(report, reference_growth(p, xbar, 0.1, 0.25, 100, 0))

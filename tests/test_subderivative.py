@@ -11,6 +11,7 @@ from nsdpcheck.subderivative import (
     NoFeasibleSampleError,
     PivotNotPositiveDefinite,
     ToleranceAnomalyError,
+    estimate_from_trace,
     estimate_subderivative_sampling,
     recovery_sequence,
     schur_feasibility,
@@ -182,6 +183,22 @@ def test_estimate_examples():
         Y_CORNER, YS_CORNER, SymMat.zeros(2), seed=2
     )
     assert zero_dir == pytest.approx(0.0, abs=1e-9)
+
+
+def test_estimate_from_trace_takes_finest_feasible_step():
+    trace = [
+        {"t": 1e-1, "feasible_samples": 3, "min_quotient": 2.5, "recovery_quotient": 2.5},
+        {"t": 1e-2, "feasible_samples": 2, "min_quotient": 2.1, "recovery_quotient": 2.1},
+        {"t": 1e-3, "feasible_samples": 0, "min_quotient": None, "recovery_quotient": None},
+    ]
+    assert estimate_from_trace(trace) == 2.1
+    with pytest.raises(NoFeasibleSampleError):
+        estimate_from_trace(trace[2:])
+
+    full = subderivative_sampling_trace(Y_CORNER, YS_CORNER, V_CROSS, seed=2)
+    assert estimate_from_trace(full) == estimate_subderivative_sampling(
+        Y_CORNER, YS_CORNER, V_CROSS, seed=2
+    )
 
 
 def test_estimate_requires_hypotheses():
