@@ -457,6 +457,7 @@ def cmd_subderivative(args) -> int:
             seed=args.seed,
             rank_tol=args.rank_tol,
             tol=args.tol,
+            d=d,
         )
     except HypothesisViolation as exc:
         _emit(

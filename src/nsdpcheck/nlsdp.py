@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symmat import SymMat, _tril_size, frobenius_inner, lower_to_dense
+from .symmat import SymMat, _tril_size, _tril_weights, frobenius_inner, lower_to_dense
 
 
 def _lower_to_dense(n: int, lower) -> np.ndarray:
@@ -185,8 +185,7 @@ def adjoint_dF(p: NlsdpProblem, x, ystar: SymMat) -> np.ndarray:
     x = _check_x(p, x)
     if ystar.m != p.m:
         raise ValueError("multiplier dimension mismatch")
-    i, j = np.tril_indices(p.m)
-    weighted = np.where(i == j, 1.0, 2.0) * ystar.lower
+    weighted = _tril_weights(p.m, 2.0) * ystar.lower
     out = p.F._a_stack @ weighted
     if p.F._b_stack is not None:
         out = out + np.einsum("ijl,j,l->i", p.F._b_stack, x, weighted)
@@ -220,32 +219,42 @@ def lagrangian_hess_form(p: NlsdpProblem, alpha: float, x, ystar: SymMat, u) -> 
 # -- JSON wire format ---------------------------------------------------------
 
 
+def _field(obj, path: str):
+    """Value at a dotted path through nested JSON objects; a missing step
+    raises KeyError(path)."""
+    for key in path.split("."):
+        if not isinstance(obj, dict) or key not in obj:
+            raise KeyError(path)
+        obj = obj[key]
+    return obj
+
+
 def problem_from_json(obj: dict) -> tuple[NlsdpProblem, np.ndarray]:
     """Parse problem JSON; returns the problem and the candidate point xbar."""
     try:
-        n = int(obj["n"])
-        m = int(obj["m"])
-        f_obj = obj["f"]
-        cap_f = obj["F"]
-        xbar = np.asarray(obj["xbar"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"problem JSON missing required field: {exc}") from exc
-    f = QuadraticScalar(
-        c=float(f_obj.get("c", 0.0)),
-        g=np.asarray(f_obj["g"], dtype=float),
-        h=_lower_to_dense(n, f_obj["h"]),
-    )
-    a0 = SymMat.from_json(cap_f["A0"])
-    a = tuple(SymMat.from_json(entry) for entry in cap_f["A"])
-    b = None
-    if cap_f.get("B") is not None:
-        b = tuple(
-            tuple(
-                SymMat.zeros(m) if entry is None else SymMat.from_json(entry)
-                for entry in row
-            )
-            for row in cap_f["B"]
+        n = int(_field(obj, "n"))
+        m = int(_field(obj, "m"))
+        xbar = np.asarray(_field(obj, "xbar"), dtype=float)
+        f = QuadraticScalar(
+            g=np.asarray(_field(obj, "f.g"), dtype=float),
+            h=_lower_to_dense(n, _field(obj, "f.h")),
+            c=float(obj["f"].get("c", 0.0)),
         )
+        a0 = SymMat.from_json(_field(obj, "F.A0"))
+        a = tuple(SymMat.from_json(entry) for entry in _field(obj, "F.A"))
+        b = None
+        if obj["F"].get("B") is not None:
+            b = tuple(
+                tuple(
+                    SymMat.zeros(m) if entry is None else SymMat.from_json(entry)
+                    for entry in row
+                )
+                for row in obj["F"]["B"]
+            )
+    except KeyError as exc:
+        raise ValueError(f"problem JSON missing required field: {exc.args[0]}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed problem JSON: {exc}") from exc
     problem = NlsdpProblem(n=n, m=m, f=f, F=QuadraticMatrixMap(a0=a0, a=a, b=b))
     if xbar.shape != (n,):
         raise ValueError(f"xbar must have {n} entries")

@@ -35,7 +35,7 @@ from .nlsdp import (
 )
 from .subderivative import ToleranceAnomalyError, second_subderivative
 from .symmat import OrderedEigenDecomposition, SymMat, block, eigen_decompose
-from .symmat import frobenius_inner, pseudoinverse
+from .symmat import frobenius_inner, pseudoinverse, svec, svec_to_dense
 
 VERIFIED_SAMPLED = "VERIFIED_SAMPLED"
 FAILED_AT_DIRECTION = "FAILED_AT_DIRECTION"
@@ -53,6 +53,16 @@ _DEDUP_ANGLE = 1e-3
 # Growth samples whose constraint values are eigen-solved together; bounds the
 # (block, m, m) work buffer.
 _GROWTH_BLOCK = 256
+
+# Signed coordinate steps of the multiplier search, in the order one move
+# tries them: each step size, plus before minus.
+_STEPS = np.array(
+    [
+        sign * size
+        for size in (4.0, 2.0, 1.0, 0.5, 0.2, 0.08, 0.03, 0.01, 0.003)
+        for sign in (1.0, -1.0)
+    ]
+)
 
 
 class InfeasiblePointError(ValueError):
@@ -213,22 +223,6 @@ def sample_critical_directions(
 # -- multiplier search ----------------------------------------------------------
 
 
-def _svec(a: np.ndarray) -> np.ndarray:
-    """Lower-triangle vectorization scaled so that <A, B> = svec(A) . svec(B)."""
-    k = a.shape[0]
-    i, j = np.tril_indices(k)
-    return np.where(i == j, 1.0, math.sqrt(2.0)) * a[i, j]
-
-
-def _unsvec(vec: np.ndarray, k: int) -> np.ndarray:
-    a = np.zeros((k, k))
-    i, j = np.tril_indices(k)
-    vals = vec / np.where(i == j, 1.0, math.sqrt(2.0))
-    a[i, j] = vals
-    a[j, i] = vals
-    return a
-
-
 def _embed_omega(d: OrderedEigenDecomposition, w: np.ndarray) -> SymMat:
     """Lift a |omega| x |omega| block to the full space through d's eigenbasis."""
     full = np.zeros((d.m, d.m))
@@ -257,29 +251,35 @@ class _SearchOutcome:
     hit_cap: bool
 
 
+def _row_norms(zs: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of zs, rounded as np.linalg.norm rounds
+    one row: stacked row-times-column products sum like a vector dot."""
+    return np.sqrt((zs[:, None, :] @ zs[:, :, None]).reshape(len(zs)))
+
+
 def _coordinate_ascent(objective, z0: np.ndarray, max_iters: int):
-    """Maximize over the unit sphere by normalized coordinate steps."""
-    steps = (4.0, 2.0, 1.0, 0.5, 0.2, 0.08, 0.03, 0.01, 0.003)
+    """Maximize over the unit sphere by normalized coordinate steps.
+
+    ``objective`` maps a stack of points (rows) to their values.  A move along
+    one coordinate scores every signed step at once, then takes the first
+    step, in _STEPS order, that beats the best value seen so far."""
     z = z0 / np.linalg.norm(z0)
-    val = objective(z)
+    val = float(objective(z[None])[0])
     r = z.size
     for _ in range(max_iters):
         improved = False
         for j in range(r):
-            best_val, best_z = val, None
-            for s in steps:
-                for sign in (1.0, -1.0):
-                    zc = z.copy()
-                    zc[j] += sign * s
-                    nrm = np.linalg.norm(zc)
-                    if nrm < 1e-12:
-                        continue
-                    zc /= nrm
-                    v = objective(zc)
-                    if v > best_val + 1e-15:
-                        best_val, best_z = v, zc
-            if best_z is not None:
-                z, val = best_z, best_val
+            trial = np.repeat(z[None], len(_STEPS), axis=0)
+            trial[:, j] += _STEPS
+            nrm = _row_norms(trial)
+            keep = ~(nrm < 1e-12)
+            trial = trial[keep] / nrm[keep, None]
+            best_val, best_row = val, None
+            for row, v in enumerate(objective(trial).tolist()):
+                if v > best_val + 1e-15:
+                    best_val, best_row = v, row
+            if best_row is not None:
+                z, val = trial[best_row], best_val
                 improved = True
         if not improved:
             return z, val, False
@@ -309,21 +309,23 @@ def _multiplier_search(
         e_i = np.zeros(n)
         e_i[i] = 1.0
         d_i = dF(p, xbar, e_i)
-        rows.append(np.concatenate(([gf[i]], _svec(block(d_i, d, omega, omega)))))
-    rows.append(np.concatenate(([0.0], _svec(block(g_dir, d, omega, omega)))))
+        rows.append(np.concatenate(([gf[i]], svec(block(d_i, d, omega, omega)))))
+    rows.append(np.concatenate(([0.0], svec(block(g_dir, d, omega, omega)))))
     system = np.vstack(rows)
     basis = _null_space(system)
     r = basis.shape[1]
     if r == 0:
         return _SearchOutcome(None, None, -math.inf, False)
 
-    def interiority(z: np.ndarray) -> float:
-        vec = basis @ z
-        alpha = vec[0]
+    def interiority(zs: np.ndarray) -> np.ndarray:
+        """min(alpha, -lambda_max(W)) of the multiplier basis @ z, per row z."""
+        # Stacked matrix-vector products round like basis @ z for one z.
+        vecs = (basis @ zs[:, :, None])[:, :, 0]
+        alpha = vecs[:, 0]
         if k == 0:
-            return float(alpha)
-        w = _unsvec(vec[1:], k)
-        return float(min(alpha, -np.linalg.eigvalsh(w)[-1]))
+            return alpha
+        top = -np.linalg.eigvalsh(svec_to_dense(k, vecs[:, 1:]))[:, -1]
+        return np.where(top < alpha, top, alpha)
 
     # Margin is linear in (alpha, svec W); precompute its coefficient row.
     fdag = pseudoinverse(d).dense()
@@ -333,14 +335,14 @@ def _multiplier_search(
     margin_row = np.concatenate(
         (
             [float(u @ p.f.h @ u)],
-            _svec(block(quad, d, omega, omega) - 2.0 * block(curv_mat, d, omega, omega)),
+            svec(block(quad, d, omega, omega) - 2.0 * block(curv_mat, d, omega, omega)),
         )
     )
     margin_of = basis.T @ margin_row
 
     hit_cap = False
     if r == 1:
-        scored = [(interiority(np.array([s])), s) for s in (1.0, -1.0)]
+        scored = list(zip(interiority(np.array([[1.0], [-1.0]])).tolist(), (1.0, -1.0)))
         best_interiority, best_sign = max(scored)
         feasible = [s for g0, s in scored if g0 >= -opts.cert_tol]
         if not feasible:
@@ -370,20 +372,25 @@ def _multiplier_search(
         # keeps the search honest about "no positive-margin certificate".
         rho = 1e3 * (1.0 + np.linalg.norm(margin_of))
 
-        def penalized(z: np.ndarray) -> float:
-            return float(margin_of @ z + rho * min(0.0, interiority(z) + 0.5 * opts.cert_tol))
+        def penalized(zs: np.ndarray) -> np.ndarray:
+            slack = interiority(zs) + 0.5 * opts.cert_tol
+            gain = (zs[:, None, :] @ margin_of[:, None]).reshape(len(zs))
+            return gain + rho * np.where(slack < 0.0, slack, 0.0)
 
-        z_best, best_pen = z_int, penalized(z_int)
+        def at(objective, z: np.ndarray) -> float:
+            return float(objective(z[None])[0])
+
+        z_best, best_pen = z_int, at(penalized, z_int)
         polish_starts = [z_int] + [rng.standard_normal(r) for _ in range(7)]
         for z0 in polish_starts:
             z, _, capped = _coordinate_ascent(penalized, z0, opts.max_iters)
             hit_cap = hit_cap or capped
-            if interiority(z) >= -opts.cert_tol and penalized(z) > best_pen:
-                z_best, best_pen = z, penalized(z)
+            if at(interiority, z) >= -opts.cert_tol and at(penalized, z) > best_pen:
+                z_best, best_pen = z, at(penalized, z)
 
     vec = basis @ z_best
     alpha = max(float(vec[0]), 0.0)
-    w = _unsvec(vec[1:], k) if k else np.zeros((0, 0))
+    w = svec_to_dense(k, vec[1:])
     scale = 1.0 / alpha if alpha > _ALPHA_NORMALIZE else 1.0 / math.hypot(
         alpha, np.linalg.norm(w)
     )
@@ -577,10 +584,10 @@ def verify_growth(
 
     The samples are drawn one by one from a seeded stream; F and its PSD
     distance are then evaluated for blocks of samples at once."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     xbar = np.asarray(xbar, dtype=float)

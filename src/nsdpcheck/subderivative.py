@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import DEFAULT_TOL, is_psd, normal_cone_contains, tangent_cone_contains
-from .symmat import OrderedEigenDecomposition, SymMat, conjugate, eigen_decompose
-from .symmat import frobenius_inner, pseudoinverse
+from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, conjugate
+from .symmat import eigen_decompose, frobenius_inner, pseudoinverse
 
 # Sampling-oracle defaults.
 SAMPLING_T_GRID = tuple(np.logspace(-1, -5, 8))
@@ -223,6 +223,7 @@ def subderivative_sampling_trace(
     seed: int = 0,
     rank_tol: float | None = None,
     tol: float = DEFAULT_TOL,
+    d: OrderedEigenDecomposition | None = None,
 ) -> list[dict]:
     """Per-step record of the sampled difference quotients -2<ystar, v'>/t.
 
@@ -230,9 +231,11 @@ def subderivative_sampling_trace(
     n_samples random symmetric perturbations of v within radius*t, every one
     kept only if y + t*v' stays PSD.  The recovery point is feasible by
     construction and enters unfiltered whenever the omega-omega block of v is
-    PSD (tangent directions).
+    PSD (tangent directions).  ``d``, when given, is y's decomposition at
+    rank_tol and is not recomputed.
     """
-    d = eigen_decompose(y, rank_tol)
+    if d is None:
+        d = eigen_decompose(y, rank_tol)
     if not d.psd:
         raise HypothesisViolation("base point is not PSD within rank_tol")
     if not normal_cone_contains(d, ystar, tol):
@@ -243,7 +246,7 @@ def subderivative_sampling_trace(
     rng = np.random.default_rng(seed)
     m = y.m
     tangent = tangent_cone_contains(d, v, tol)
-    tril = np.tril_indices(m)
+    tril = _tril_indices(m)
 
     trace = []
     for t in t_values:

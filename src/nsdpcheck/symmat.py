@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,6 +32,9 @@ JACOBI_MAX_SWEEPS = 100
 
 # Default rank tolerance is DEFAULT_RANK_REL * max(1, largest |eigenvalue|).
 DEFAULT_RANK_REL = 1e-8
+
+# Off-diagonal weight of the isometric vectorization svec.
+_SQRT2 = math.sqrt(2.0)
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -50,6 +54,19 @@ def _tril_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+@lru_cache(maxsize=64)
+def _tril_weights(m: int, off: float) -> np.ndarray:
+    """Read-only lower-triangle weights: 1 on the diagonal, ``off`` below it.
+
+    ``off = 2`` turns a sum over the triangle into a sum over the matrix;
+    ``off = _SQRT2`` is the svec scaling.
+    """
+    i, j = _tril_indices(m)
+    w = np.where(i == j, 1.0, off)
+    w.setflags(write=False)
+    return w
+
+
 def lower_to_dense(m: int, lower: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Dense m x m matrices from lower triangles stacked along the last axis.
 
@@ -62,6 +79,19 @@ def lower_to_dense(m: int, lower: np.ndarray, out: np.ndarray | None = None) -> 
     out[..., i, j] = lower
     out[..., j, i] = lower
     return out
+
+
+def svec(a: np.ndarray) -> np.ndarray:
+    """Lower triangle of a square array, scaled so that
+    <A, B> = svec(A) . svec(B)."""
+    m = a.shape[0]
+    i, j = _tril_indices(m)
+    return _tril_weights(m, _SQRT2) * a[i, j]
+
+
+def svec_to_dense(m: int, vecs: np.ndarray) -> np.ndarray:
+    """Inverse of svec for vectors stacked along the last axis."""
+    return lower_to_dense(m, vecs / _tril_weights(m, _SQRT2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +130,7 @@ class SymMat:
             if asym > 1e-8 * scale:
                 raise ValueError(f"matrix is not symmetric (|A - A.T| = {asym:.3e})")
         sym = 0.5 * (a + a.T)
-        i, j = np.tril_indices(a.shape[0])
-        return cls(a.shape[0], sym[i, j])
+        return cls(a.shape[0], sym[_tril_indices(a.shape[0])])
 
     @classmethod
     def zeros(cls, m: int) -> "SymMat":
@@ -135,9 +164,7 @@ class SymMat:
 
     def norm(self) -> float:
         """Frobenius norm."""
-        i, j = np.tril_indices(self.m)
-        w = np.where(i == j, 1.0, 2.0)
-        return float(np.sqrt(np.sum(w * self.lower**2)))
+        return float(np.sqrt(np.sum(_tril_weights(self.m, 2.0) * self.lower**2)))
 
     def _same_dim(self, other: "SymMat") -> None:
         if self.m != other.m:
@@ -166,9 +193,7 @@ class SymMat:
 def frobenius_inner(a: SymMat, b: SymMat) -> float:
     """trace(a @ b), i.e. the entrywise double sum."""
     a._same_dim(b)
-    i, j = np.tril_indices(a.m)
-    w = np.where(i == j, 1.0, 2.0)
-    return float(np.sum(w * a.lower * b.lower))
+    return float(np.sum(_tril_weights(a.m, 2.0) * a.lower * b.lower))
 
 
 @dataclass(frozen=True, eq=False)

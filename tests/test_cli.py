@@ -206,3 +206,32 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "VERIFIED_SAMPLED" in proc.stdout
+
+
+@pytest.mark.parametrize("option", ["--epsilon", "--beta"])
+def test_growth_rejects_nan_parameters(option, capsys):
+    values = {"--epsilon": "0.1", "--beta": "0.1", option: "nan"}
+    argv = ["growth", str(DATA / "p1.json")]
+    for name, value in values.items():
+        argv += [name, value]
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option[2:]} must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj["f"].pop("g"), "problem JSON missing required field: f.g"),
+        (lambda obj: obj.update(F=[]), "problem JSON missing required field: F.A0"),
+        (lambda obj: obj["F"].update(A=5), "malformed problem JSON: 'int' object is not iterable"),
+    ],
+)
+def test_malformed_problem_fields_exit_3(tmp_path, capsys, edit, message):
+    obj = json.loads((DATA / "p1.json").read_text())
+    edit(obj)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("check-sosc", str(path)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -283,3 +283,10 @@ def test_trace_reports_levels():
     for lvl in trace:
         assert lvl["feasible_samples"] >= 1
         assert lvl["recovery_quotient"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_trace_reuses_a_given_decomposition():
+    d = eigen_decompose(Y_CORNER)
+    assert subderivative_sampling_trace(
+        Y_CORNER, YS_CORNER, V_CROSS, n_samples=8, seed=3, d=d
+    ) == subderivative_sampling_trace(Y_CORNER, YS_CORNER, V_CROSS, n_samples=8, seed=3)
