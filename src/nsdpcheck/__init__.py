@@ -58,7 +58,6 @@ from .subderivative import (
     subderivative_sampling_trace,
 )
 from .symmat import (
-    JacobiConvergenceError,
     OrderedEigenDecomposition,
     SymMat,
     block,

@@ -7,7 +7,8 @@ growth).  Reports go to stdout as text, or to a file as JSON with
 ``--json PATH``.
 
 Exit codes: 0 success / condition verified, 1 condition refuted,
-2 inconclusive search, 3 input or hypothesis error, 4 numerical anomaly.
+2 inconclusive search, 3 input, usage or hypothesis error, 4 numerical
+anomaly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .subderivative import (
     second_subderivative,
     subderivative_sampling_trace,
 )
-from .symmat import JacobiConvergenceError, SymMat, eigen_decompose
+from .symmat import SymMat, eigen_decompose
 
 SCHEMA_VERSION = "1"
 
@@ -218,11 +219,7 @@ ERROR_SCHEMA = {
 }
 
 # Internal numerical failures: not a verdict on the input, so never exit 1.
-_NUMERICAL_ANOMALIES = (
-    ToleranceAnomalyError,
-    JacobiConvergenceError,
-    np.linalg.LinAlgError,
-)
+_NUMERICAL_ANOMALIES = (ToleranceAnomalyError, np.linalg.LinAlgError)
 
 
 class _InputError(Exception):
@@ -295,11 +292,7 @@ def _problem_summary(problem, xbar, d) -> dict:
 
 
 def cmd_check_sosc(args) -> int:
-    obj = _load_json_file(args.problem)
-    try:
-        problem, xbar = problem_from_json(obj)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    problem, xbar = problem_from_json(_load_json_file(args.problem))
     opts = sosc.SoscOptions(
         tol=args.tol,
         rank_tol=args.rank_tol,
@@ -374,11 +367,7 @@ def cmd_check_sosc(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    obj = _load_json_file(args.problem)
-    try:
-        problem, xbar = problem_from_json(obj)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    problem, xbar = problem_from_json(_load_json_file(args.problem))
     fx = eval_F(problem, xbar)
     infeas = dist_psd(fx)
     if infeas > args.tol:
@@ -440,8 +429,6 @@ def cmd_subderivative(args) -> int:
         v = SymMat.from_json(obj["V"])
     except (KeyError, TypeError) as exc:
         raise _InputError(f'triple JSON needs "Y", "Ystar" and "V": {exc}') from exc
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
     if not (y.m == ystar.m == v.m):
         raise _InputError("Y, Ystar, V must share one dimension")
     try:
@@ -517,8 +504,24 @@ def cmd_subderivative(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # exit 2 means INCONCLUSIVE, so usage errors join the input errors
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def tolerance(text: str) -> float:
+    """A finite, positive tolerance flag; NaN would fail every comparison.
+    argparse names the flag in the usage error that either check raises."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nsdpcheck",
         description="Second-order sufficient condition checks for nonlinear "
         "semidefinite programs",
@@ -526,11 +529,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--tol", type=float, default=1e-8, help="membership tolerance")
+        sp.add_argument("--tol", type=tolerance, default=1e-8, help="membership tolerance")
         sp.add_argument(
             "--rank-tol",
             dest="rank_tol",
-            type=float,
+            type=tolerance,
             default=None,
             help="eigenvalue rank tolerance (default: scaled automatic)",
         )
@@ -540,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-sosc", help="verify the sufficient condition at xbar")
     sp.add_argument("problem", help="problem JSON file with xbar")
     common(sp)
-    sp.add_argument("--cert-tol", dest="cert_tol", type=float, default=1e-7)
+    sp.add_argument("--cert-tol", dest="cert_tol", type=tolerance, default=1e-7)
     sp.add_argument("--margin-tol", dest="margin_tol", type=float, default=1e-9)
     sp.add_argument("--dirs", type=int, default=512, help="random direction samples")
     sp.set_defaults(func=cmd_check_sosc)
@@ -572,10 +575,7 @@ def main(argv=None) -> int:
         if args.json:
             _emit(_error_report(args, "numerical_anomaly", exc), args.json, [])
         return 4
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError) as exc:
+    except (_InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symmat import SymMat, _tril_size, _tril_weights, frobenius_inner, lower_to_dense
+from .symmat import SymMat, _tril_size, _tril_weights, frobenius_inner
+from .symmat import json_int, lower_to_dense
 
 
 def _lower_to_dense(n: int, lower) -> np.ndarray:
@@ -36,8 +37,7 @@ class QuadraticScalar:
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
         h = np.asarray(self.h, dtype=float)
-        n = g.shape[0]
-        if g.ndim != 1 or h.shape != (n, n):
+        if g.ndim != 1 or h.shape != (g.size, g.size):
             raise ValueError("gradient/Hessian shapes inconsistent")
         if not (np.isfinite(self.c) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
             raise ValueError("objective data must be finite")
@@ -232,8 +232,8 @@ def _field(obj, path: str):
 def problem_from_json(obj: dict) -> tuple[NlsdpProblem, np.ndarray]:
     """Parse problem JSON; returns the problem and the candidate point xbar."""
     try:
-        n = int(_field(obj, "n"))
-        m = int(_field(obj, "m"))
+        n = json_int(_field(obj, "n"), "n")
+        m = json_int(_field(obj, "m"), "m")
         xbar = np.asarray(_field(obj, "xbar"), dtype=float)
         f = QuadraticScalar(
             g=np.asarray(_field(obj, "f.g"), dtype=float),
@@ -246,16 +246,18 @@ def problem_from_json(obj: dict) -> tuple[NlsdpProblem, np.ndarray]:
         if obj["F"].get("B") is not None:
             b = tuple(
                 tuple(
-                    SymMat.zeros(m) if entry is None else SymMat.from_json(entry)
+                    SymMat.zeros(a0.m) if entry is None else SymMat.from_json(entry)
                     for entry in row
                 )
                 for row in obj["F"]["B"]
             )
     except KeyError as exc:
         raise ValueError(f"problem JSON missing required field: {exc.args[0]}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed problem JSON: {exc}") from exc
     problem = NlsdpProblem(n=n, m=m, f=f, F=QuadraticMatrixMap(a0=a0, a=a, b=b))
     if xbar.shape != (n,):
         raise ValueError(f"xbar must have {n} entries")
+    if not np.all(np.isfinite(xbar)):
+        raise ValueError("xbar must be finite")
     return problem, xbar

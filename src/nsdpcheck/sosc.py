@@ -84,6 +84,16 @@ class SoscOptions:
     max_iters: int = 200
     seed: int = 0
 
+    def __post_init__(self):
+        # a NaN tolerance fails every comparison and so empties the critical cone
+        rank_tol = 1.0 if self.rank_tol is None else self.rank_tol
+        positive = (("tol", self.tol), ("cert_tol", self.cert_tol), ("rank_tol", rank_tol))
+        for name, value in positive:
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not 0 <= self.margin_tol < math.inf:
+            raise ValueError(f"margin_tol must be finite and >= 0, got {self.margin_tol}")
+
 
 @dataclass(frozen=True)
 class MultiplierCandidate:

@@ -25,20 +25,11 @@ import numpy as np
 ORTH_TOL = 1e-10
 RECON_TOL = 1e-8
 
-# Cyclic Jacobi parameters: off-diagonal target relative to ||Y||_F and the
-# sweep cap after which non-convergence is reported.
-JACOBI_OFFDIAG_REL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
 # Default rank tolerance is DEFAULT_RANK_REL * max(1, largest |eigenvalue|).
 DEFAULT_RANK_REL = 1e-8
 
 # Off-diagonal weight of the isometric vectorization svec.
 _SQRT2 = math.sqrt(2.0)
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the Jacobi sweeps do not reach the off-diagonal target."""
 
 
 def _tril_size(m: int) -> int:
@@ -65,6 +56,15 @@ def _tril_weights(m: int, off: float) -> np.ndarray:
     w = np.where(i == j, 1.0, off)
     w.setflags(write=False)
     return w
+
+
+def json_int(value, name: str) -> int:
+    """An integer field read from JSON, which reads 1e999 as inf."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def lower_to_dense(m: int, lower: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -155,7 +155,11 @@ class SymMat:
     def from_json(cls, obj: dict) -> "SymMat":
         if not isinstance(obj, dict) or "m" not in obj or "lower" not in obj:
             raise ValueError('symmetric matrix JSON needs keys "m" and "lower"')
-        return cls(int(obj["m"]), np.asarray(obj["lower"], dtype=float))
+        try:
+            lower = np.asarray(obj["lower"], dtype=float)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed matrix entries: {exc}") from exc
+        return cls(json_int(obj["m"], "m"), lower)
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -253,75 +257,19 @@ class OrderedEigenDecomposition:
         return self.source.m
 
 
-def _jacobi(a: np.ndarray, off_target: float, max_sweeps: int, rng=None):
-    """Cyclic Jacobi on a dense symmetric copy; returns (diag, Q) with
-    a = Q @ diag @ Q.T.  ``rng`` shuffles the rotation order per sweep."""
-    m = a.shape[0]
-    a = a.copy()
-    q = np.eye(m)
-    if m == 1:
-        return np.array([a[0, 0]]), q
-    pairs = [(p, r) for p in range(m - 1) for r in range(p + 1, m)]
-    # Rotations below this cannot keep off(A) above the target.
-    rot_floor = off_target / (m * m)
-
-    def offdiag() -> float:
-        # summed directly over off-diagonal entries; a difference of squared
-        # norms would drown small residuals in cancellation
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if offdiag() <= off_target:
-            break
-        order = list(pairs)
-        if rng is not None:
-            rng.shuffle(order)
-        for p, r in order:
-            apr = a[p, r]
-            if abs(apr) <= rot_floor:
-                continue
-            tau = (a[r, r] - a[p, p]) / (2.0 * apr)
-            t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            col_p, col_r = a[:, p].copy(), a[:, r].copy()
-            a[:, p] = c * col_p - s * col_r
-            a[:, r] = s * col_p + c * col_r
-            row_p, row_r = a[p, :].copy(), a[r, :].copy()
-            a[p, :] = c * row_p - s * row_r
-            a[r, :] = s * row_p + c * row_r
-            a[p, r] = a[r, p] = 0.0
-            qp, qr = q[:, p].copy(), q[:, r].copy()
-            q[:, p] = c * qp - s * qr
-            q[:, r] = s * qp + c * qr
-    else:
-        raise JacobiConvergenceError(
-            f"off-diagonal norm {offdiag():.3e} above target {off_target:.3e} "
-            f"after {max_sweeps} sweeps"
-        )
-    return np.diag(a).copy(), q
-
-
-def eigen_decompose(
-    y: SymMat, rank_tol: float | None = None, rng=None
-) -> OrderedEigenDecomposition:
-    """Ordered eigenvalue decomposition of ``y`` via cyclic Jacobi rotations.
+def eigen_decompose(y: SymMat, rank_tol: float | None = None) -> OrderedEigenDecomposition:
+    """Ordered eigenvalue decomposition of ``y`` by LAPACK's ``eigh``.
 
     ``rank_tol`` defaults to ``DEFAULT_RANK_REL * max(1, largest |eigenvalue|)``.
-    ``rng`` (a numpy Generator) randomizes the sweep order; any orthogonal
-    basis of a repeated eigenspace is acceptable, so results with different
-    orders are equivalent for every consumer in this package.
+    Any orthogonal basis of a repeated eigenspace is acceptable to every
+    consumer in this package.  Non-convergence raises ``LinAlgError``.
     """
-    if rank_tol is not None and rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    dense = y.dense()
-    target = JACOBI_OFFDIAG_REL * max(np.linalg.norm(dense), np.finfo(float).tiny)
-    lam, q = _jacobi(dense, target, JACOBI_MAX_SWEEPS, rng=rng)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    p = q[:, order].T
+    if rank_tol is not None and not 0 < rank_tol < math.inf:
+        raise ValueError("rank_tol must be positive and finite")
+    lam, q = np.linalg.eigh(y.dense())
+    # eigh sorts ascending with eigenvectors as columns
+    lam = lam[::-1]
+    p = q[:, ::-1].T
     if rank_tol is None:
         rank_tol = DEFAULT_RANK_REL * max(1.0, float(np.abs(lam).max()))
     pi = tuple(int(k) for k in np.nonzero(lam > rank_tol)[0])

@@ -1,15 +1,21 @@
 """CLI behaviour: exit codes, text/JSON reports, schema and determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsdpcheck import SymMat, eigen_decompose, sosc
 from nsdpcheck.cli import ERROR_SCHEMA, REPORT_SCHEMA, main
@@ -226,6 +232,11 @@ def test_growth_rejects_nan_parameters(option, capsys):
         (lambda obj: obj["f"].pop("g"), "problem JSON missing required field: f.g"),
         (lambda obj: obj.update(F=[]), "problem JSON missing required field: F.A0"),
         (lambda obj: obj["F"].update(A=5), "malformed problem JSON: 'int' object is not iterable"),
+        (lambda obj: obj["f"].update(g=None), "gradient/Hessian shapes inconsistent"),
+        (lambda obj: obj.update(m=2.5), "m must be an integer, got 2.5"),
+        (lambda obj: obj.update(xbar=[math.nan, 0.0]), "xbar must be finite"),
+        (lambda obj: obj.update(xbar=[10**400, 0]),
+         "malformed problem JSON: int too large to convert to float"),
     ],
 )
 def test_malformed_problem_fields_exit_3(tmp_path, capsys, edit, message):
@@ -235,3 +246,140 @@ def test_malformed_problem_fields_exit_3(tmp_path, capsys, edit, message):
     path.write_text(json.dumps(obj))
     assert run_cli("check-sosc", str(path)) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-sosc", "p1_negated.json", "--dirs", "16"),
+        ("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.1", "--samples", "50"),
+        ("subderivative", "triple_basic.json", "--samples", "8"),
+    ],
+)
+@pytest.mark.parametrize("flag", ["--tol", "--rank-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])
+def test_non_finite_tolerances_exit_3(argv, flag, value, capsys):
+    # a NaN --tol used to empty the critical cone and pass a refuted point
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv[0], str(DATA / argv[1]), *argv[2:], f"{flag}={value}")
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a finite number > 0" in captured.err
+
+
+def test_check_sosc_rejects_bad_cert_and_margin_tol(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("check-sosc", str(DATA / "p1.json"), "--cert-tol", "nan")
+    assert exc.value.code == 3
+    assert "argument --cert-tol" in capsys.readouterr().err
+    assert run_cli("check-sosc", str(DATA / "p1.json"), "--margin-tol", "nan") == 3
+    assert "margin_tol must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fixture, field, message",
+    [
+        ("p1.json", '"n": 2', "n must be an integer, got inf"),
+        ("triple_basic.json", '"m": 2', "m must be an integer, got inf"),
+    ],
+)
+def test_overflowing_integer_fields_exit_3(tmp_path, capsys, fixture, field, message):
+    # json reads 1e999 as inf; int(inf) raised OverflowError, which exited 1
+    text = (DATA / fixture).read_text()
+    assert field in text
+    path = tmp_path / fixture
+    path.write_text(text.replace(field, field.replace("2", "1e999"), 1))
+    command = "subderivative" if fixture.startswith("triple") else "check-sosc"
+    assert run_cli(command, str(path)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("growth", "p1.json"),  # --epsilon and --beta are required
+        ("check-sosc", "p1.json", "--dirs", "abc"),
+        ("check-sosc", "p1.json", "--tol", "abc"),
+        ("check-sosc", "p1.json", "--no-such-flag"),
+        ("no-such-command",),
+        (),
+    ],
+)
+def test_usage_errors_exit_3(argv, capsys):
+    # exit 2 is INCONCLUSIVE; argparse's own usage exit would collide with it
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 3
+    assert "usage: nsdpcheck" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("check-sosc", "--help")])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 0
+    assert "usage: nsdpcheck" in capsys.readouterr().out
+
+
+def _subtree_paths(doc, prefix=()):
+    """Key/index paths of every subtree of a JSON document, the root first."""
+    yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, child in children:
+        yield from _subtree_paths(child, prefix + (key,))
+
+
+def _replace_subtree(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# values that have broken parsers before: huge, infinite, NaN, fractional
+_EXTREMES = st.sampled_from([10**400, 1e308, -1e308, 5e-324, math.inf, math.nan, 2.5, -1, 0])
+_JSON_VALUES = _EXTREMES | st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+    | _EXTREMES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+
+_FUZZ_RUNS = [
+    ("check-sosc", "p1.json", ["--dirs", "2"]),
+    ("growth", "p1.json", ["--epsilon", "0.1", "--beta", "0.1", "--samples", "50"]),
+    ("subderivative", "triple_basic.json", ["--samples", "50"]),
+]
+
+
+@pytest.mark.parametrize("command, fixture, flags", _FUZZ_RUNS)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_arbitrary_json_subtree_exits_0_to_4(command, fixture, flags, data):
+    # any input file ends in an exit code, never in an escaped exception
+    doc = json.loads((DATA / fixture).read_text())
+    path = data.draw(st.sampled_from(list(_subtree_paths(doc))), label="path")
+    value = data.draw(_JSON_VALUES, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "input.json"
+        problem.write_text(json.dumps(_replace_subtree(doc, path, value)))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(problem), *flags])
+    assert code in (0, 1, 2, 3, 4)

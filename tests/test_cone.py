@@ -11,7 +11,13 @@ from nsdpcheck.cone import (
     tangent_cone_contains,
     tangent_cone_contains_oracle,
 )
-from nsdpcheck.symmat import SymMat, block, eigen_decompose, frobenius_inner
+from nsdpcheck.symmat import (
+    OrderedEigenDecomposition,
+    SymMat,
+    block,
+    eigen_decompose,
+    frobenius_inner,
+)
 
 from conftest import random_orthogonal, random_psd, random_symmat, valid_triple
 
@@ -170,16 +176,38 @@ def test_membership_invariant_under_positive_scaling():
 
 def test_membership_invariant_across_eigenbasis_ties():
     # repeated eigenvalues leave the eigenbasis free; membership must not
-    # depend on which orthogonal basis the sweeps produce
+    # depend on which orthogonal basis of each eigenspace is chosen
     rng = np.random.default_rng(53)
+    seen = set()
     for trial in range(25):
         m = 4
         q = random_orthogonal(rng, m)
         lam = np.array([2.0, 2.0, 0.0, 0.0])
         y = SymMat.from_dense((q * lam) @ q.T, check_symmetry=False)
-        d1 = eigen_decompose(y, rng=np.random.default_rng(trial))
-        d2 = eigen_decompose(y, rng=np.random.default_rng(1000 + trial))
+        d1 = eigen_decompose(y)
+        p2 = d1.p_matrix.copy()
+        for tie in (d1.pi, d1.omega):
+            rows = list(tie)
+            p2[rows] = random_orthogonal(rng, len(rows)) @ p2[rows]
+        d2 = OrderedEigenDecomposition(
+            source=y,
+            p_matrix=p2,
+            eigenvalues=d1.eigenvalues,
+            pi=d1.pi,
+            omega=d1.omega,
+            rank_tol=d1.rank_tol,
+        )
+        assert not np.allclose(d1.p_matrix, d2.p_matrix)
         v = random_symmat(rng, m)
-        ystar = random_symmat(rng, m)
-        assert tangent_cone_contains(d1, v) == tangent_cone_contains(d2, v)
-        assert normal_cone_contains(d1, ystar) == normal_cone_contains(d2, ystar)
+        # supported on the kernel: in the normal cone iff its block is NSD
+        w = random_symmat(rng, 2).dense()
+        if trial % 2:
+            w = -(w @ w)
+        p_omega = d1.p_matrix[list(d1.omega)]
+        ystar = SymMat.from_dense(p_omega.T @ w @ p_omega, check_symmetry=False)
+        tangent = tangent_cone_contains(d1, v)
+        normal = normal_cone_contains(d1, ystar)
+        assert tangent_cone_contains(d2, v) == tangent
+        assert normal_cone_contains(d2, ystar) == normal
+        seen.add((tangent, normal))
+    assert {t for t, _ in seen} == {n for _, n in seen} == {True, False}

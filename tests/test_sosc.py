@@ -666,3 +666,18 @@ def test_coordinate_ascent_keeps_the_first_of_near_ties():
 def test_global_minimiser_is_not_refuted():
     p, xbar = problem_from_json(FALSE_REFUTATION)
     assert check_sosc(p, xbar, SoscOptions(n_dirs=16)).verdict == VERIFIED_SAMPLED
+
+
+@pytest.mark.parametrize("field", ["tol", "cert_tol", "rank_tol", "margin_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-8])
+def test_sosc_options_reject_bad_tolerances(field, value):
+    # a NaN tol makes every tangency test false and so empties the cone
+    with pytest.raises(ValueError, match=field):
+        SoscOptions(**{field: value})
+
+
+def test_sosc_options_zero_tolerances():
+    assert SoscOptions(margin_tol=0.0, rank_tol=None).margin_tol == 0.0
+    for field in ("tol", "cert_tol", "rank_tol"):
+        with pytest.raises(ValueError, match=field):
+            SoscOptions(**{field: 0.0})

@@ -1,4 +1,4 @@
-"""Symmetric storage, Jacobi eigendecomposition and block notation."""
+"""Symmetric storage, the ordered eigendecomposition and block notation."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from nsdpcheck.symmat import (
     pseudoinverse,
 )
 
-from conftest import random_psd, random_symmat
+from conftest import random_orthogonal, random_psd, random_symmat
 
 
 def test_frobenius_inner_examples():
@@ -87,16 +87,9 @@ def test_eigenvalues_match_lapack():
 
 
 def test_eigen_decompose_rejects_bad_rank_tol():
-    with pytest.raises(ValueError):
-        eigen_decompose(SymMat.identity(2), rank_tol=0.0)
-
-
-def test_jacobi_reports_non_convergence():
-    from nsdpcheck.symmat import JacobiConvergenceError, _jacobi
-
-    dense = SymMat.from_dense([[0.0, 1.0], [1.0, 0.0]]).dense()
-    with pytest.raises(JacobiConvergenceError):
-        _jacobi(dense, off_target=1e-14, max_sweeps=0)
+    for rank_tol in (0.0, -1e-8, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            eigen_decompose(SymMat.identity(2), rank_tol=rank_tol)
 
 
 def test_pseudoinverse_examples():
@@ -237,3 +230,23 @@ def test_rank_classification_follows_tolerance():
         assert len(d.omega) == m - rank
         assert sorted(d.pi + d.omega) == list(range(m))
         assert d.psd
+
+    # rotated spectra with eigenvalues just inside and just outside
+    # +-rank_tol: pi and omega must equal the constructed index sets
+    edge = [1.0 - 1e-3, 1.0 + 1e-3]
+    for trial in range(40):
+        m = int(rng.integers(2, 13))
+        big = rng.uniform(0.5, 5.0, m)
+        scale = float(big.max())
+        rank_tol = None if trial % 2 else float(10.0 ** rng.uniform(-8, -4))
+        tol = 1e-8 * max(1.0, scale) if rank_tol is None else rank_tol
+        factor = rng.choice(edge, m) * rng.choice([1.0, -1.0], m)
+        lam = np.where(rng.random(m) < 0.3, big, tol * factor)
+        lam[0] = scale
+        lam = np.sort(lam)[::-1]
+        q = random_orthogonal(rng, m)
+        y = SymMat.from_dense((q * lam) @ q.T, check_symmetry=False)
+        d = eigen_decompose(y, rank_tol)
+        assert d.rank_tol == pytest.approx(tol, rel=1e-12)
+        assert d.pi == tuple(int(k) for k in np.nonzero(lam > tol)[0])
+        assert d.omega == tuple(int(k) for k in np.nonzero(np.abs(lam) <= tol)[0])
