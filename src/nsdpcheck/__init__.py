@@ -40,6 +40,7 @@ from .sosc import (
     check_sosc,
     critical_cone_contains,
     find_multiplier,
+    require_feasible,
     sample_critical_directions,
     sosc_margin,
     verify_growth,

@@ -21,8 +21,7 @@ import sys
 import numpy as np
 
 from . import sosc
-from .cone import dist_psd
-from .nlsdp import eval_F, problem_from_json
+from .nlsdp import problem_from_json
 from .subderivative import (
     HypothesisViolation,
     NoFeasibleSampleError,
@@ -38,196 +37,125 @@ from .symmat import SymMat, eigen_decompose
 
 SCHEMA_VERSION = "1"
 
-_SYMMAT_SCHEMA = {
-    "type": "object",
-    "required": ["m", "lower"],
-    "properties": {
-        "m": {"type": "integer", "minimum": 1},
-        "lower": {"type": "array", "items": {"type": "number"}},
-    },
-}
-
+_NUMBER = {"type": "number"}
+_INTEGER = {"type": "integer"}
 _NUMBER_OR_NULL = {"type": ["number", "null"]}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+_INTEGERS = {"type": "array", "items": _INTEGER}
 
-_CERTIFICATE_SCHEMA = {
-    "type": "object",
-    "required": [
-        "direction",
-        "margin",
-        "alpha",
-        "ystar",
-        "stationarity_residual",
-        "normal_cone_slack",
-    ],
-    "properties": {
-        "direction": {"type": "array", "items": {"type": "number"}},
-        "margin": {"type": "number"},
-        "alpha": {"type": "number"},
-        "ystar": _SYMMAT_SCHEMA,
-        "stationarity_residual": {"type": "number"},
-        "normal_cone_slack": {"type": "number"},
-    },
-}
 
-_BASE_PROPERTIES = {
+def _object(**properties) -> dict:
+    """Schema of an object that requires every property it lists."""
+    return {"type": "object", "required": list(properties), "properties": properties}
+
+
+_HEADER = {
     "schema_version": {"const": SCHEMA_VERSION},
     "command": {"type": "string"},
     "options": {"type": "object"},
 }
 
 REPORT_SCHEMA = {
-    "check-sosc": {
-        "type": "object",
-        "required": ["schema_version", "command", "options", "problem", "result"],
-        "properties": {
-            **_BASE_PROPERTIES,
-            "problem": {
-                "type": "object",
-                "required": ["n", "m", "xbar", "f_eigenvalues", "pi", "omega", "rank_tol"],
-                "properties": {
-                    "n": {"type": "integer"},
-                    "m": {"type": "integer"},
-                    "xbar": {"type": "array", "items": {"type": "number"}},
-                    "f_eigenvalues": {"type": "array", "items": {"type": "number"}},
-                    "pi": {"type": "array", "items": {"type": "integer"}},
-                    "omega": {"type": "array", "items": {"type": "integer"}},
-                    "rank_tol": {"type": "number"},
-                },
+    "check-sosc": _object(
+        **_HEADER,
+        problem=_object(
+            n=_INTEGER,
+            m=_INTEGER,
+            xbar=_NUMBERS,
+            f_eigenvalues=_NUMBERS,
+            pi=_INTEGERS,
+            omega=_INTEGERS,
+            rank_tol=_NUMBER,
+        ),
+        result=_object(
+            verdict={
+                "enum": [
+                    sosc.VERIFIED_SAMPLED,
+                    sosc.FAILED_AT_DIRECTION,
+                    sosc.CRITICAL_CONE_TRIVIAL,
+                    sosc.INCONCLUSIVE,
+                ]
             },
-            "result": {
-                "type": "object",
-                "required": [
-                    "verdict",
-                    "directions_checked",
-                    "min_margin",
-                    "worst_direction",
-                    "certificates",
-                    "diagnostics",
-                ],
-                "properties": {
-                    "verdict": {
-                        "enum": [
-                            sosc.VERIFIED_SAMPLED,
-                            sosc.FAILED_AT_DIRECTION,
-                            sosc.CRITICAL_CONE_TRIVIAL,
-                            sosc.INCONCLUSIVE,
-                        ]
-                    },
-                    "directions_checked": {"type": "integer"},
-                    "min_margin": _NUMBER_OR_NULL,
-                    "worst_direction": {
-                        "type": ["array", "null"],
-                        "items": {"type": "number"},
-                    },
-                    "certificates": {"type": "array", "items": _CERTIFICATE_SCHEMA},
-                    "diagnostics": {"type": "string"},
-                },
+            directions_checked=_INTEGER,
+            min_margin=_NUMBER_OR_NULL,
+            worst_direction={"type": ["array", "null"], "items": _NUMBER},
+            certificates={
+                "type": "array",
+                "items": _object(
+                    direction=_NUMBERS,
+                    margin=_NUMBER,
+                    alpha=_NUMBER,
+                    ystar=_object(m={"type": "integer", "minimum": 1}, lower=_NUMBERS),
+                    stationarity_residual=_NUMBER,
+                    normal_cone_slack=_NUMBER,
+                ),
             },
-        },
-    },
-    "growth": {
-        "type": "object",
-        "required": ["schema_version", "command", "options", "problem", "result"],
-        "properties": {
-            **_BASE_PROPERTIES,
-            "problem": {"type": "object"},
-            "result": {
-                "type": "object",
-                "required": [
-                    "epsilon",
-                    "beta",
-                    "samples",
-                    "violations",
-                    "min_ratio",
-                    "worst_point",
-                    "feasible_samples",
-                    "feasible_violations",
-                    "feasible_min_ratio",
-                ],
-                "properties": {
-                    "epsilon": {"type": "number"},
-                    "beta": {"type": "number"},
-                    "samples": {"type": "integer"},
-                    "violations": {"type": "integer"},
-                    "min_ratio": _NUMBER_OR_NULL,
-                    "worst_point": {"type": "array", "items": {"type": "number"}},
-                    "feasible_samples": {"type": "integer"},
-                    "feasible_violations": {"type": "integer"},
-                    "feasible_min_ratio": _NUMBER_OR_NULL,
-                },
+            diagnostics={"type": "string"},
+        ),
+    ),
+    "growth": _object(
+        **_HEADER,
+        problem=_object(n=_INTEGER, m=_INTEGER, xbar=_NUMBERS),
+        result=_object(
+            epsilon=_NUMBER,
+            beta=_NUMBER,
+            samples=_INTEGER,
+            violations=_INTEGER,
+            min_ratio=_NUMBER_OR_NULL,
+            worst_point=_NUMBERS,
+            feasible_samples=_INTEGER,
+            feasible_violations=_INTEGER,
+            feasible_min_ratio=_NUMBER_OR_NULL,
+        ),
+    ),
+    "subderivative": _object(
+        **_HEADER,
+        triple=_object(
+            m=_INTEGER,
+            y_eigenvalues=_NUMBERS,
+            pi=_INTEGERS,
+            omega=_INTEGERS,
+            rank_tol=_NUMBER,
+        ),
+        result=_object(
+            closed_form=_object(
+                tag={"enum": ["finite", "plus_infinity", "minus_infinity"]},
+                value=_NUMBER_OR_NULL,
+            ),
+            sampling_estimate=_NUMBER_OR_NULL,
+            trace={
+                "type": "array",
+                "items": _object(
+                    t=_NUMBER,
+                    feasible_samples=_INTEGER,
+                    min_quotient=_NUMBER_OR_NULL,
+                    recovery_quotient=_NUMBER_OR_NULL,
+                ),
             },
-        },
-    },
-    "subderivative": {
-        "type": "object",
-        "required": ["schema_version", "command", "options", "triple", "result"],
-        "properties": {
-            **_BASE_PROPERTIES,
-            "triple": {
-                "type": "object",
-                "required": ["m", "y_eigenvalues", "pi", "omega", "rank_tol"],
-            },
-            "result": {
-                "type": "object",
-                "required": ["closed_form", "sampling_estimate", "trace"],
-                "properties": {
-                    "closed_form": {
-                        "type": "object",
-                        "required": ["tag", "value"],
-                        "properties": {
-                            "tag": {
-                                "enum": ["finite", "plus_infinity", "minus_infinity"]
-                            },
-                            "value": _NUMBER_OR_NULL,
-                        },
-                    },
-                    "sampling_estimate": _NUMBER_OR_NULL,
-                    "trace": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": [
-                                "t",
-                                "feasible_samples",
-                                "min_quotient",
-                                "recovery_quotient",
-                            ],
-                        },
-                    },
-                },
-            },
-        },
-    },
+        ),
+    ),
 }
-
 
 # Reports of a run that stopped on an error instead of a result.
-ERROR_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "command", "options", "error"],
-    "properties": {
-        **_BASE_PROPERTIES,
-        "error": {
-            "type": "object",
-            "required": ["kind", "message"],
-            "properties": {
-                "kind": {"enum": ["hypothesis_violation", "numerical_anomaly"]},
-                "message": {"type": "string"},
-            },
-        },
-    },
-}
+ERROR_SCHEMA = _object(
+    **_HEADER,
+    error=_object(
+        kind={"enum": ["hypothesis_violation", "numerical_anomaly"]},
+        message={"type": "string"},
+    ),
+)
 
 # Internal numerical failures: not a verdict on the input, so never exit 1.
-_NUMERICAL_ANOMALIES = (ToleranceAnomalyError, np.linalg.LinAlgError)
+# FloatingPointError is a NaN met while a report is written.
+_NUMERICAL_ANOMALIES = (ToleranceAnomalyError, np.linalg.LinAlgError, FloatingPointError)
 
-
-class _InputError(Exception):
-    pass
+# Parsed arguments that are not options of the run.
+_NOT_OPTIONS = {"command", "func", "json", "problem", "triple"}
 
 
 def _json_safe(value):
-    """Recursively convert report payloads to JSON-clean types."""
+    """Recursively convert report payloads to JSON-clean types: infinities
+    become null, and a NaN raises FloatingPointError."""
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -236,6 +164,8 @@ def _json_safe(value):
         return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         v = float(value)
+        if math.isnan(v):
+            raise FloatingPointError("NaN in the report")
         return v if math.isfinite(v) else None
     if isinstance(value, (np.integer, int)):
         return int(value)
@@ -247,48 +177,45 @@ def _load_json_file(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _InputError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _emit(report: dict, json_path: str | None, text_lines: list[str]) -> None:
-    if json_path:
-        payload = json.dumps(_json_safe(report), indent=2, sort_keys=True)
-        with open(json_path, "w") as fh:
-            fh.write(payload + "\n")
-        print(f"report written to {json_path}")
+def _emit(args, body: dict, lines: list[str]) -> None:
+    """Write one report, result or error: the JSON document to the --json
+    path, else the text lines to stdout.  The document is built in both
+    modes, so a NaN is a numerical anomaly in either."""
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+    report = _json_safe(
+        dict(schema_version=SCHEMA_VERSION, command=args.command, options=options, **body)
+    )
+    if args.json:
+        with open(args.json, "w") as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"report written to {args.json}")
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
 
 
-def _error_report(args, kind: str, exc: Exception) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "options": {"tol": args.tol, "rank_tol": args.rank_tol},
-        "error": {"kind": kind, "message": str(exc)},
-    }
+def _error(kind: str, exc: Exception) -> dict:
+    return {"error": {"kind": kind, "message": str(exc)}}
 
 
 def _fmt_vec(vec) -> str:
     return "[" + ", ".join(f"{float(v):.9g}" for v in np.atleast_1d(vec)) + "]"
 
 
+def _problem_line(problem, xbar) -> str:
+    return f"problem: n={problem.n} m={problem.m} xbar={_fmt_vec(xbar)}"
+
+
+def _split_line(d) -> str:
+    return f"pi: {list(d.pi)}  omega: {list(d.omega)}  (rank_tol {d.rank_tol:.3e})"
+
+
 # -- subcommands ---------------------------------------------------------------
-
-
-def _problem_summary(problem, xbar, d) -> dict:
-    return {
-        "n": problem.n,
-        "m": problem.m,
-        "xbar": list(xbar),
-        "f_eigenvalues": list(d.eigenvalues),
-        "pi": list(d.pi),
-        "omega": list(d.omega),
-        "rank_tol": d.rank_tol,
-    }
 
 
 def cmd_check_sosc(args) -> int:
@@ -301,47 +228,12 @@ def cmd_check_sosc(args) -> int:
         n_dirs=args.dirs,
         seed=args.seed,
     )
-    try:
-        report = sosc.check_sosc(problem, xbar, opts)
-    except sosc.InfeasiblePointError as exc:
-        raise _InputError(f"{exc} (dist to PSD cone: {exc.distance:.6e})") from exc
+    report = sosc.check_sosc(problem, xbar, opts)
     d = report.decomposition
-
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check-sosc",
-        "options": {
-            "tol": opts.tol,
-            "rank_tol": opts.rank_tol,
-            "cert_tol": opts.cert_tol,
-            "margin_tol": opts.margin_tol,
-            "dirs": opts.n_dirs,
-            "seed": opts.seed,
-        },
-        "problem": _problem_summary(problem, xbar, d),
-        "result": {
-            "verdict": report.verdict,
-            "directions_checked": report.directions_checked,
-            "min_margin": report.min_margin,
-            "worst_direction": report.worst_direction,
-            "certificates": [
-                {
-                    "direction": cert.direction,
-                    "margin": cert.margin,
-                    "alpha": cert.candidate.alpha,
-                    "ystar": cert.candidate.ystar.to_json(),
-                    "stationarity_residual": cert.candidate.stationarity_residual,
-                    "normal_cone_slack": cert.candidate.normal_cone_slack,
-                }
-                for cert in report.certificates
-            ],
-            "diagnostics": report.diagnostics,
-        },
-    }
     lines = [
-        f"problem: n={problem.n} m={problem.m} xbar={_fmt_vec(xbar)}",
+        _problem_line(problem, xbar),
         f"F(xbar) eigenvalues: {_fmt_vec(d.eigenvalues)}",
-        f"pi: {list(d.pi)}  omega: {list(d.omega)}  (rank_tol {d.rank_tol:.3e})",
+        _split_line(d),
         f"verdict: {report.verdict}",
         f"directions checked: {report.directions_checked}",
     ]
@@ -357,7 +249,16 @@ def cmd_check_sosc(args) -> int:
             f"slack {cert.candidate.normal_cone_slack:.3e}"
         )
     lines.extend("note: " + ln for ln in report.diagnostics.splitlines())
-    _emit(payload, args.json, lines)
+    problem_json = {
+        "n": problem.n,
+        "m": problem.m,
+        "xbar": xbar,
+        "f_eigenvalues": d.eigenvalues,
+        "pi": d.pi,
+        "omega": d.omega,
+        "rank_tol": d.rank_tol,
+    }
+    _emit(args, {"problem": problem_json, "result": report.to_json()}, lines)
     return {
         sosc.VERIFIED_SAMPLED: 0,
         sosc.CRITICAL_CONE_TRIVIAL: 0,
@@ -368,13 +269,7 @@ def cmd_check_sosc(args) -> int:
 
 def cmd_growth(args) -> int:
     problem, xbar = problem_from_json(_load_json_file(args.problem))
-    fx = eval_F(problem, xbar)
-    infeas = dist_psd(fx)
-    if infeas > args.tol:
-        raise _InputError(
-            f"F(xbar) is not PSD (dist to PSD cone: {infeas:.6e}); "
-            "growth at an infeasible point is not defined"
-        )
+    sosc.require_feasible(problem, xbar, args.tol)
     report = sosc.verify_growth(
         problem,
         xbar,
@@ -383,31 +278,8 @@ def cmd_growth(args) -> int:
         n_samples=args.samples,
         seed=args.seed,
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "growth",
-        "options": {
-            "epsilon": args.epsilon,
-            "beta": args.beta,
-            "samples": args.samples,
-            "seed": args.seed,
-            "tol": args.tol,
-        },
-        "problem": {"n": problem.n, "m": problem.m, "xbar": list(xbar)},
-        "result": {
-            "epsilon": report.epsilon,
-            "beta": report.beta,
-            "samples": report.samples,
-            "violations": report.violations,
-            "min_ratio": report.min_ratio,
-            "worst_point": report.worst_point,
-            "feasible_samples": report.feasible_samples,
-            "feasible_violations": report.feasible_violations,
-            "feasible_min_ratio": report.feasible_min_ratio,
-        },
-    }
     lines = [
-        f"problem: n={problem.n} m={problem.m} xbar={_fmt_vec(xbar)}",
+        _problem_line(problem, xbar),
         f"epsilon: {report.epsilon:.9g}  beta: {report.beta:.9g}",
         f"samples: {report.samples}  violations: {report.violations}",
         f"min ratio max(f-gap, dist)/||x-xbar||^2: {report.min_ratio:.9g}",
@@ -417,20 +289,19 @@ def cmd_growth(args) -> int:
     ]
     if report.feasible_min_ratio is not None:
         lines.append(f"feasible-restricted min ratio: {report.feasible_min_ratio:.9g}")
-    _emit(payload, args.json, lines)
+    problem_json = {"n": problem.n, "m": problem.m, "xbar": xbar}
+    _emit(args, {"problem": problem_json, "result": report.to_json()}, lines)
     return 0 if report.violations == 0 else 1
 
 
 def cmd_subderivative(args) -> int:
     obj = _load_json_file(args.triple)
     try:
-        y = SymMat.from_json(obj["Y"])
-        ystar = SymMat.from_json(obj["Ystar"])
-        v = SymMat.from_json(obj["V"])
+        y, ystar, v = (SymMat.from_json(obj[key]) for key in ("Y", "Ystar", "V"))
     except (KeyError, TypeError) as exc:
-        raise _InputError(f'triple JSON needs "Y", "Ystar" and "V": {exc}') from exc
+        raise ValueError(f'triple JSON needs "Y", "Ystar" and "V": {exc}') from exc
     if not (y.m == ystar.m == v.m):
-        raise _InputError("Y, Ystar, V must share one dimension")
+        raise ValueError("Y, Ystar, V must share one dimension")
     try:
         d = eigen_decompose(y, args.rank_tol)
         closed = second_subderivative(d, ystar, v, args.tol)
@@ -447,42 +318,15 @@ def cmd_subderivative(args) -> int:
             d=d,
         )
     except HypothesisViolation as exc:
-        _emit(
-            _error_report(args, "hypothesis_violation", exc),
-            args.json,
-            [f"hypothesis violation: {exc}"],
-        )
+        _emit(args, _error("hypothesis_violation", exc), [f"hypothesis violation: {exc}"])
         return 3
     try:
         estimate = estimate_from_trace(trace)
     except NoFeasibleSampleError:
         estimate = None
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "subderivative",
-        "options": {
-            "tol": args.tol,
-            "rank_tol": args.rank_tol,
-            "samples": args.samples,
-            "radius": args.radius,
-            "seed": args.seed,
-        },
-        "triple": {
-            "m": y.m,
-            "y_eigenvalues": list(d.eigenvalues),
-            "pi": list(d.pi),
-            "omega": list(d.omega),
-            "rank_tol": d.rank_tol,
-        },
-        "result": {
-            "closed_form": closed.to_json(),
-            "sampling_estimate": estimate,
-            "trace": trace,
-        },
-    }
     lines = [
         f"Y eigenvalues: {_fmt_vec(d.eigenvalues)}",
-        f"pi: {list(d.pi)}  omega: {list(d.omega)}  (rank_tol {d.rank_tol:.3e})",
+        _split_line(d),
         "closed form: "
         + (f"{closed.value:.12g}" if closed.is_finite else closed.tag),
         "sampling estimate: "
@@ -500,7 +344,15 @@ def cmd_subderivative(args) -> int:
             f"  t={level['t']:.3e}  n={level['feasible_samples']}  "
             f"min={minq}  recovery={recq}"
         )
-    _emit(payload, args.json, lines)
+    triple_json = {
+        "m": y.m,
+        "y_eigenvalues": d.eigenvalues,
+        "pi": d.pi,
+        "omega": d.omega,
+        "rank_tol": d.rank_tol,
+    }
+    result = {"closed_form": closed.to_json(), "sampling_estimate": estimate, "trace": trace}
+    _emit(args, {"triple": triple_json, "result": result}, lines)
     return 0
 
 
@@ -528,15 +380,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, rank_tol=True):
         sp.add_argument("--tol", type=tolerance, default=1e-8, help="membership tolerance")
-        sp.add_argument(
-            "--rank-tol",
-            dest="rank_tol",
-            type=tolerance,
-            default=None,
-            help="eigenvalue rank tolerance (default: scaled automatic)",
-        )
+        if rank_tol:
+            sp.add_argument(
+                "--rank-tol",
+                dest="rank_tol",
+                type=tolerance,
+                default=None,
+                help="eigenvalue rank tolerance (default: scaled automatic)",
+            )
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", metavar="PATH", default=None, help="write JSON report")
 
@@ -557,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("growth", help="sampled quadratic growth around xbar")
     sp.add_argument("problem", help="problem JSON file with xbar")
-    common(sp)
+    common(sp, rank_tol=False)
     sp.add_argument("--epsilon", type=float, required=True, help="ball radius")
     sp.add_argument("--beta", type=float, required=True, help="growth constant")
     sp.add_argument("--samples", type=int, default=10_000)
@@ -572,10 +425,9 @@ def main(argv=None) -> int:
     except _NUMERICAL_ANOMALIES as exc:
         # LinAlgError is a ValueError, so this clause comes first.
         print(f"error: numerical anomaly: {exc}", file=sys.stderr)
-        if args.json:
-            _emit(_error_report(args, "numerical_anomaly", exc), args.json, [])
+        _emit(args, _error("numerical_anomaly", exc), [])
         return 4
-    except (_InputError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -44,7 +44,8 @@ class QuadraticScalar:
         if np.abs(h - h.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(h).max(initial=0.0)):
             raise ValueError("Hessian must be symmetric")
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", 0.5 * (h + h.T))
+        # mirror the lower triangle: averaging h + h.T overflows near 1e308
+        object.__setattr__(self, "h", np.tril(h) + np.tril(h, -1).T)
 
     @property
     def n(self) -> int:

@@ -16,7 +16,7 @@ cone was proven.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,6 +115,17 @@ class DirectionCertificate:
     candidate: MultiplierCandidate
     margin: float
 
+    def to_json(self) -> dict:
+        cand = self.candidate
+        return {
+            "direction": self.direction,
+            "margin": self.margin,
+            "alpha": cand.alpha,
+            "ystar": cand.ystar.to_json(),
+            "stationarity_residual": cand.stationarity_residual,
+            "normal_cone_slack": cand.normal_cone_slack,
+        }
+
 
 @dataclass(frozen=True)
 class SoscReport:
@@ -125,6 +136,19 @@ class SoscReport:
     certificates: list
     diagnostics: str
     decomposition: OrderedEigenDecomposition  # of F(xbar); fixes pi and omega
+
+    def to_json(self) -> dict:
+        """The result object of the JSON report.  Arrays and non-finite
+        floats are left for the writer to encode; the decomposition is
+        reported with the problem it belongs to."""
+        return {
+            "verdict": self.verdict,
+            "directions_checked": self.directions_checked,
+            "min_margin": self.min_margin,
+            "worst_direction": self.worst_direction,
+            "certificates": [cert.to_json() for cert in self.certificates],
+            "diagnostics": self.diagnostics,
+        }
 
 
 @dataclass(frozen=True)
@@ -139,18 +163,26 @@ class GrowthReport:
     feasible_violations: int
     feasible_min_ratio: float | None
 
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 # -- critical cone -------------------------------------------------------------
 
 
-def _decompose_at(p: NlsdpProblem, xbar, tol: float, rank_tol=None):
+def require_feasible(p: NlsdpProblem, xbar, tol: float) -> SymMat:
+    """F(xbar), once it is known to lie within tol of the PSD cone."""
     fx = eval_F(p, xbar)
     dist = dist_psd(fx)
     if dist > tol:
         raise InfeasiblePointError(
-            f"F(xbar) is not PSD: distance to the cone is {dist:.3e}", dist
+            f"F(xbar) is not PSD (dist to PSD cone: {dist:.6e})", dist
         )
-    return eigen_decompose(fx, rank_tol)
+    return fx
+
+
+def _decompose_at(p: NlsdpProblem, xbar, tol: float, rank_tol=None):
+    return eigen_decompose(require_feasible(p, xbar, tol), rank_tol)
 
 
 def critical_cone_contains(

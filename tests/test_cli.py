@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsdpcheck import SymMat, eigen_decompose, sosc
+from nsdpcheck import SymMat, eigen_decompose, problem_from_json, sosc
 from nsdpcheck.cli import ERROR_SCHEMA, REPORT_SCHEMA, main
 
 DATA = Path(__file__).parent / "data"
@@ -128,6 +128,47 @@ def test_numerical_anomaly_exits_4(tmp_path, capsys):
     jsonschema.validate(report, ERROR_SCHEMA)
     assert report["command"] == "subderivative"
     assert report["error"]["kind"] == "numerical_anomaly"
+    # error reports carry every option of the subcommand, as results do
+    assert report["options"] == {
+        "tol": 1e-8, "rank_tol": None, "samples": 64, "radius": 1.0, "seed": 0,
+    }
+
+
+def _p1_with_hessian(tmp_path, lower):
+    obj = json.loads((DATA / "p1.json").read_text())
+    obj["f"]["h"] = lower
+    path = tmp_path / "huge_hessian.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_huge_finite_hessian_gives_finite_growth_ratio(tmp_path, capsys):
+    # averaging h + h.T overflowed to inf, and the NaN ratios read as a pass
+    path = _p1_with_hessian(tmp_path, [1e308, 0, 0])
+    report_path = tmp_path / "report.json"
+    argv = ["growth", path, "--epsilon", "0.1", "--beta", "0.1"]
+    assert run_cli(*argv, "--json", str(report_path)) == 0
+    capsys.readouterr()
+    result = json.loads(report_path.read_text())["result"]
+    assert result["min_ratio"] == pytest.approx(10.0)
+    assert result["violations"] == 0
+
+
+def test_nan_in_a_report_exits_4(tmp_path, capsys):
+    # x.h.x overflows to inf - inf = NaN on this ball; a NaN is never a pass
+    path = _p1_with_hessian(tmp_path, [1e308, 1e308, 1e308])
+    argv = ["growth", path, "--epsilon", "10", "--beta", "0.1"]
+    assert run_cli(*argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: numerical anomaly:" in captured.err
+
+    report_path = tmp_path / "report.json"
+    assert run_cli(*argv, "--json", str(report_path)) == 4
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    jsonschema.validate(report, ERROR_SCHEMA)
+    assert report["error"]["kind"] == "numerical_anomaly"
 
 
 def test_hypothesis_violation_json_report(tmp_path, capsys):
@@ -199,6 +240,21 @@ def test_json_reports_validate_and_repeat(tmp_path, capsys, argv, command):
     jsonschema.validate(report, REPORT_SCHEMA[command])
 
 
+def test_report_keys_match_their_schemas():
+    # jsonschema accepts extra keys, so a key missing from the schema would
+    # pass validation unnoticed
+    problem, xbar = problem_from_json(json.loads((DATA / "p1.json").read_text()))
+    report = sosc.check_sosc(problem, xbar, sosc.SoscOptions(n_dirs=8))
+    growth = sosc.verify_growth(problem, xbar, epsilon=0.1, beta=0.1, n_samples=10)
+    result = REPORT_SCHEMA["check-sosc"]["properties"]["result"]
+    certificate = result["properties"]["certificates"]["items"]
+    assert report.certificates
+    assert set(report.to_json()) == set(result["properties"])
+    assert set(report.certificates[0].to_json()) == set(certificate["properties"])
+    growth_result = REPORT_SCHEMA["growth"]["properties"]["result"]
+    assert set(growth.to_json()) == set(growth_result["properties"])
+
+
 def test_console_script_runs():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -265,7 +321,11 @@ def test_non_finite_tolerances_exit_3(argv, flag, value, capsys):
     assert exc.value.code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {flag}: must be a finite number > 0" in captured.err
+    if argv[0] == "growth" and flag == "--rank-tol":
+        # growth makes no rank decision, so it has no --rank-tol
+        assert "unrecognized arguments: --rank-tol" in captured.err
+    else:
+        assert f"argument {flag}: must be a finite number > 0" in captured.err
 
 
 def test_check_sosc_rejects_bad_cert_and_margin_tol(capsys):
@@ -372,14 +432,21 @@ _FUZZ_RUNS = [
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_arbitrary_json_subtree_exits_0_to_4(command, fixture, flags, data):
-    # any input file ends in an exit code, never in an escaped exception
+    # any input file ends in an exit code, never in an escaped exception, and
+    # every report written validates: a result below exit 3, an error above
     doc = json.loads((DATA / fixture).read_text())
     path = data.draw(st.sampled_from(list(_subtree_paths(doc))), label="path")
     value = data.draw(_JSON_VALUES, label="value")
     with tempfile.TemporaryDirectory() as tmp:
         problem = Path(tmp) / "input.json"
         problem.write_text(json.dumps(_replace_subtree(doc, path, value)))
+        report_path = Path(tmp) / "report.json"
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, str(problem), *flags])
+            code = main([command, str(problem), *flags, "--json", str(report_path)])
+        report = json.loads(report_path.read_text()) if report_path.exists() else None
     assert code in (0, 1, 2, 3, 4)
+    if code <= 2:
+        jsonschema.validate(report, REPORT_SCHEMA[command])
+    elif report is not None:
+        jsonschema.validate(report, ERROR_SCHEMA)
