@@ -191,8 +191,11 @@ def _emit(args, body: dict, lines: list[str]) -> None:
         dict(schema_version=SCHEMA_VERSION, command=args.command, options=options, **body)
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.json}: {exc.strerror or exc}") from exc
         print(f"report written to {args.json}")
     else:
         for line in lines:
@@ -421,13 +424,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _NUMERICAL_ANOMALIES as exc:
-        # LinAlgError is a ValueError, so this clause comes first.
-        print(f"error: numerical anomaly: {exc}", file=sys.stderr)
-        _emit(args, _error("numerical_anomaly", exc), [])
-        return 4
+        try:
+            return args.func(args)
+        except _NUMERICAL_ANOMALIES as exc:
+            # LinAlgError is a ValueError, so this clause comes first.
+            print(f"error: numerical anomaly: {exc}", file=sys.stderr)
+            _emit(args, _error("numerical_anomaly", exc), [])
+            return 4
     except (ValueError, KeyError) as exc:
+        # includes an unwritable --json path, met after the run
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -16,18 +16,23 @@ sampling feasible directions at shrinking step sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import DEFAULT_TOL, is_psd, normal_cone_contains, tangent_cone_contains
-from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, conjugate
-from .symmat import eigen_decompose, frobenius_inner, pseudoinverse
+from .cone import DEFAULT_TOL, normal_cone_contains, tangent_cone_contains
+from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, _tril_weights
+from .symmat import eigen_decompose, frobenius_inner, lower_to_dense, pseudoinverse
 
 # Sampling-oracle defaults.
 SAMPLING_T_GRID = tuple(np.logspace(-1, -5, 8))
 SAMPLING_RADIUS = 1.0
 SAMPLING_N = 64
+
+# Sampled directions evaluated per stacked eigenvalue call of the trace; bounds
+# its working memory independently of n_samples.
+_TRACE_BLOCK = 256
 
 # Feasibility slack of the sampler, relative to machine precision.  Accepted
 # samples may violate the omega-block complement by at most slack + eigenvalue
@@ -129,30 +134,52 @@ def second_subderivative(
     return ExtendedReal.finite(-2.0 * curvature)
 
 
-def _pivot(d: OrderedEigenDecomposition, conj_dense: np.ndarray, t: float) -> np.ndarray:
-    pi = list(d.pi)
-    m_pp = np.diag(np.asarray(d.eigenvalues)[pi]) if pi else np.zeros((0, 0))
-    pivot = m_pp + t * conj_dense[np.ix_(pi, pi)]
-    if pi and float(np.linalg.eigvalsh(pivot)[0]) <= d.rank_tol:
-        raise PivotNotPositiveDefinite(
-            f"pi-pi block not positive definite at t = {t:g}"
-        )
-    return pivot
+def _schur_terms(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float):
+    """Eigenbasis terms of y + t*v' for the directions v' whose lower
+    triangles are the rows of ``lowers``, evaluated for all rows at once.
+
+    Returns ``(conj, ok, coupling)``.  ``conj`` stacks P v' P.T, symmetrised
+    as ``SymMat.from_dense`` does.  ``ok`` flags the rows whose pi-pi pivot
+    M_pp + t V'_pp keeps its smallest eigenvalue above rank_tol; only those
+    rows are solved.  ``coupling`` stacks t V'_op inv(pivot) V'_po for the ok
+    rows, or is None when pi or omega is empty.
+    """
+    p = d.p_matrix
+    conj = p @ lower_to_dense(d.m, lowers) @ p.T
+    conj = 0.5 * (conj + conj.swapaxes(-1, -2))
+    pi, omega = np.array(d.pi, dtype=np.intp), np.array(d.omega, dtype=np.intp)
+    ok = np.ones(len(conj), dtype=bool)
+    coupling = None
+    if len(pi):
+        pivot = np.diag(d.eigenvalues[pi]) + t * conj[:, pi[:, None], pi]
+        ok = np.linalg.eigvalsh(pivot)[:, 0] > d.rank_tol
+        if len(omega):
+            cross = conj[ok][:, pi[:, None], omega]
+            coupling = (t * cross.swapaxes(-1, -2)) @ np.linalg.solve(pivot[ok], cross)
+    return conj, ok, coupling
 
 
-def _schur_complement(
-    d: OrderedEigenDecomposition, vprime: SymMat, t: float
-) -> np.ndarray:
-    """omega-omega complement whose PSD-ness is equivalent to
-    y + t*vprime being PSD (for admissible t)."""
-    vp = conjugate(vprime, d).dense()
-    pivot = _pivot(d, vp, t)
-    pi, omega = list(d.pi), list(d.omega)
-    comp = vp[np.ix_(omega, omega)]
-    if pi and omega:
-        cross = vp[np.ix_(pi, omega)]
-        comp = comp - t * cross.T @ np.linalg.solve(pivot, cross)
-    return comp
+def _schur_min_eigenvalues(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float):
+    """``(ok, lam)`` per row of ``lowers``: ``ok`` as in ``_schur_terms``, and
+    ``lam`` the smallest eigenvalue of the omega-omega Schur complement, whose
+    PSD-ness is equivalent to y + t*v' being PSD.  ``lam`` is +inf for an
+    empty omega and NaN where the pivot failed."""
+    conj, ok, coupling = _schur_terms(d, lowers, t)
+    lam = np.full(len(conj), np.nan)
+    if not d.omega:
+        lam[ok] = np.inf
+        return ok, lam
+    omega = np.array(d.omega, dtype=np.intp)
+    comp = conj[ok][:, omega[:, None], omega]
+    if coupling is not None:
+        comp = comp - coupling
+    lam[ok] = np.linalg.eigvalsh(comp)[:, 0]
+    return ok, lam
+
+
+def _require_pivot(ok: np.ndarray, t: float) -> None:
+    if not ok[0]:
+        raise PivotNotPositiveDefinite(f"pi-pi block not positive definite at t = {t:g}")
 
 
 def schur_feasibility(
@@ -166,10 +193,9 @@ def schur_feasibility(
         raise ValueError("t must be positive")
     if vprime.m != d.m:
         raise ValueError("dimension mismatch")
-    comp = _schur_complement(d, vprime, t)
-    if comp.shape[0] == 0:
-        return True
-    return float(np.linalg.eigvalsh(comp)[0]) >= -tol
+    ok, lam = _schur_min_eigenvalues(d, vprime.lower[None], t)
+    _require_pivot(ok, t)
+    return bool(lam[0] >= -tol)
 
 
 def recovery_sequence(d: OrderedEigenDecomposition, v: SymMat, t: float) -> SymMat:
@@ -181,36 +207,62 @@ def recovery_sequence(d: OrderedEigenDecomposition, v: SymMat, t: float) -> SymM
         raise ValueError("t must be positive")
     if v.m != d.m:
         raise ValueError("dimension mismatch")
-    vp = conjugate(v, d).dense()
-    pivot = _pivot(d, vp, t)
-    pi, omega = list(d.pi), list(d.omega)
-    corrected = vp.copy()
-    if pi and omega:
-        cross = vp[np.ix_(pi, omega)]
-        delta = t * cross.T @ np.linalg.solve(pivot, cross)
-        corrected[np.ix_(omega, omega)] += 0.5 * (delta + delta.T)
+    conj, ok, coupling = _schur_terms(d, v.lower[None], t)
+    _require_pivot(ok, t)
+    corrected = conj[0]
+    if coupling is not None:
+        delta = coupling[0]
+        corrected[np.ix_(d.omega, d.omega)] += 0.5 * (delta + delta.T)
     p = d.p_matrix
     return SymMat.from_dense(p.T @ corrected @ p, check_symmetry=False)
 
 
-def _sample_feasible(
-    d: OrderedEigenDecomposition, vprime: SymMat, t: float
-) -> bool:
-    """Tight feasibility filter for sampled directions.
+def _samples_feasible(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float) -> np.ndarray:
+    """Tight feasibility filter for sampled directions, one flag per row of
+    ``lowers``.
 
     Uses the Schur complement, whose entries stay O(||vprime||) as t shrinks,
     so violations of order t remain detectable where the absolute eigenvalues
-    of y + t*vprime would drown in rounding.  Falls back to a direct PSD test
-    when t is too large for the reduction.
+    of y + t*vprime would drown in rounding.  Rows whose pivot fails, where t
+    is too large for the reduction, fall back to a direct PSD test.
     """
-    slack = _FEAS_SLACK * max(1.0, vprime.norm())
-    try:
-        comp = _schur_complement(d, vprime, t)
-    except PivotNotPositiveDefinite:
-        return is_psd(d.source + t * vprime, slack)
-    if comp.shape[0] == 0:
-        return True
-    return float(np.linalg.eigvalsh(comp)[0]) >= -slack
+    norms = np.sqrt(np.sum(_tril_weights(d.m, 2.0) * lowers**2, axis=-1))
+    slack = _FEAS_SLACK * np.maximum(1.0, norms)
+    ok, lam = _schur_min_eigenvalues(d, lowers, t)
+    feasible = lam >= -slack
+    direct = ~ok
+    if direct.any():
+        shifted = lower_to_dense(d.m, d.source.lower + t * lowers[direct])
+        feasible[direct] = np.linalg.eigvalsh(shifted)[:, 0] >= -slack[direct]
+    return feasible
+
+
+def _candidate_blocks(rng, v: SymMat, t: float, radius: float, n_samples: int):
+    """Lower triangles of v and of n_samples random symmetric perturbations of
+    v within radius*t, in blocks of at most _TRACE_BLOCK rows.
+
+    The draws are made one sample at a time, so the stream is that of a
+    per-sample loop.  Each yielded block is a buffer that the next block
+    overwrites.
+    """
+    m = v.m
+    tril = _tril_indices(m)
+    buf = np.empty((min(1 + n_samples, _TRACE_BLOCK), len(v.lower)))
+    buf[0] = v.lower
+    filled = 1
+    for _ in range(n_samples):
+        noise = rng.standard_normal((m, m))
+        noise = 0.5 * (noise + noise.T)
+        nrm = np.linalg.norm(noise)
+        if nrm == 0.0:
+            continue
+        buf[filled] = v.lower + noise[tril] * (radius * t * rng.uniform() / nrm)
+        filled += 1
+        if filled == len(buf):
+            yield buf
+            filled = 0
+    if filled:
+        yield buf[:filled]
 
 
 def subderivative_sampling_trace(
@@ -233,7 +285,14 @@ def subderivative_sampling_trace(
     construction and enters unfiltered whenever the omega-omega block of v is
     PSD (tangent directions).  ``d``, when given, is y's decomposition at
     rank_tol and is not recomputed.
+
+    The perturbations are drawn one by one from a seeded stream; their
+    feasibility and quotients are then evaluated for blocks of them at once.
     """
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples!r}")
     if d is None:
         d = eigen_decompose(y, rank_tol)
     if not d.psd:
@@ -244,38 +303,35 @@ def subderivative_sampling_trace(
     if not t_values or t_values[-1] <= 0:
         raise ValueError("t_grid must contain positive step sizes")
     rng = np.random.default_rng(seed)
-    m = y.m
     tangent = tangent_cone_contains(d, v, tol)
-    tril = _tril_indices(m)
+    # <ystar, v'> of each row as frobenius_inner forms it
+    ystar_weighted = _tril_weights(y.m, 2.0) * ystar.lower
 
     trace = []
     for t in t_values:
-        quotients = []
-        recovery_q = None
+        count, lowest, recovery_q = 0, None, None
         if tangent:
             try:
                 v_rec = recovery_sequence(d, v, t)
                 recovery_q = -2.0 * frobenius_inner(ystar, v_rec) / t
-                quotients.append(recovery_q)
+                count, lowest = 1, recovery_q
             except PivotNotPositiveDefinite:
                 pass
-        if _sample_feasible(d, v, t):
-            quotients.append(-2.0 * frobenius_inner(ystar, v) / t)
-        for _ in range(n_samples):
-            noise = rng.standard_normal((m, m))
-            noise = 0.5 * (noise + noise.T)
-            nrm = np.linalg.norm(noise)
-            if nrm == 0.0:
+        for rows in _candidate_blocks(rng, v, t, radius, n_samples):
+            kept = rows[_samples_feasible(d, rows, t)]
+            if not len(kept):
                 continue
-            noise *= radius * t * rng.uniform() / nrm
-            vprime = v + SymMat(m, noise[tril])
-            if _sample_feasible(d, vprime, t):
-                quotients.append(-2.0 * frobenius_inner(ystar, vprime) / t)
+            quotients = -2.0 * np.sum(ystar_weighted * kept, axis=-1) / t
+            # the first of equal minima, as min() over the candidates keeps
+            low = float(quotients[np.argmin(quotients)])
+            count += len(kept)
+            if lowest is None or low < lowest:
+                lowest = low
         trace.append(
             {
                 "t": t,
-                "feasible_samples": len(quotients),
-                "min_quotient": min(quotients) if quotients else None,
+                "feasible_samples": count,
+                "min_quotient": lowest,
                 "recovery_quotient": recovery_q,
             }
         )

@@ -283,6 +283,43 @@ def test_growth_rejects_nan_parameters(option, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--radius", "nan", "radius must be finite and positive"),
+        ("--radius", "inf", "radius must be finite and positive"),
+        ("--radius", "-1", "radius must be finite and positive"),
+        ("--radius", "0", "radius must be finite and positive"),
+        ("--samples", "-1", "n_samples must be nonnegative"),
+    ],
+)
+def test_subderivative_rejects_bad_sampling_parameters(flag, value, message, capsys):
+    assert run_cli("subderivative", str(DATA / "triple_basic.json"), flag, value) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-sosc", "p1.json", "--dirs", "16"),
+        ("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.01", "--samples", "50"),
+        ("subderivative", "triple_basic.json", "--samples", "4"),
+    ],
+)
+def test_unwritable_json_path_exits_3(argv, tmp_path, capsys):
+    # the run completes; writing its report fails on a missing directory
+    target = tmp_path / "missing" / "report.json"
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert run_cli(*argv, "--json", str(target)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
     "edit, message",
     [
         (lambda obj: obj["f"].pop("g"), "problem JSON missing required field: f.g"),

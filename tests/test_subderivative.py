@@ -1,11 +1,19 @@
 """Closed-form second subderivative, Schur criterion, recovery sequence and
 the sampling oracle."""
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nsdpcheck.cone import is_psd
+from nsdpcheck import subderivative
+from nsdpcheck.cone import is_psd, normal_cone_contains, tangent_cone_contains
 from nsdpcheck.subderivative import (
+    SAMPLING_T_GRID,
     ExtendedReal,
     HypothesisViolation,
     NoFeasibleSampleError,
@@ -18,9 +26,18 @@ from nsdpcheck.subderivative import (
     second_subderivative,
     subderivative_sampling_trace,
 )
-from nsdpcheck.symmat import SymMat, eigen_decompose, frobenius_inner, pseudoinverse
+from nsdpcheck.symmat import (
+    SymMat,
+    _tril_indices,
+    conjugate,
+    eigen_decompose,
+    frobenius_inner,
+    pseudoinverse,
+)
 
 from conftest import random_psd, random_symmat, valid_triple
+
+DATA = Path(__file__).parent / "data"
 
 Y_CORNER = SymMat.diagonal([1.0, 0.0])
 YS_CORNER = SymMat.diagonal([0.0, -1.0])
@@ -290,3 +307,221 @@ def test_trace_reuses_a_given_decomposition():
     assert subderivative_sampling_trace(
         Y_CORNER, YS_CORNER, V_CROSS, n_samples=8, seed=3, d=d
     ) == subderivative_sampling_trace(Y_CORNER, YS_CORNER, V_CROSS, n_samples=8, seed=3)
+
+
+# -- the stacked trace against the per-sample reference ----------------------------
+
+
+class ReferencePivotError(Exception):
+    pass
+
+
+def reference_schur(d, vprime, t):
+    """Eigenbasis form and pi-pi pivot of one direction, as the trace formed
+    them one sample at a time; raises when the pivot is not positive
+    definite beyond rank_tol."""
+    vp = conjugate(vprime, d).dense()
+    pi, omega = list(d.pi), list(d.omega)
+    m_pp = np.diag(np.asarray(d.eigenvalues)[pi]) if pi else np.zeros((0, 0))
+    pivot = m_pp + t * vp[np.ix_(pi, pi)]
+    if pi and float(np.linalg.eigvalsh(pivot)[0]) <= d.rank_tol:
+        raise ReferencePivotError
+    return vp, pivot
+
+
+def reference_recovery(d, v, t):
+    vp, pivot = reference_schur(d, v, t)
+    pi, omega = list(d.pi), list(d.omega)
+    corrected = vp.copy()
+    if pi and omega:
+        cross = vp[np.ix_(pi, omega)]
+        delta = t * cross.T @ np.linalg.solve(pivot, cross)
+        corrected[np.ix_(omega, omega)] += 0.5 * (delta + delta.T)
+    p = d.p_matrix
+    return SymMat.from_dense(p.T @ corrected @ p, check_symmetry=False)
+
+
+def reference_feasible(d, vprime, t, stats):
+    slack = subderivative._FEAS_SLACK * max(1.0, vprime.norm())
+    try:
+        vp, pivot = reference_schur(d, vprime, t)
+    except ReferencePivotError:
+        ok = is_psd(d.source + t * vprime, slack)
+        stats["direct_feasible" if ok else "direct_infeasible"] += 1
+        return ok
+    pi, omega = list(d.pi), list(d.omega)
+    comp = vp[np.ix_(omega, omega)]
+    if pi and omega:
+        cross = vp[np.ix_(pi, omega)]
+        comp = comp - t * cross.T @ np.linalg.solve(pivot, cross)
+    ok = comp.shape[0] == 0 or float(np.linalg.eigvalsh(comp)[0]) >= -slack
+    stats["schur_feasible" if ok else "schur_infeasible"] += 1
+    return ok
+
+
+def reference_trace(
+    y, ystar, v, t_grid=SAMPLING_T_GRID, radius=1.0, n_samples=64, seed=0,
+    rank_tol=None, tol=1e-8, stats=None,
+):
+    """subderivative_sampling_trace as a per-sample loop: one conjugation,
+    pivot test, solve and complement eigenvalue call per candidate.  ``stats``
+    counts the candidates by the route and outcome of their feasibility test."""
+    stats = Counter() if stats is None else stats
+    d = eigen_decompose(y, rank_tol)
+    assert d.psd and normal_cone_contains(d, ystar, tol)
+    rng = np.random.default_rng(seed)
+    m = y.m
+    tangent = tangent_cone_contains(d, v, tol)
+    tril = _tril_indices(m)
+    trace = []
+    for t in sorted((float(t) for t in t_grid), reverse=True):
+        quotients = []
+        recovery_q = None
+        if tangent:
+            try:
+                recovery_q = -2.0 * frobenius_inner(ystar, reference_recovery(d, v, t)) / t
+                quotients.append(recovery_q)
+            except ReferencePivotError:
+                pass
+        if reference_feasible(d, v, t, stats):
+            quotients.append(-2.0 * frobenius_inner(ystar, v) / t)
+        for _ in range(n_samples):
+            noise = rng.standard_normal((m, m))
+            noise = 0.5 * (noise + noise.T)
+            nrm = np.linalg.norm(noise)
+            if nrm == 0.0:
+                continue
+            noise *= radius * t * rng.uniform() / nrm
+            vprime = v + SymMat(m, noise[tril])
+            if reference_feasible(d, vprime, t, stats):
+                quotients.append(-2.0 * frobenius_inner(ystar, vprime) / t)
+        trace.append(
+            {
+                "t": t,
+                "feasible_samples": len(quotients),
+                "min_quotient": min(quotients) if quotients else None,
+                "recovery_quotient": recovery_q,
+            }
+        )
+    return trace
+
+
+def triple_from_file(name):
+    obj = json.loads((DATA / name).read_text())
+    return tuple(SymMat.from_json(obj[key]) for key in ("Y", "Ystar", "V"))
+
+
+def reference_cases():
+    rng = np.random.default_rng(29)
+    y4, ystar4, v4, _ = valid_triple(rng, 4, rank=2)
+    return {
+        "triple_basic": (triple_from_file("triple_basic.json"), {}),
+        "corner": ((Y_CORNER, YS_CORNER, V_CROSS), {}),
+        "corner_zero_multiplier": ((Y_CORNER, SymMat.zeros(2), V_CROSS), {}),
+        "corner_zero_direction": ((Y_CORNER, YS_CORNER, SymMat.zeros(2)), {}),
+        # empty pi: the tangent cone at 0 is the PSD cone itself
+        "empty_pi": (
+            (SymMat.zeros(3), -1.0 * SymMat.identity(3), SymMat.diagonal([1.0, 0.5, 0.0])),
+            {},
+        ),
+        # empty omega: every direction is tangent at an interior point
+        "empty_omega": (
+            (SymMat.diagonal([2.0, 1.0, 1.5]), SymMat.zeros(3), random_symmat(rng, 3)),
+            {},
+        ),
+        "non_tangent": ((Y_CORNER, YS_CORNER, SymMat.diagonal([0.0, -1.0])), {}),
+        # the pivot 1 + 0.1 * (-20 + noise) fails for every row at the first step
+        "pivot_fails_for_all": ((Y_CORNER, YS_CORNER, SymMat.diagonal([-20.0, 1.0])), {}),
+        # the pivot 1 + 0.1 * (-5 + noise) straddles rank_tol = 0.5 at the
+        # first step, so direct-test rows and Schur rows share a block
+        "mixed_pivot_routes": (
+            (Y_CORNER, YS_CORNER, SymMat.diagonal([-5.0, 1.0])),
+            {"rank_tol": 0.5, "n_samples": 300},
+        ),
+        # v's complement -5e-15 passes only the norm-scaled slack (||v|| = 10)
+        "within_scaled_slack": (
+            (Y_CORNER, YS_CORNER, SymMat.diagonal([10.0, -5e-15])),
+            {},
+        ),
+        **{
+            f"samples_{n}": ((y4, ystar4, v4), {"n_samples": n, "seed": 3})
+            for n in (0, 1, 255, 256, 257, 1000)
+        },
+    }
+
+
+def assert_same_trace(triple, kwargs, stats=None):
+    got = subderivative_sampling_trace(*triple, **kwargs)
+    assert got == reference_trace(*triple, **kwargs, stats=stats)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(reference_cases()))
+def test_trace_matches_per_sample_reference(name):
+    triple, kwargs = reference_cases()[name]
+    for seed in (0, 1, 2) if "seed" not in kwargs else (kwargs["seed"],):
+        stats = Counter()
+        assert_same_trace(triple, {**kwargs, "seed": seed}, stats)
+        if name == "mixed_pivot_routes":
+            assert stats["direct_feasible"] > 0 and stats["schur_feasible"] > 0
+        if name == "within_scaled_slack":
+            # v passes at every step by the norm-scaled slack alone
+            y, _, v = triple
+            d = eigen_decompose(y)
+            for t in SAMPLING_T_GRID:
+                assert not schur_feasibility(d, v, t, tol=subderivative._FEAS_SLACK)
+                assert schur_feasibility(d, v, t, tol=v.norm() * subderivative._FEAS_SLACK)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    m=st.integers(1, 6),
+    rank_share=st.floats(0.0, 1.0),
+    triple_seed=st.integers(0, 2**32 - 1),
+    tilt=st.sampled_from([0.0, 0.3]),
+    scale=st.sampled_from([1.0, 12.0]),
+    n_samples=st.integers(0, 40),
+    radius=st.sampled_from([0.1, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_matches_reference_on_random_triples(
+    m, rank_share, triple_seed, tilt, scale, n_samples, radius, seed
+):
+    rng = np.random.default_rng(triple_seed)
+    y, ystar, v, _ = valid_triple(rng, m, rank=round(rank_share * m))
+    if tilt:  # a tilted direction may leave the tangent cone
+        v = v + random_symmat(rng, m, tilt)
+    assert_same_trace(
+        (y, ystar, scale * v), {"n_samples": n_samples, "radius": radius, "seed": seed}
+    )
+
+
+def linalg_calls(monkeypatch, run) -> Counter:
+    """Calls of numpy's eigvalsh and solve made by run()."""
+    counts = Counter()
+    with monkeypatch.context() as mp:
+        for name in ("eigvalsh", "solve"):
+            def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+
+            mp.setattr(np.linalg, name, counted)
+        run()
+    return counts
+
+
+def test_trace_linalg_calls_do_not_grow_with_samples(monkeypatch):
+    # the kernels run once per block of samples, never once per sample
+    y, ystar, v, _ = valid_triple(np.random.default_rng(31), 6, rank=3)
+
+    def calls(n_samples):
+        return linalg_calls(
+            monkeypatch,
+            lambda: subderivative_sampling_trace(y, ystar, v, n_samples=n_samples, seed=1),
+        )
+
+    base = calls(64)
+    assert base["eigvalsh"] > 0 and base["solve"] > 0
+    assert calls(200) == base
+    monkeypatch.setattr(subderivative, "_TRACE_BLOCK", 1024)
+    assert calls(512) == base
