@@ -93,6 +93,11 @@ class SoscOptions:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.margin_tol < math.inf:
             raise ValueError(f"margin_tol must be finite and >= 0, got {self.margin_tol}")
+        # with no start the search finds no multiplier and refutes falsely
+        if self.n_starts < 1:
+            raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -299,33 +304,45 @@ def _row_norms(zs: np.ndarray) -> np.ndarray:
     return np.sqrt((zs[:, None, :] @ zs[:, :, None]).reshape(len(zs)))
 
 
-def _coordinate_ascent(objective, z0: np.ndarray, max_iters: int):
-    """Maximize over the unit sphere by normalized coordinate steps.
+def _coordinate_ascent(objective, z0s: np.ndarray, max_iters: int):
+    """Maximize over the unit sphere by normalized coordinate steps, from
+    every row of the (S, r) stack z0s in lockstep.
 
-    ``objective`` maps a stack of points (rows) to their values.  A move along
-    one coordinate scores every signed step at once, then takes the first
-    step, in _STEPS order, that beats the best value seen so far."""
-    z = z0 / np.linalg.norm(z0)
-    val = float(objective(z[None])[0])
-    r = z.size
+    ``objective`` maps a stack of points (rows) to their values, each row on
+    its own.  A move along one coordinate scores every signed step of every
+    still-active start with one call.  Each start then scans its steps in
+    _STEPS order and moves to the last one that beat its running best by
+    more than 1e-15.  A start leaves after a sweep without a move.  Returns
+    the points, their values and, per start, whether it was still moving
+    after max_iters sweeps."""
+    zs = z0s / _row_norms(z0s)[:, None]
+    vals = np.asarray(objective(zs), dtype=float).tolist()
+    n_steps, r = len(_STEPS), zs.shape[1]
+    capped = np.ones(len(zs), dtype=bool)
+    active = np.arange(len(zs))
     for _ in range(max_iters):
-        improved = False
+        improved = np.zeros(len(active), dtype=bool)
         for j in range(r):
-            trial = np.repeat(z[None], len(_STEPS), axis=0)
-            trial[:, j] += _STEPS
-            nrm = _row_norms(trial)
+            trial = np.repeat(zs[active, None, :], n_steps, axis=1)
+            trial[:, :, j] += _STEPS
+            nrm = _row_norms(trial.reshape(-1, r)).reshape(len(active), n_steps)
             keep = ~(nrm < 1e-12)
-            trial = trial[keep] / nrm[keep, None]
-            best_val, best_row = val, None
-            for row, v in enumerate(objective(trial).tolist()):
-                if v > best_val + 1e-15:
-                    best_val, best_row = v, row
-            if best_row is not None:
-                z, val = trial[best_row], best_val
-                improved = True
-        if not improved:
-            return z, val, False
-    return z, val, True
+            trial /= np.where(keep, nrm, 1.0)[:, :, None]
+            scores = np.full((len(active), n_steps), -math.inf)
+            scores[keep] = objective(trial[keep])
+            for a, (i, row) in enumerate(zip(active.tolist(), scores.tolist())):
+                best_val, best_step = vals[i], None
+                for step, v in enumerate(row):
+                    if v > best_val + 1e-15:
+                        best_val, best_step = v, step
+                if best_step is not None:
+                    zs[i], vals[i] = trial[a, best_step], best_val
+                    improved[a] = True
+        capped[active[~improved]] = False
+        active = active[improved]
+        if not len(active):
+            break
+    return zs, np.array(vals), capped
 
 
 def _multiplier_search(
@@ -398,12 +415,13 @@ def _multiplier_search(
             starts.extend((e.copy(), -e))
         while len(starts) < opts.n_starts:
             starts.append(rng.standard_normal(r))
+        starts = np.array(starts[: opts.n_starts])
+        zs, vals, capped = _coordinate_ascent(
+            interiority, starts[_row_norms(starts) != 0], opts.max_iters
+        )
+        hit_cap = bool(capped.any())
         best_interiority, z_int = -math.inf, None
-        for z0 in starts[: opts.n_starts]:
-            if np.linalg.norm(z0) == 0:
-                continue
-            z, val, capped = _coordinate_ascent(interiority, z0, opts.max_iters)
-            hit_cap = hit_cap or capped
+        for z, val in zip(zs, vals.tolist()):
             if val > best_interiority:
                 best_interiority, z_int = val, z
         if best_interiority < -opts.cert_tol:
@@ -419,16 +437,16 @@ def _multiplier_search(
             gain = (zs[:, None, :] @ margin_of[:, None]).reshape(len(zs))
             return gain + rho * np.where(slack < 0.0, slack, 0.0)
 
-        def at(objective, z: np.ndarray) -> float:
-            return float(objective(z[None])[0])
-
-        z_best, best_pen = z_int, at(penalized, z_int)
-        polish_starts = [z_int] + [rng.standard_normal(r) for _ in range(7)]
-        for z0 in polish_starts:
-            z, _, capped = _coordinate_ascent(penalized, z0, opts.max_iters)
-            hit_cap = hit_cap or capped
-            if at(interiority, z) >= -opts.cert_tol and at(penalized, z) > best_pen:
-                z_best, best_pen = z, at(penalized, z)
+        polish_starts = np.array([z_int] + [rng.standard_normal(r) for _ in range(7)])
+        zs, _, capped = _coordinate_ascent(penalized, polish_starts, opts.max_iters)
+        hit_cap = hit_cap or bool(capped.any())
+        # the polish's own start, then its end points, all scored at once
+        points = np.vstack((z_int[None], zs))
+        pens = penalized(points).tolist()
+        z_best, best_pen = z_int, pens[0]
+        for z, g0, pen in zip(zs, interiority(zs).tolist(), pens[1:]):
+            if g0 >= -opts.cert_tol and pen > best_pen:
+                z_best, best_pen = z, pen
 
     vec = basis @ z_best
     alpha = max(float(vec[0]), 0.0)

@@ -226,7 +226,13 @@ def _samples_feasible(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float
     of y + t*vprime would drown in rounding.  Rows whose pivot fails, where t
     is too large for the reduction, fall back to a direct PSD test.
     """
-    norms = np.sqrt(np.sum(_tril_weights(d.m, 2.0) * lowers**2, axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.sum(_tril_weights(d.m, 2.0) * lowers**2, axis=-1))
+    if not np.isfinite(norms).all():
+        # an infinite slack would pass every test
+        raise FloatingPointError(
+            "a sampled direction has a norm that is not finite; the radius is too large"
+        )
     slack = _FEAS_SLACK * np.maximum(1.0, norms)
     ok, lam = _schur_min_eigenvalues(d, lowers, t)
     feasible = lam >= -slack
@@ -288,6 +294,8 @@ def subderivative_sampling_trace(
 
     The perturbations are drawn one by one from a seeded stream; their
     feasibility and quotients are then evaluated for blocks of them at once.
+    Raises FloatingPointError when the radius is so large that a sample's
+    norm overflows, which would make the feasibility slack infinite.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")

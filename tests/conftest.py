@@ -7,6 +7,8 @@ precision.  Scales are kept O(1) with positive eigenvalues bounded away from
 zero; the quotient analysis of the sampling oracle relies on that.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,17 @@ def p1():
 @pytest.fixture
 def p1_negated():
     return build_p1(-1.0)
+
+
+def linalg_calls(monkeypatch, run) -> Counter:
+    """Calls of numpy's eigvalsh and solve made by run()."""
+    counts = Counter()
+    with monkeypatch.context() as mp:
+        for name in ("eigvalsh", "solve"):
+            def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+
+            mp.setattr(np.linalg, name, counted)
+        run()
+    return counts

@@ -299,6 +299,25 @@ def test_subderivative_rejects_bad_sampling_parameters(flag, value, message, cap
     assert captured.err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("radius", ["1e300", "1e307", "1.7e308"])
+def test_overflowing_radius_exits_4(radius, tmp_path, capsys):
+    # a finite radius whose samples overflow the norm: an infinite slack
+    # used to pass every feasibility test and exit 0 with quotients near -1e300
+    argv = ("subderivative", str(DATA / "triple_basic.json"), "--radius", radius, "--samples", "4")
+    assert run_cli(*argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numerical anomaly:")
+
+    report_path = tmp_path / "report.json"
+    assert run_cli(*argv, "--json", str(report_path)) == 4
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    jsonschema.validate(report, ERROR_SCHEMA)
+    assert report["error"]["kind"] == "numerical_anomaly"
+    assert report["options"]["radius"] == float(radius)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsdpcheck import (
     CRITICAL_CONE_TRIVIAL,
@@ -37,7 +39,7 @@ from nsdpcheck import sosc
 from nsdpcheck.nlsdp import d2F, dF, lagrangian_grad
 from nsdpcheck.symmat import block, pseudoinverse
 
-from conftest import build_p1, build_trivial_cone, kkt_consistent_problem
+from conftest import build_p1, build_trivial_cone, kkt_consistent_problem, linalg_calls
 
 XBAR = np.zeros(2)
 FAST = SoscOptions(n_dirs=64, n_starts=8)
@@ -628,6 +630,36 @@ def test_multiplier_search_matches_scalar_reference(case):
     assert new.candidate.normal_cone_slack == ref.candidate.normal_cone_slack
 
 
+@pytest.mark.parametrize("n_starts", [32, 64])
+def test_multiplier_search_eigvalsh_calls_do_not_grow_with_starts(monkeypatch, n_starts):
+    # the starts of a phase share their eigvalsh calls: 133 calls at 32
+    # starts and 130 at 64, where one ascent per start made 2,297 and 4,272
+    p = multiplier_workload_problem(np.random.default_rng(41))
+    xbar, u = np.zeros(1), np.ones(1)
+    opts = SoscOptions(n_starts=n_starts, seed=4)
+    d = eigen_decompose(eval_F(p, xbar), opts.rank_tol)
+    calls = linalg_calls(
+        monkeypatch,
+        lambda: sosc._multiplier_search(p, xbar, u, d, opts, np.random.default_rng([4, 0])),
+    )
+    assert 0 < calls["eigvalsh"] < 300
+
+
+def scalar(objective):
+    return lambda z: float(objective(z[None])[0])
+
+
+def assert_rows_match_reference(objective, z0s, max_iters):
+    """Each row of one lockstep ascent equals its own one-start run."""
+    zs, vals, capped = sosc._coordinate_ascent(objective, z0s, max_iters)
+    assert zs.shape == z0s.shape and vals.shape == capped.shape == (len(z0s),)
+    for z0, z, val, cap in zip(z0s, zs, vals.tolist(), capped.tolist()):
+        ref = reference_ascent(scalar(objective), z0, max_iters)
+        assert np.array_equal(z, ref[0])
+        assert val == ref[1]
+        assert cap == ref[2]
+
+
 def test_coordinate_ascent_skips_zero_trial_points():
     # from e_0, the step -1 along coordinate 0 lands on the origin, which
     # cannot be normalized and is left out of the scored batch
@@ -638,11 +670,11 @@ def test_coordinate_ascent_skips_zero_trial_points():
         return zs[:, 1] - np.abs(zs[:, 0] - 0.6)
 
     z0 = np.array([1.0, 0.0])
-    new = sosc._coordinate_ascent(objective, z0, 50)
-    ref = reference_ascent(lambda z: float(objective(z[None])[0]), z0, 50)
+    zs, vals, capped = sosc._coordinate_ascent(objective, z0[None], 50)
+    ref = reference_ascent(scalar(objective), z0, 50)
     assert sizes[:3] == [1, 17, 18]
-    assert np.array_equal(new[0], ref[0])
-    assert new[1:] == ref[1:]
+    assert np.array_equal(zs[0], ref[0])
+    assert (vals[0], capped[0]) == ref[1:]
 
 
 def test_coordinate_ascent_keeps_the_first_of_near_ties():
@@ -651,11 +683,80 @@ def test_coordinate_ascent_keeps_the_first_of_near_ties():
     def objective(zs):
         return np.round(3.0 * zs[:, 1], 0) + 4e-16 * zs[:, 0] * zs[:, 2]
 
-    for z0 in np.random.default_rng(8).standard_normal((6, 3)):
-        new = sosc._coordinate_ascent(objective, z0, 50)
-        ref = reference_ascent(lambda z: float(objective(z[None])[0]), z0, 50)
-        assert np.array_equal(new[0], ref[0])
-        assert new[1:] == ref[1:]
+    assert_rows_match_reference(objective, np.random.default_rng(8).standard_normal((6, 3)), 50)
+
+
+def rounded_linear(c, scale):
+    """A linear objective rounded to plateaus of height 1/scale, tilted by
+    4e-16 z0 z_last so that points on one plateau differ by less than the
+    1e-15 acceptance margin.  Column by column, so each row is scored alone."""
+
+    def objective(zs):
+        linear = sum(c[j] * zs[:, j] for j in range(len(c)))
+        return np.round(scale * linear, 0) / scale + 4e-16 * zs[:, 0] * zs[:, -1]
+
+    return objective
+
+
+def sweeps_to_stop(objective, z0, cap):
+    """Sweeps the one-start ascent makes from z0 before one without a move,
+    or None when it is still moving after cap sweeps."""
+    for max_iters in range(cap + 1):
+        if not reference_ascent(scalar(objective), z0, max_iters)[2]:
+            return max_iters
+    return None
+
+
+def test_coordinate_ascent_rows_match_their_own_runs():
+    # one stack whose starts stop after 3 and after exactly max_iters = 4
+    # sweeps or are still moving then, holding axis starts from which a unit
+    # step lands on the origin, on plateaus full of near ties
+    objective = rounded_linear(np.array([0.3, 0.8, -0.5]), 1e4)
+    z0s = np.vstack(
+        ([1.0, 0.0, 0.0], [0.0, 0.0, -1.0], np.random.default_rng(5).standard_normal((6, 3)))
+    )
+    stops = [sweeps_to_stop(objective, z0, 4) for z0 in z0s]
+    assert {3, 4, None} <= set(stops)
+
+    assert_rows_match_reference(objective, z0s, 4)
+
+    batches = []
+
+    def recorded(zs):
+        batches.append(objective(zs))
+        return batches[-1]
+
+    sosc._coordinate_ascent(recorded, z0s, 4)
+    # the lockstep scores exactly the points the one-start runs score, so a
+    # start that stays one sweep too long shows up here
+    one_start_points = []
+
+    def one_point(z):
+        one_start_points.append(z)
+        return scalar(objective)(z)
+
+    for z0 in z0s:
+        reference_ascent(one_point, z0, 4)
+    assert sum(map(len, batches)) == len(one_start_points)
+    assert any(len(b) % len(sosc._STEPS) for b in batches[1:])  # a dropped origin
+    gaps = np.diff(np.unique(np.concatenate(batches)))
+    assert np.any(gaps <= 1e-15)  # near ties among the scored values
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_coordinate_ascent_matches_one_start_runs(data):
+    r = data.draw(st.integers(2, 5), label="r")
+    entry = st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0]),
+        st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3),  # no norm underflows
+    )
+    rows = st.lists(entry, min_size=r, max_size=r).filter(lambda row: any(row))
+    z0s = np.array(data.draw(st.lists(rows, min_size=1, max_size=6), label="starts"))
+    c = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=r, max_size=r), label="c"))
+    scale = data.draw(st.sampled_from([3.0, 1e3, 1e8]), label="scale")
+    max_iters = data.draw(st.integers(0, 6), label="max_iters")
+    assert_rows_match_reference(rounded_linear(c, scale), z0s, max_iters)
 
 
 @pytest.mark.xfail(
@@ -674,6 +775,19 @@ def test_sosc_options_reject_bad_tolerances(field, value):
     # a NaN tol makes every tangency test false and so empties the cone
     with pytest.raises(ValueError, match=field):
         SoscOptions(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("n_starts", 0), ("n_starts", -3), ("max_iters", -1)])
+def test_sosc_options_reject_empty_searches(field, value):
+    # no start used to falsely refute; a negative count sliced the starts or
+    # ran no sweep
+    with pytest.raises(ValueError, match=field):
+        SoscOptions(**{field: value})
+
+
+def test_sosc_options_smallest_search():
+    opts = SoscOptions(n_starts=1, max_iters=0)
+    assert (opts.n_starts, opts.max_iters) == (1, 0)
 
 
 def test_sosc_options_zero_tolerances():

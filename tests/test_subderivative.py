@@ -35,7 +35,7 @@ from nsdpcheck.symmat import (
     pseudoinverse,
 )
 
-from conftest import random_psd, random_symmat, valid_triple
+from conftest import linalg_calls, random_psd, random_symmat, valid_triple
 
 DATA = Path(__file__).parent / "data"
 
@@ -494,20 +494,6 @@ def test_trace_matches_reference_on_random_triples(
     assert_same_trace(
         (y, ystar, scale * v), {"n_samples": n_samples, "radius": radius, "seed": seed}
     )
-
-
-def linalg_calls(monkeypatch, run) -> Counter:
-    """Calls of numpy's eigvalsh and solve made by run()."""
-    counts = Counter()
-    with monkeypatch.context() as mp:
-        for name in ("eigvalsh", "solve"):
-            def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _orig(*args, **kwargs)
-
-            mp.setattr(np.linalg, name, counted)
-        run()
-    return counts
 
 
 def test_trace_linalg_calls_do_not_grow_with_samples(monkeypatch):
