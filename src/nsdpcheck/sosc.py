@@ -629,6 +629,47 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
     )
 
 
+def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
+    """Offsets from xbar of the growth samples, one per row: the 4n axis
+    points at +-epsilon and +-epsilon/2, then max(1, n_samples // 10) points
+    of the epsilon-sphere and up to n_samples points of the epsilon-ball.
+    A zero draw gives no row.
+
+    The loop makes only the calls that fix the stream, one sample at a time:
+    each normal draw goes straight into its row, ``row.dot(row)`` is the
+    square that np.linalg.norm takes the root of, and ``rng.random()`` draws
+    what ``rng.uniform()`` draws.  The rows are then scaled in bulk in the
+    order of the per-sample ``radius * raw / norm``."""
+    n_boundary = max(1, n_samples // 10)
+    xs = np.empty((4 * n + n_boundary + n_samples, n))
+    axes = epsilon * np.eye(n)
+    xs[: 4 * n] = np.stack((axes, -axes, 0.5 * axes, -0.5 * axes), axis=1).reshape(4 * n, n)
+    drawn = xs[4 * n :]
+    sqn = np.empty(len(drawn))
+    scale = np.empty(len(drawn))
+    power = 1.0 / n if n else 0.0  # no draw is kept when n = 0
+    normal, uniform = rng.standard_normal, rng.random
+    rows = 0
+    for _ in range(n_boundary):
+        row = drawn[rows]
+        normal(out=row)
+        s = row.dot(row)
+        if s != 0.0:
+            sqn[rows], scale[rows] = s, epsilon
+            rows += 1
+    for _ in range(n_samples):
+        row = drawn[rows]
+        normal(out=row)
+        s = row.dot(row)
+        if s != 0.0:
+            # a Python-float power: numpy's vector ** differs in last bits
+            sqn[rows], scale[rows] = s, epsilon * uniform() ** power
+            rows += 1
+    drawn[:rows] *= scale[:rows, None]
+    drawn[:rows] /= np.sqrt(sqn[:rows])[:, None]
+    return xs[: 4 * n + rows]
+
+
 def verify_growth(
     p: NlsdpProblem,
     xbar,
@@ -642,8 +683,9 @@ def verify_growth(
     epsilon-ball, plus boundary and axis points.  Also reports the variant
     restricted to (numerically) feasible samples.
 
-    The samples are drawn one by one from a seeded stream; F and its PSD
-    distance are then evaluated for blocks of samples at once."""
+    The samples are drawn one at a time from a seeded stream and scaled to
+    their radii in bulk (``_growth_offsets``); F and its PSD distance are
+    then evaluated for blocks of samples at once."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if not (math.isfinite(beta) and beta >= 0):
@@ -652,31 +694,8 @@ def verify_growth(
         raise ValueError("n_samples must be positive")
     xbar = np.asarray(xbar, dtype=float)
     f0 = eval_f(p, xbar)
-    n = p.n
-    rng = np.random.default_rng([seed, 2])
-    n_boundary = max(1, n_samples // 10)
-    # One row per sample: its offset from xbar, then the sample point itself.
-    xs = np.empty((4 * n + n_boundary + n_samples, n))
-    axes = epsilon * np.eye(n)
-    axis_points = np.stack((axes, -axes, 0.5 * axes, -0.5 * axes), axis=1)
-    xs[: 4 * n] = axis_points.reshape(4 * n, n)
-    rows = 4 * n
-    for _ in range(n_boundary):
-        raw = rng.standard_normal(n)
-        nrm = np.linalg.norm(raw)
-        if nrm > 0:
-            xs[rows] = epsilon * raw / nrm
-            rows += 1
-    for _ in range(n_samples):
-        raw = rng.standard_normal(n)
-        nrm = np.linalg.norm(raw)
-        if nrm == 0:
-            continue
-        radius = epsilon * rng.uniform() ** (1.0 / n)
-        xs[rows] = radius * raw / nrm
-        rows += 1
-
-    xs = xs[:rows]
+    xs = _growth_offsets(np.random.default_rng([seed, 2]), p.n, epsilon, n_samples)
+    rows = len(xs)
     # Row-wise dot products with the rounding of a one-vector dot product.
     sq = (xs[:, None, :] @ xs[:, :, None]).reshape(rows)
     xs += xbar

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import DEFAULT_TOL, normal_cone_contains, tangent_cone_contains
-from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, _tril_weights
+from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, _tril_weights, block
 from .symmat import eigen_decompose, frobenius_inner, lower_to_dense, pseudoinverse
 
 # Sampling-oracle defaults.
@@ -123,11 +123,19 @@ def second_subderivative(
     if inner < -tol * scale:
         return ExtendedReal.plus_infinity()
     if inner > tol * scale:
-        # Would be the minus-infinity branch, impossible for a normal-cone
-        # multiplier against a tangent direction (polar cones).
-        raise ToleranceAnomalyError(
-            f"<ystar, v> = {inner:.3e} > 0 despite enforced normal-cone membership"
+        # normal_cone_contains admits pi-pi and pi-omega blocks of ystar of
+        # norm up to tol, which add up to tol (||V_pp|| + 2 ||V_po||) to the
+        # inner product, V's blocks taken in d's eigenbasis.
+        pi, omega = d.pi, d.omega
+        admitted = np.linalg.norm(block(v, d, pi, pi)) + 2.0 * np.linalg.norm(
+            block(v, d, pi, omega)
         )
+        if inner > tol * (scale + admitted):
+            # Would be the minus-infinity branch, impossible for a normal-cone
+            # multiplier against a tangent direction (polar cones).
+            raise ToleranceAnomalyError(
+                f"<ystar, v> = {inner:.3e} > 0 despite enforced normal-cone membership"
+            )
     ydag = pseudoinverse(d).dense()
     vd = v.dense()
     curvature = float(np.sum(ystar.dense() * (vd @ ydag @ vd)))
@@ -248,8 +256,8 @@ def _candidate_blocks(rng, v: SymMat, t: float, radius: float, n_samples: int):
     v within radius*t, in blocks of at most _TRACE_BLOCK rows.
 
     The draws are made one sample at a time, so the stream is that of a
-    per-sample loop.  Each yielded block is a buffer that the next block
-    overwrites.
+    per-sample loop; ``rng.random()`` draws what ``rng.uniform()`` draws.
+    Each yielded block is a buffer that the next block overwrites.
     """
     m = v.m
     tril = _tril_indices(m)
@@ -259,10 +267,11 @@ def _candidate_blocks(rng, v: SymMat, t: float, radius: float, n_samples: int):
     for _ in range(n_samples):
         noise = rng.standard_normal((m, m))
         noise = 0.5 * (noise + noise.T)
-        nrm = np.linalg.norm(noise)
+        flat = noise.ravel()
+        nrm = np.sqrt(flat.dot(flat))  # np.linalg.norm(noise), without its overhead
         if nrm == 0.0:
             continue
-        buf[filled] = v.lower + noise[tril] * (radius * t * rng.uniform() / nrm)
+        buf[filled] = v.lower + noise[tril] * (radius * t * rng.random() / nrm)
         filled += 1
         if filled == len(buf):
             yield buf

@@ -161,10 +161,10 @@ def p1_negated():
 
 
 def linalg_calls(monkeypatch, run) -> Counter:
-    """Calls of numpy's eigvalsh and solve made by run()."""
+    """Calls of numpy's eigvalsh, solve and norm made by run()."""
     counts = Counter()
     with monkeypatch.context() as mp:
-        for name in ("eigvalsh", "solve"):
+        for name in ("eigvalsh", "solve", "norm"):
             def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _orig(*args, **kwargs)

@@ -106,14 +106,15 @@ def test_subderivative_hypothesis_violation(tmp_path, capsys):
 
 
 def test_numerical_anomaly_exits_4(tmp_path, capsys):
-    # <Ystar, V> passes the absolute normal-cone test but fails the scaled
-    # polarity test in second_subderivative: an internal tolerance anomaly,
-    # which must not read as a refutation (exit 1) or escape as a traceback
+    # Ystar = tol passes the absolute normal-cone test at Y = 0, but
+    # <Ystar, V> = 1e-4 fails the scaled polarity test in
+    # second_subderivative: an internal tolerance anomaly, which must not
+    # read as a refutation (exit 1) or escape as a traceback
     path = tmp_path / "anomaly.json"
     path.write_text(json.dumps({
-        "Y": {"m": 2, "lower": [1, 0, 0]},
-        "Ystar": {"m": 2, "lower": [5e-9, 0, -1e-3]},
-        "V": {"m": 2, "lower": [1e4, 0, 0]},
+        "Y": {"m": 1, "lower": [0]},
+        "Ystar": {"m": 1, "lower": [1e-8]},
+        "V": {"m": 1, "lower": [1e4]},
     }))
     assert run_cli("subderivative", str(path)) == 4
     captured = capsys.readouterr()
@@ -132,6 +133,26 @@ def test_numerical_anomaly_exits_4(tmp_path, capsys):
     assert report["options"] == {
         "tol": 1e-8, "rank_tol": None, "samples": 64, "radius": 1.0, "seed": 0,
     }
+
+
+def test_admitted_normal_cone_slack_is_no_anomaly(tmp_path, capsys):
+    # the normal-cone test admits a pi-pi block of Ystar of norm 5e-9 < tol,
+    # which against V_pp = 1e4 makes <Ystar, V> = 5e-5; the polarity test
+    # allows for that slack instead of exiting 4
+    path = tmp_path / "slack.json"
+    path.write_text(json.dumps({
+        "Y": {"m": 2, "lower": [1, 0, 0]},
+        "Ystar": {"m": 2, "lower": [5e-9, 0, -1e-3]},
+        "V": {"m": 2, "lower": [1e4, 0, 0]},
+    }))
+    assert run_cli("subderivative", str(path)) == 0
+    assert "closed form: -1\n" in capsys.readouterr().out
+    report_path = tmp_path / "report.json"
+    assert run_cli("subderivative", str(path), "--json", str(report_path)) == 0
+    report = json.loads(report_path.read_text())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    # -2 <Ystar, V pinv(Y) V> = -2 * 5e-9 * 1e8
+    assert report["result"]["closed_form"] == {"tag": "finite", "value": -1.0}
 
 
 def _p1_with_hessian(tmp_path, lower):

@@ -288,10 +288,10 @@ def test_direction_slope_breaks_ties_for_worst_direction(p1_negated):
     assert slope == pytest.approx(-1.0, abs=1e-9)
 
 
-def reference_growth(p, xbar, epsilon, beta, n_samples, seed, feas_tol=1e-9):
-    """verify_growth as a per-sample loop: the same draws, then one eval_F,
-    one dist_psd and one strict-< update per sample."""
-    n = p.n
+def reference_offsets(n, epsilon, n_samples, seed):
+    """The growth samples' offsets from xbar as a per-sample loop draws and
+    scales them: axis points, then sphere and ball points, each normalised
+    by its own np.linalg.norm."""
     rng = np.random.default_rng([seed, 2])
     offsets = []
     for i in range(n):
@@ -310,7 +310,13 @@ def reference_growth(p, xbar, epsilon, beta, n_samples, seed, feas_tol=1e-9):
             continue
         radius = epsilon * rng.uniform() ** (1.0 / n)
         offsets.append(radius * raw / nrm)
+    return offsets
 
+
+def reference_growth(p, xbar, epsilon, beta, n_samples, seed, feas_tol=1e-9):
+    """verify_growth as a per-sample loop: the draws of reference_offsets,
+    then one eval_F, one dist_psd and one strict-< update per sample."""
+    offsets = reference_offsets(p.n, epsilon, n_samples, seed)
     f0 = eval_f(p, xbar)
     min_ratio, worst = math.inf, xbar.copy()
     violations = feasible_samples = feasible_violations = total = 0
@@ -395,6 +401,44 @@ def test_verify_growth_without_variables():
     assert report.worst_point.shape == (0,)
     assert report.feasible_min_ratio is None
     assert_same_growth(report, reference_growth(p, xbar, 0.1, 0.25, 100, 0))
+
+
+def assert_offsets_match_reference(n, epsilon, n_samples, seed):
+    new = sosc._growth_offsets(np.random.default_rng([seed, 2]), n, epsilon, n_samples)
+    ref = reference_offsets(n, epsilon, n_samples, seed)
+    ref = np.array(ref, dtype=float).reshape(len(ref), n)
+    assert new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 20])
+def test_growth_offsets_match_per_sample_draws(n):
+    for epsilon in (1e-3, 0.1, 10.0):
+        for n_samples in (1, 9, 10, 11, 255, 1000):
+            for seed in range(4):
+                assert_offsets_match_reference(n, epsilon, n_samples, seed)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(0, 24),
+    epsilon=st.floats(1e-6, 1e3),
+    n_samples=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_growth_offsets_match_per_sample_draws_property(n, epsilon, n_samples, seed):
+    assert_offsets_match_reference(n, epsilon, n_samples, seed)
+
+
+def test_verify_growth_norm_calls_do_not_grow_with_samples(monkeypatch, p1):
+    # the draw loop squares each row with a dot product; a per-sample
+    # np.linalg.norm would add one call per draw
+    counts = [
+        linalg_calls(monkeypatch, lambda: verify_growth(p1, XBAR, 0.1, 0.25, n_samples=k))
+        for k in (100, 5000)
+    ]
+    assert counts[0]["norm"] == counts[1]["norm"]
+    assert counts[0]["eigvalsh"] < counts[1]["eigvalsh"]  # the counter sees calls
 
 
 # -- multiplier search against the scalar reference ------------------------------
