@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cone import DEFAULT_TOL, dist_psd, dist_psd_batch, tangent_cone_contains
+from .cone import DEFAULT_TOL, dist_psd, dist_psd_batch
 from .nlsdp import (
     NlsdpProblem,
     dF,
@@ -53,6 +53,8 @@ _DEDUP_ANGLE = 1e-3
 # Growth samples whose constraint values are eigen-solved together; bounds the
 # (block, m, m) work buffer.
 _GROWTH_BLOCK = 256
+# Growth samples with dist(F(x), PSD) at most this count as feasible.
+_GROWTH_FEAS_TOL = 1e-9
 
 # Signed coordinate steps of the multiplier search, in the order one move
 # tries them: each step size, plus before minus.
@@ -190,6 +192,46 @@ def _decompose_at(p: NlsdpProblem, xbar, tol: float, rank_tol=None):
     return eigen_decompose(require_feasible(p, xbar, tol), rank_tol)
 
 
+def _linearized_rows(p: NlsdpProblem, xbar, d: OrderedEigenDecomposition) -> np.ndarray:
+    """Matrix of the linearized map L(u) = (grad f . u, P_omega dF(u) P_omega^T)
+    into R x S^k, k = |omega|, in svec coordinates: u @ rows is L(u).
+
+    Row i, L(e_i) = (df/dx_i, svec(block(dF(e_i), omega, omega))), is also
+    the stationarity row of x_i in the multiplier unknowns (alpha, svec W)."""
+    omega = list(d.omega)
+    gf = grad_f(p, xbar)
+    rows = np.empty((p.n, 1 + len(omega) * (len(omega) + 1) // 2))
+    for i, e_i in enumerate(np.eye(p.n)):
+        rows[i, 0] = gf[i]
+        rows[i, 1:] = svec(block(dF(p, xbar, e_i), d, omega, omega))
+    return rows
+
+
+def _row_norms(zs: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of zs, rounded as np.linalg.norm rounds
+    one row: stacked row-times-column products sum like a vector dot."""
+    return np.sqrt((zs[:, None, :] @ zs[:, :, None]).reshape(len(zs)))
+
+
+def _critical_mask(
+    rows: np.ndarray, us: np.ndarray, d: OrderedEigenDecomposition, tol: float
+) -> np.ndarray:
+    """Which rows u of us are critical: the slope grad f . u is at most
+    tol * max(1, |u|), and the omega-omega block of dF(u) is PSD within tol.
+    One product with the matrix of L and one stacked eigvalsh test them all."""
+    images = us @ rows
+    critical = ~(images[:, 0] > tol * np.maximum(1.0, _row_norms(us)))
+    if not critical.any():
+        return critical
+    if not d.psd:
+        raise ValueError("tangent cone is defined at PSD base points only")
+    k = len(d.omega)
+    if k:
+        least = np.linalg.eigvalsh(svec_to_dense(k, images[critical, 1:]))[:, 0]
+        critical[critical] = least >= -tol
+    return critical
+
+
 def critical_cone_contains(
     p: NlsdpProblem,
     xbar,
@@ -202,10 +244,7 @@ def critical_cone_contains(
     u = np.asarray(u, dtype=float)
     if d is None:
         d = _decompose_at(p, xbar, tol)
-    slope = float(grad_f(p, xbar) @ u)
-    if slope > tol * max(1.0, float(np.linalg.norm(u))):
-        return False
-    return tangent_cone_contains(d, dF(p, xbar, u), tol)
+    return bool(_critical_mask(_linearized_rows(p, xbar, d), u[None, :], d, tol)[0])
 
 
 def sample_critical_directions(
@@ -218,49 +257,32 @@ def sample_critical_directions(
 ) -> list[np.ndarray]:
     """Unit directions inside the critical cone: coordinate axes, a
     deterministic angular grid for n <= 3, and rejection-sampled sphere
-    points, deduplicated within an angular tolerance."""
+    points, deduplicated within an angular tolerance.  The candidates are
+    tested together, as the rows of one array."""
     if n_dirs < 1:
         raise ValueError("n_dirs must be positive")
     if d is None:
         d = _decompose_at(p, xbar, tol)
     n = p.n
-    candidates: list[np.ndarray] = []
-    for i in range(n):
-        axis = np.zeros(n)
-        axis[i] = 1.0
-        candidates.append(axis.copy())
-        candidates.append(-axis)
+    eye = np.eye(n)
+    candidates = [np.stack((eye, -eye), axis=1).reshape(2 * n, n)]
     if n == 2:
-        for deg in np.arange(0.0, 360.0, _GRID_STEP_DEG[2]):
-            a = math.radians(deg)
-            candidates.append(np.array([math.cos(a), math.sin(a)]))
+        a = np.radians(np.arange(0.0, 360.0, _GRID_STEP_DEG[2]))
+        candidates.append(np.column_stack((np.cos(a), np.sin(a))))
     elif n == 3:
         step = _GRID_STEP_DEG[3]
-        for theta_deg in np.arange(step, 180.0, step):
-            theta = math.radians(theta_deg)
-            for phi_deg in np.arange(0.0, 360.0, step):
-                phi = math.radians(phi_deg)
-                candidates.append(
-                    np.array(
-                        [
-                            math.sin(theta) * math.cos(phi),
-                            math.sin(theta) * math.sin(phi),
-                            math.cos(theta),
-                        ]
-                    )
-                )
-    rng = np.random.default_rng([seed, 1])
-    for _ in range(n_dirs):
-        raw = rng.standard_normal(n)
-        nrm = np.linalg.norm(raw)
-        if nrm > 0:
-            candidates.append(raw / nrm)
+        theta = np.radians(np.arange(step, 180.0, step))[:, None]
+        phi = np.radians(np.arange(0.0, 360.0, step))
+        sphere = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+        candidates.append(np.stack(np.broadcast_arrays(*sphere), axis=-1).reshape(-1, 3))
+    raw = np.random.default_rng([seed, 1]).standard_normal((n_dirs, n))
+    nrm = _row_norms(raw)
+    candidates.append(raw[nrm > 0] / nrm[nrm > 0, None])
+    us = np.concatenate(candidates)
 
     kept: list[np.ndarray] = []
     cos_dedup = math.cos(_DEDUP_ANGLE)
-    for u in candidates:
-        if not critical_cone_contains(p, xbar, u, tol, d=d):
-            continue
+    for u in us[_critical_mask(_linearized_rows(p, xbar, d), us, d, tol)]:
         if any(float(u @ v) > cos_dedup for v in kept):
             continue
         kept.append(u)
@@ -296,12 +318,6 @@ class _SearchOutcome:
     margin: float | None
     best_interiority: float
     hit_cap: bool
-
-
-def _row_norms(zs: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of zs, rounded as np.linalg.norm rounds
-    one row: stacked row-times-column products sum like a vector dot."""
-    return np.sqrt((zs[:, None, :] @ zs[:, :, None]).reshape(len(zs)))
 
 
 def _coordinate_ascent(objective, z0s: np.ndarray, max_iters: int):
@@ -350,28 +366,23 @@ def _multiplier_search(
     xbar,
     u,
     d: OrderedEigenDecomposition,
+    rows: np.ndarray,
     opts: SoscOptions,
     rng,
 ) -> _SearchOutcome:
+    """Search a multiplier for direction u.  ``rows`` is the matrix of the
+    linearized map (``_linearized_rows``): its rows are the stationarity rows
+    in the unknowns (alpha, svec W), where ystar = P.T [[0, 0], [0, W]] P
+    ranges over the normal-cone face."""
     xbar = np.asarray(xbar, dtype=float)
     u = np.asarray(u, dtype=float)
-    n = p.n
     omega = list(d.omega)
     k = len(omega)
-    gf = grad_f(p, xbar)
     g_dir = dF(p, xbar, u)
 
-    # Stationarity rows and the orthogonality row in unknowns (alpha, svec W),
-    # where ystar = P.T [[0, 0], [0, W]] P ranges over the normal-cone face.
-    rows = []
-    for i in range(n):
-        e_i = np.zeros(n)
-        e_i[i] = 1.0
-        d_i = dF(p, xbar, e_i)
-        rows.append(np.concatenate(([gf[i]], svec(block(d_i, d, omega, omega)))))
-    rows.append(np.concatenate(([0.0], svec(block(g_dir, d, omega, omega)))))
-    system = np.vstack(rows)
-    basis = _null_space(system)
+    # The stationarity rows, then the orthogonality row <W, (dF u)_omega> = 0.
+    orthogonality = np.concatenate(([0.0], svec(block(g_dir, d, omega, omega))))
+    basis = _null_space(np.vstack((rows, orthogonality)))
     r = basis.shape[1]
     if r == 0:
         return _SearchOutcome(None, None, -math.inf, False)
@@ -399,54 +410,45 @@ def _multiplier_search(
     )
     margin_of = basis.T @ margin_row
 
-    hit_cap = False
-    if r == 1:
-        scored = list(zip(interiority(np.array([[1.0], [-1.0]])).tolist(), (1.0, -1.0)))
-        best_interiority, best_sign = max(scored)
-        feasible = [s for g0, s in scored if g0 >= -opts.cert_tol]
-        if not feasible:
-            return _SearchOutcome(None, None, best_interiority, False)
-        z_best = np.array([max(feasible, key=lambda s: s * margin_of[0])])
-    else:
-        starts = [np.ones(r)]
-        for j in range(r):
-            e = np.zeros(r)
-            e[j] = 1.0
-            starts.extend((e.copy(), -e))
-        while len(starts) < opts.n_starts:
-            starts.append(rng.standard_normal(r))
-        starts = np.array(starts[: opts.n_starts])
-        zs, vals, capped = _coordinate_ascent(
-            interiority, starts[_row_norms(starts) != 0], opts.max_iters
-        )
-        hit_cap = bool(capped.any())
-        best_interiority, z_int = -math.inf, None
-        for z, val in zip(zs, vals.tolist()):
-            if val > best_interiority:
-                best_interiority, z_int = val, z
-        if best_interiority < -opts.cert_tol:
-            return _SearchOutcome(None, None, best_interiority, hit_cap)
+    starts = [np.ones(r)]
+    for j in range(r):
+        e = np.zeros(r)
+        e[j] = 1.0
+        starts.extend((e.copy(), -e))
+    while len(starts) < opts.n_starts:
+        starts.append(rng.standard_normal(r))
+    starts = np.array(starts[: opts.n_starts])
+    zs, vals, capped = _coordinate_ascent(
+        interiority, starts[_row_norms(starts) != 0], opts.max_iters
+    )
+    hit_cap = bool(capped.any())
+    best_interiority, z_int = -math.inf, None
+    for z, val in zip(zs, vals.tolist()):
+        if val > best_interiority:
+            best_interiority, z_int = val, z
+    if best_interiority < -opts.cert_tol:
+        return _SearchOutcome(None, None, best_interiority, hit_cap)
 
-        # Polish for margin over the feasible slice: the feasible multipliers
-        # form a convex cone section, so penalized ascent on the linear margin
-        # keeps the search honest about "no positive-margin certificate".
-        rho = 1e3 * (1.0 + np.linalg.norm(margin_of))
+    # Polish for margin over the feasible slice: the feasible multipliers
+    # form a convex cone section, so penalized ascent on the linear margin
+    # keeps the search honest about "no positive-margin certificate".
+    rho = 1e3 * (1.0 + np.linalg.norm(margin_of))
 
-        def penalized(zs: np.ndarray) -> np.ndarray:
-            slack = interiority(zs) + 0.5 * opts.cert_tol
-            gain = (zs[:, None, :] @ margin_of[:, None]).reshape(len(zs))
-            return gain + rho * np.where(slack < 0.0, slack, 0.0)
+    def penalized(zs: np.ndarray) -> np.ndarray:
+        slack = interiority(zs) + 0.5 * opts.cert_tol
+        gain = (zs[:, None, :] @ margin_of[:, None]).reshape(len(zs))
+        return gain + rho * np.where(slack < 0.0, slack, 0.0)
 
-        polish_starts = np.array([z_int] + [rng.standard_normal(r) for _ in range(7)])
-        zs, _, capped = _coordinate_ascent(penalized, polish_starts, opts.max_iters)
-        hit_cap = hit_cap or bool(capped.any())
-        # the polish's own start, then its end points, all scored at once
-        points = np.vstack((z_int[None], zs))
-        pens = penalized(points).tolist()
-        z_best, best_pen = z_int, pens[0]
-        for z, g0, pen in zip(zs, interiority(zs).tolist(), pens[1:]):
-            if g0 >= -opts.cert_tol and pen > best_pen:
-                z_best, best_pen = z, pen
+    polish_starts = np.array([z_int] + [rng.standard_normal(r) for _ in range(7)])
+    zs, _, capped = _coordinate_ascent(penalized, polish_starts, opts.max_iters)
+    hit_cap = hit_cap or bool(capped.any())
+    # the polish's own start, then its end points, all scored at once
+    points = np.vstack((z_int[None], zs))
+    pens = penalized(points).tolist()
+    z_best, best_pen = z_int, pens[0]
+    for z, g0, pen in zip(zs, interiority(zs).tolist(), pens[1:]):
+        if g0 >= -opts.cert_tol and pen > best_pen:
+            z_best, best_pen = z, pen
 
     vec = basis @ z_best
     alpha = max(float(vec[0]), 0.0)
@@ -495,7 +497,8 @@ def find_multiplier(
     if d is None:
         d = _decompose_at(p, xbar, opts.tol, opts.rank_tol)
     rng = np.random.default_rng([opts.seed, 0])
-    return _multiplier_search(p, xbar, u, d, opts, rng).candidate
+    rows = _linearized_rows(p, xbar, d)
+    return _multiplier_search(p, xbar, u, d, rows, opts, rng).candidate
 
 
 def sosc_margin(
@@ -541,22 +544,7 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
     dirs = sample_critical_directions(
         p, xbar, n_dirs=opts.n_dirs, seed=opts.seed, tol=opts.tol, d=d
     )
-    eig_note = (
-        f"F(xbar) eigenvalues: {np.array2string(np.asarray(d.eigenvalues), precision=6)}; "
-        f"pi = {list(d.pi)}, omega = {list(d.omega)} at rank_tol = {d.rank_tol:.3e}"
-    )
-    if not dirs:
-        return SoscReport(
-            verdict=CRITICAL_CONE_TRIVIAL,
-            directions_checked=0,
-            min_margin=math.inf,
-            worst_direction=None,
-            certificates=[],
-            diagnostics=eig_note
-            + "\nno sampled unit direction lies in the critical cone",
-            decomposition=d,
-        )
-
+    rows = _linearized_rows(p, xbar, d)
     certificates: list[DirectionCertificate] = []
     failures = []  # (rank_key, slope, direction, reason)
     inconclusive = []
@@ -564,7 +552,7 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
     gf = grad_f(p, xbar)
     for idx, u in enumerate(dirs):
         rng = np.random.default_rng([opts.seed, idx])
-        outcome = _multiplier_search(p, xbar, u, d, opts, rng)
+        outcome = _multiplier_search(p, xbar, u, d, rows, opts, rng)
         slope = float(gf @ u)
         if outcome.candidate is not None:
             certificates.append(DirectionCertificate(u, outcome.candidate, outcome.margin))
@@ -579,52 +567,39 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
         else:
             failures.append((outcome.best_interiority, slope, u, "no multiplier"))
 
-    sampled_note = (
+    notes = [
+        f"F(xbar) eigenvalues: {np.array2string(np.asarray(d.eigenvalues), precision=6)}; "
+        f"pi = {list(d.pi)}, omega = {list(d.omega)} at rank_tol = {d.rank_tol:.3e}",
         f"sampled verification over {len(dirs)} unit directions; "
         "not a proof over all of the critical cone"
-    )
-    if failures:
+        if dirs
+        else "no sampled unit direction lies in the critical cone",
+    ]
+    if not dirs:
+        verdict, worst, no_margin = CRITICAL_CONE_TRIVIAL, None, math.inf
+    elif failures:
         failures.sort(key=lambda rec: (rec[0], rec[1]))
-        key, slope, worst, reason = failures[0]
-        detail = (
+        _, slope, worst, reason = failures[0]
+        verdict, no_margin = FAILED_AT_DIRECTION, -math.inf
+        notes.append(
             f"direction {np.array2string(worst, precision=6)} fails: {reason} "
             f"(objective slope {slope:.3e})"
         )
-        return SoscReport(
-            verdict=FAILED_AT_DIRECTION,
-            directions_checked=len(dirs),
-            min_margin=min((m for m, _ in margins), default=-math.inf),
-            worst_direction=worst,
-            certificates=certificates,
-            diagnostics="\n".join([eig_note, sampled_note, detail]),
-            decomposition=d,
+    elif inconclusive:
+        verdict, worst, no_margin = INCONCLUSIVE, inconclusive[0], math.inf
+        notes.append(
+            f"multiplier search hit its iteration cap on {len(inconclusive)} direction(s)"
         )
-    if inconclusive:
-        worst = inconclusive[0]
-        return SoscReport(
-            verdict=INCONCLUSIVE,
-            directions_checked=len(dirs),
-            min_margin=min((m for m, _ in margins), default=math.inf),
-            worst_direction=worst,
-            certificates=certificates,
-            diagnostics="\n".join(
-                [
-                    eig_note,
-                    sampled_note,
-                    f"multiplier search hit its iteration cap on "
-                    f"{len(inconclusive)} direction(s)",
-                ]
-            ),
-            decomposition=d,
-        )
-    min_margin, worst = min(margins, key=lambda rec: rec[0])
+    else:  # every direction carries a margin
+        verdict, no_margin = VERIFIED_SAMPLED, None
+        worst = min(margins, key=lambda rec: rec[0])[1]
     return SoscReport(
-        verdict=VERIFIED_SAMPLED,
+        verdict=verdict,
         directions_checked=len(dirs),
-        min_margin=min_margin,
+        min_margin=min((m for m, _ in margins), default=no_margin),
         worst_direction=worst,
         certificates=certificates,
-        diagnostics="\n".join([eig_note, sampled_note]),
+        diagnostics="\n".join(notes),
         decomposition=d,
     )
 
@@ -677,7 +652,6 @@ def verify_growth(
     beta: float,
     n_samples: int = 10_000,
     seed: int = 0,
-    feas_tol: float = 1e-9,
 ) -> GrowthReport:
     """Sample max(f(x) - f(xbar), dist(F(x))) >= beta ||x - xbar||^2 over the
     epsilon-ball, plus boundary and axis points.  Also reports the variant
@@ -712,7 +686,7 @@ def verify_growth(
         )
     # max(gap, dist) as Python's max takes it: the gap unless dist is larger.
     ratios = np.where(dists > gaps, dists, gaps) / sq
-    feasible = dists <= feas_tol
+    feasible = dists <= _GROWTH_FEAS_TOL
     feasible_ratios = gaps[feasible] / sq[feasible]
     if total:
         k = int(np.argmin(ratios))  # first minimum, as a strict-< scan keeps

@@ -36,6 +36,7 @@ from nsdpcheck import (
     verify_growth,
 )
 from nsdpcheck import sosc
+from nsdpcheck.cone import tangent_cone_contains
 from nsdpcheck.nlsdp import d2F, dF, lagrangian_grad
 from nsdpcheck.symmat import block, pseudoinverse
 
@@ -51,6 +52,12 @@ def test_critical_cone_p1_examples(p1):
     assert not critical_cone_contains(p1, XBAR, [0.0, 1.0])  # objective increases
     assert not critical_cone_contains(p1, XBAR, [0.0, -1.0])  # leaves the tangent cone
     assert critical_cone_contains(p1, XBAR, [0.0, 0.0])
+
+
+def test_critical_cone_slope_tolerance_scales_with_norm(p1):
+    # slope 5e-8 against tol * max(1, |u|) with tol = 1e-8
+    assert critical_cone_contains(p1, XBAR, [10.0, 5e-8])
+    assert not critical_cone_contains(p1, XBAR, [1.0, 5e-8])
 
 
 def test_critical_cone_interior_is_halfspace():
@@ -85,6 +92,108 @@ def test_sample_directions_full_sphere():
 def test_sample_directions_trivial_cone():
     p = build_trivial_cone()
     assert sample_critical_directions(p, np.zeros(1), n_dirs=32, seed=0) == []
+
+
+def reference_critical_contains(p, xbar, u, tol, d):
+    """The critical-cone test of one direction as a chain of single calls:
+    the objective slope, then dF(u) and the tangent-cone block test."""
+    slope = float(grad_f(p, xbar) @ u)
+    if slope > tol * max(1.0, float(np.linalg.norm(u))):
+        return False
+    return tangent_cone_contains(d, dF(p, xbar, u), tol)
+
+
+def reference_critical_directions(p, xbar, n_dirs, seed, tol=1e-8):
+    """sample_critical_directions one candidate at a time: math-module
+    grids, one normal draw and one np.linalg.norm per random candidate, and
+    one reference_critical_contains call per candidate."""
+    d = eigen_decompose(eval_F(p, xbar))
+    n = p.n
+    candidates = []
+    for i in range(n):
+        axis = np.zeros(n)
+        axis[i] = 1.0
+        candidates.extend((axis.copy(), -axis))
+    if n == 2:
+        for deg in np.arange(0.0, 360.0, 2.0):
+            a = math.radians(deg)
+            candidates.append(np.array([math.cos(a), math.sin(a)]))
+    elif n == 3:
+        for theta_deg in np.arange(10.0, 180.0, 10.0):
+            theta = math.radians(theta_deg)
+            for phi_deg in np.arange(0.0, 360.0, 10.0):
+                phi = math.radians(phi_deg)
+                candidates.append(np.array([
+                    math.sin(theta) * math.cos(phi),
+                    math.sin(theta) * math.sin(phi),
+                    math.cos(theta),
+                ]))
+    rng = np.random.default_rng([seed, 1])
+    for _ in range(n_dirs):
+        raw = rng.standard_normal(n)
+        nrm = np.linalg.norm(raw)
+        if nrm > 0:
+            candidates.append(raw / nrm)
+    kept = []
+    for u in candidates:
+        if not reference_critical_contains(p, xbar, u, tol, d):
+            continue
+        if any(float(u @ v) > math.cos(1e-3) for v in kept):
+            continue
+        kept.append(u)
+    return kept
+
+
+def sampler_problems():
+    """(name, problem, xbar): the fixtures, an interior point whose cone is
+    the whole space, no variables at all, and KKT-consistent problems."""
+    cap = QuadraticMatrixMap(a0=SymMat.identity(2), a=build_p1().F.a)
+    full_sphere = NlsdpProblem(
+        n=2, m=2, f=QuadraticScalar(c=1.0, g=np.zeros(2), h=np.zeros((2, 2))), F=cap
+    )
+    no_variables, empty_xbar = problem_from_json(
+        {"n": 0, "m": 1, "f": {"c": 0, "g": [], "h": []},
+         "F": {"A0": {"m": 1, "lower": [0]}, "A": [], "B": None}, "xbar": []}
+    )
+    cases = [
+        ("p1", build_p1(1.0), XBAR),
+        ("p1_negated", build_p1(-1.0), XBAR),
+        ("trivial_cone", build_trivial_cone(), np.zeros(1)),
+        ("full_sphere", full_sphere, XBAR),
+        ("no_variables", no_variables, empty_xbar),
+    ]
+    for seed in (5, 6):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 8):
+            cases.append((f"kkt_n{n}_s{seed}", kkt_consistent_problem(rng, n, n + 2), np.zeros(n)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(19))
+def test_sample_directions_match_per_candidate_reference(case):
+    name, p, xbar = sampler_problems()[case]
+    new = sample_critical_directions(p, xbar, n_dirs=64, seed=3)
+    ref = reference_critical_directions(p, xbar, 64, 3)
+    assert len(new) == len(ref), name
+    assert all(np.array_equal(u, v) for u, v in zip(new, ref)), name
+    # single directions, some of them off the unit sphere
+    d = eigen_decompose(eval_F(p, xbar))
+    eye = np.eye(p.n)
+    scaled = 3.0 * np.random.default_rng(case).standard_normal((8, p.n))
+    for u in np.vstack((eye, -eye, scaled)):
+        expect = reference_critical_contains(p, xbar, u, 1e-8, d)
+        assert critical_cone_contains(p, xbar, u, d=d) == expect, (name, u)
+
+
+def test_sample_directions_eigvalsh_calls_do_not_grow_with_candidates(monkeypatch, p1):
+    # one stacked eigvalsh tests every candidate that passes the slope test;
+    # one call per such candidate grew with n_dirs
+    d = eigen_decompose(eval_F(p1, XBAR))
+    counts = [
+        linalg_calls(monkeypatch, lambda: sample_critical_directions(p1, XBAR, n_dirs=k, d=d))
+        for k in (64, 4096)
+    ]
+    assert counts[0]["eigvalsh"] == counts[1]["eigvalsh"] == 1
 
 
 def test_find_multiplier_p1(p1):
@@ -659,7 +768,8 @@ def test_multiplier_search_matches_scalar_reference(case):
     p, xbar, u = multiplier_search_cases()[case]
     opts = SoscOptions(seed=4)
     d = eigen_decompose(eval_F(p, xbar), opts.rank_tol)
-    new = sosc._multiplier_search(p, xbar, u, d, opts, np.random.default_rng([4, 0]))
+    rows = sosc._linearized_rows(p, xbar, d)
+    new = sosc._multiplier_search(p, xbar, u, d, rows, opts, np.random.default_rng([4, 0]))
     ref = reference_multiplier_search(p, xbar, u, d, opts, np.random.default_rng([4, 0]))
     assert (new.candidate is None) == (case >= 2)
     assert new.best_interiority == ref.best_interiority
@@ -682,9 +792,10 @@ def test_multiplier_search_eigvalsh_calls_do_not_grow_with_starts(monkeypatch, n
     xbar, u = np.zeros(1), np.ones(1)
     opts = SoscOptions(n_starts=n_starts, seed=4)
     d = eigen_decompose(eval_F(p, xbar), opts.rank_tol)
+    rows = sosc._linearized_rows(p, xbar, d)
     calls = linalg_calls(
         monkeypatch,
-        lambda: sosc._multiplier_search(p, xbar, u, d, opts, np.random.default_rng([4, 0])),
+        lambda: sosc._multiplier_search(p, xbar, u, d, rows, opts, np.random.default_rng([4, 0])),
     )
     assert 0 < calls["eigvalsh"] < 300
 
