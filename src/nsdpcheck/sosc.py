@@ -5,8 +5,10 @@ for every sampled direction and evaluates the curvature margin
 
     Lxx[u, u] - 2 <ystar, (dF u) pinv(F) (dF u)>,
 
-which must be positive along every critical direction.  ``verify_growth``
-samples the quadratic-growth inequality that this condition guarantees.
+which must be positive along every critical direction.  The multiplier
+search is a one-block semidefinite program, solved by a two-phase
+log-barrier Newton method.  ``verify_growth`` samples the quadratic-growth
+inequality that this condition guarantees.
 
 The verdicts are explicitly sampled statements: VERIFIED_SAMPLED means every
 checked direction carried a positive margin, not that all of the critical
@@ -56,15 +58,13 @@ _GROWTH_BLOCK = 256
 # Growth samples with dist(F(x), PSD) at most this count as feasible.
 _GROWTH_FEAS_TOL = 1e-9
 
-# Signed coordinate steps of the multiplier search, in the order one move
-# tries them: each step size, plus before minus.
-_STEPS = np.array(
-    [
-        sign * size
-        for size in (4.0, 2.0, 1.0, 0.5, 0.2, 0.08, 0.03, 0.01, 0.003)
-        for sign in (1.0, -1.0)
-    ]
-)
+# The multiplier search's barrier method: a centering ends at Newton
+# decrement _NEWTON_TOL, or where rounding keeps the decrement from halving
+# below _QUADRATIC, where steps are full and converge quadratically.
+_BARRIER_MU = 100.0
+_BARRIER_GAP = 1e-9
+_NEWTON_TOL = 1e-7
+_QUADRATIC = 0.25
 
 
 class InfeasiblePointError(ValueError):
@@ -82,8 +82,7 @@ class SoscOptions:
     cert_tol: float = 1e-7
     margin_tol: float = 1e-9
     n_dirs: int = 512
-    n_starts: int = 32
-    max_iters: int = 200
+    max_iters: int = 200  # Newton steps per multiplier search, both phases
     seed: int = 0
 
     def __post_init__(self):
@@ -95,9 +94,6 @@ class SoscOptions:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.margin_tol < math.inf:
             raise ValueError(f"margin_tol must be finite and >= 0, got {self.margin_tol}")
-        # with no start the search finds no multiplier and refutes falsely
-        if self.n_starts < 1:
-            raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
@@ -259,11 +255,17 @@ def sample_critical_directions(
     deterministic angular grid for n <= 3, and rejection-sampled sphere
     points, deduplicated within an angular tolerance.  The candidates are
     tested together, as the rows of one array."""
-    if n_dirs < 1:
-        raise ValueError("n_dirs must be positive")
     if d is None:
         d = _decompose_at(p, xbar, tol)
-    n = p.n
+    return _critical_directions(p.n, _linearized_rows(p, xbar, d), n_dirs, seed, tol, d)
+
+
+def _critical_directions(
+    n: int, rows: np.ndarray, n_dirs: int, seed: int, tol: float, d: OrderedEigenDecomposition
+) -> list[np.ndarray]:
+    """sample_critical_directions with the matrix of L already built."""
+    if n_dirs < 1:
+        raise ValueError("n_dirs must be positive")
     eye = np.eye(n)
     candidates = [np.stack((eye, -eye), axis=1).reshape(2 * n, n)]
     if n == 2:
@@ -282,7 +284,7 @@ def sample_critical_directions(
 
     kept: list[np.ndarray] = []
     cos_dedup = math.cos(_DEDUP_ANGLE)
-    for u in us[_critical_mask(_linearized_rows(p, xbar, d), us, d, tol)]:
+    for u in us[_critical_mask(rows, us, d, tol)]:
         if any(float(u @ v) > cos_dedup for v in kept):
             continue
         kept.append(u)
@@ -316,49 +318,60 @@ def _null_space(a: np.ndarray) -> np.ndarray:
 class _SearchOutcome:
     candidate: MultiplierCandidate | None
     margin: float | None
-    best_interiority: float
-    hit_cap: bool
+    best_interiority: float  # phase I's s, at most the largest interiority s*
+    hit_cap: bool  # stopped at the Newton-step cap or on a numerical breakdown
 
 
-def _coordinate_ascent(objective, z0s: np.ndarray, max_iters: int):
-    """Maximize over the unit sphere by normalized coordinate steps, from
-    every row of the (S, r) stack z0s in lockstep.
+def _lmi_blocks(k: int, vecs: np.ndarray) -> np.ndarray:
+    """G(v) = diag(alpha, -W) for every row v = (alpha, svec W) of vecs: the
+    multiplier v lies in the normal-cone face exactly when G(v) is PSD."""
+    out = np.zeros((len(vecs), k + 1, k + 1))
+    out[:, 0, 0] = vecs[:, 0]
+    if k:
+        out[:, 1:, 1:] = -svec_to_dense(k, vecs[:, 1:])
+    return out
 
-    ``objective`` maps a stack of points (rows) to their values, each row on
-    its own.  A move along one coordinate scores every signed step of every
-    still-active start with one call.  Each start then scans its steps in
-    _STEPS order and moves to the last one that beat its running best by
-    more than 1e-15.  A start leaves after a sweep without a move.  Returns
-    the points, their values and, per start, whether it was still moving
-    after max_iters sweeps."""
-    zs = z0s / _row_norms(z0s)[:, None]
-    vals = np.asarray(objective(zs), dtype=float).tolist()
-    n_steps, r = len(_STEPS), zs.shape[1]
-    capped = np.ones(len(zs), dtype=bool)
-    active = np.arange(len(zs))
-    for _ in range(max_iters):
-        improved = np.zeros(len(active), dtype=bool)
-        for j in range(r):
-            trial = np.repeat(zs[active, None, :], n_steps, axis=1)
-            trial[:, :, j] += _STEPS
-            nrm = _row_norms(trial.reshape(-1, r)).reshape(len(active), n_steps)
-            keep = ~(nrm < 1e-12)
-            trial /= np.where(keep, nrm, 1.0)[:, :, None]
-            scores = np.full((len(active), n_steps), -math.inf)
-            scores[keep] = objective(trial[keep])
-            for a, (i, row) in enumerate(zip(active.tolist(), scores.tolist())):
-                best_val, best_step = vals[i], None
-                for step, v in enumerate(row):
-                    if v > best_val + 1e-15:
-                        best_val, best_step = v, step
-                if best_step is not None:
-                    zs[i], vals[i] = trial[a, best_step], best_val
-                    improved[a] = True
-        capped[active[~improved]] = False
-        active = active[improved]
-        if not len(active):
-            break
-    return zs, np.array(vals), capped
+
+def _barrier_max(f0, fs, b, x, scale: float, budget: int, reach=math.inf, floor=-math.inf):
+    """Maximize b . x over {x : S(x) = f0 + sum_j x_j fs[j] positive definite}
+    from a strictly feasible x by the log-barrier method (Boyd and
+    Vandenberghe, Convex Optimization, ch. 11): Newton centerings of
+    t b . x + log det S(x), damped by 1 / (1 + decrement) so that every step
+    stays in the domain, for t = K / scale, K / scale * _BARRIER_MU, ...
+    (K the order of S, scale the expected range of b . x).  Stops at the
+    first point whose value exceeds ``reach``, or at a central point whose
+    gap K / t is at most _BARRIER_GAP * scale or whose value plus gap, an
+    upper bound of the optimum, is below ``floor``.  Returns x, the Newton
+    steps taken and whether it stopped short: at ``budget`` steps or on a
+    breakdown (S(x) not numerically positive definite)."""
+    if not b.any():  # a constant objective: the start is optimal
+        return x, 0, False
+    size = f0.shape[0]
+    t, steps = size / scale, 0
+    try:
+        while True:
+            prev = math.inf
+            while True:
+                root = np.linalg.inv(np.linalg.cholesky(f0 + np.tensordot(x, fs, 1)))
+                a = (root @ fs @ root.T).reshape(len(fs), size * size)
+                grad = t * b + a[:, :: size + 1].sum(axis=1)
+                step = np.linalg.solve(a @ a.T, grad)
+                lam = math.sqrt(max(float(grad @ step), 0.0))
+                if lam <= _NEWTON_TOL or (prev <= _QUADRATIC and lam > 0.5 * prev):
+                    break
+                if steps == budget:
+                    return x, steps, True
+                x = x + (step if lam <= _QUADRATIC else step / (1.0 + lam))
+                steps += 1
+                prev = lam
+                if b @ x > reach:
+                    return x, steps, False
+            gap = size / t
+            if gap <= _BARRIER_GAP * scale or b @ x + gap < floor:
+                return x, steps, False
+            t *= _BARRIER_MU
+    except np.linalg.LinAlgError:
+        return x, steps, True
 
 
 def _multiplier_search(
@@ -368,12 +381,18 @@ def _multiplier_search(
     d: OrderedEigenDecomposition,
     rows: np.ndarray,
     opts: SoscOptions,
-    rng,
 ) -> _SearchOutcome:
     """Search a multiplier for direction u.  ``rows`` is the matrix of the
     linearized map (``_linearized_rows``): its rows are the stationarity rows
     in the unknowns (alpha, svec W), where ystar = P.T [[0, 0], [0, W]] P
-    ranges over the normal-cone face."""
+    ranges over the normal-cone face.
+
+    On the null space of those rows and of the orthogonality row, the
+    multipliers are the z with G(z) = diag(alpha, -W) PSD; tr G = 1 fixes
+    their scale.  Phase I maximizes s with G(z) - s I PSD (s* < -cert_tol:
+    no multiplier), phase II the margin, linear in z, with G(z) +
+    (cert_tol / 2) I PSD.  Both run _barrier_max in the free variables y of
+    z = z0 + free @ y and share the max_iters Newton steps."""
     xbar = np.asarray(xbar, dtype=float)
     u = np.asarray(u, dtype=float)
     omega = list(d.omega)
@@ -383,74 +402,47 @@ def _multiplier_search(
     # The stationarity rows, then the orthogonality row <W, (dF u)_omega> = 0.
     orthogonality = np.concatenate(([0.0], svec(block(g_dir, d, omega, omega))))
     basis = _null_space(np.vstack((rows, orthogonality)))
-    r = basis.shape[1]
-    if r == 0:
+    trace = basis.T @ np.concatenate(([1.0], -svec(np.eye(k))))
+    norm2 = float(trace @ trace)
+    # G PSD gives tr G >= |G| = |z|, so a null space without trace holds no
+    # multiplier but 0
+    if not norm2 > 1e-24:
         return _SearchOutcome(None, None, -math.inf, False)
+    z0, free = trace / norm2, _null_space(trace[None, :])
+    blocks = _lmi_blocks(k, (basis @ np.column_stack((z0, free))).T)
+    g0, g_free = blocks[0], blocks[1:]
+    size, delta = k + 1, 0.5 * opts.cert_tol
 
-    def interiority(zs: np.ndarray) -> np.ndarray:
-        """min(alpha, -lambda_max(W)) of the multiplier basis @ z, per row z."""
-        # Stacked matrix-vector products round like basis @ z for one z.
-        vecs = (basis @ zs[:, :, None])[:, :, 0]
-        alpha = vecs[:, 0]
-        if k == 0:
-            return alpha
-        top = -np.linalg.eigvalsh(svec_to_dense(k, vecs[:, 1:]))[:, -1]
-        return np.where(top < alpha, top, alpha)
-
-    # Margin is linear in (alpha, svec W); precompute its coefficient row.
-    fdag = pseudoinverse(d).dense()
-    g_dense = g_dir.dense()
-    curv_mat = SymMat.from_dense(g_dense @ fdag @ g_dense, check_symmetry=False)
-    quad = d2F(p, xbar, u)
-    margin_row = np.concatenate(
-        (
-            [float(u @ p.f.h @ u)],
-            svec(block(quad, d, omega, omega) - 2.0 * block(curv_mat, d, omega, omega)),
-        )
+    # Phase I in (y, s) from y = 0 and s below lambda_min(G0); s <= 1 / size.
+    s0 = float(np.linalg.eigvalsh(g0)[0]) - 1.0
+    lmi_s = np.concatenate((g_free, -np.eye(size)[None]))
+    x, used, hit_cap = _barrier_max(
+        g0, lmi_s, np.eye(len(lmi_s))[-1], np.append(np.zeros(len(g_free)), s0),
+        1.0 / size - s0, opts.max_iters, reach=-delta, floor=-opts.cert_tol,
     )
-    margin_of = basis.T @ margin_row
-
-    starts = [np.ones(r)]
-    for j in range(r):
-        e = np.zeros(r)
-        e[j] = 1.0
-        starts.extend((e.copy(), -e))
-    while len(starts) < opts.n_starts:
-        starts.append(rng.standard_normal(r))
-    starts = np.array(starts[: opts.n_starts])
-    zs, vals, capped = _coordinate_ascent(
-        interiority, starts[_row_norms(starts) != 0], opts.max_iters
-    )
-    hit_cap = bool(capped.any())
-    best_interiority, z_int = -math.inf, None
-    for z, val in zip(zs, vals.tolist()):
-        if val > best_interiority:
-            best_interiority, z_int = val, z
+    y, best_interiority = x[:-1], float(x[-1])
     if best_interiority < -opts.cert_tol:
         return _SearchOutcome(None, None, best_interiority, hit_cap)
+    if best_interiority > -delta:  # phase I's point is inside phase II's set
+        # The margin is linear in (alpha, svec W): its coefficient row.
+        fdag = pseudoinverse(d).dense()
+        g_dense = g_dir.dense()
+        curv_mat = SymMat.from_dense(g_dense @ fdag @ g_dense, check_symmetry=False)
+        quad = d2F(p, xbar, u)
+        margin_row = np.concatenate(
+            (
+                [float(u @ p.f.h @ u)],
+                svec(block(quad, d, omega, omega) - 2.0 * block(curv_mat, d, omega, omega)),
+            )
+        )
+        gain = (basis @ free).T @ margin_row
+        y, _, capped = _barrier_max(
+            g0 + delta * np.eye(size), g_free, gain, y, float(np.linalg.norm(gain)),
+            opts.max_iters - used,
+        )
+        hit_cap = hit_cap or capped
 
-    # Polish for margin over the feasible slice: the feasible multipliers
-    # form a convex cone section, so penalized ascent on the linear margin
-    # keeps the search honest about "no positive-margin certificate".
-    rho = 1e3 * (1.0 + np.linalg.norm(margin_of))
-
-    def penalized(zs: np.ndarray) -> np.ndarray:
-        slack = interiority(zs) + 0.5 * opts.cert_tol
-        gain = (zs[:, None, :] @ margin_of[:, None]).reshape(len(zs))
-        return gain + rho * np.where(slack < 0.0, slack, 0.0)
-
-    polish_starts = np.array([z_int] + [rng.standard_normal(r) for _ in range(7)])
-    zs, _, capped = _coordinate_ascent(penalized, polish_starts, opts.max_iters)
-    hit_cap = hit_cap or bool(capped.any())
-    # the polish's own start, then its end points, all scored at once
-    points = np.vstack((z_int[None], zs))
-    pens = penalized(points).tolist()
-    z_best, best_pen = z_int, pens[0]
-    for z, g0, pen in zip(zs, interiority(zs).tolist(), pens[1:]):
-        if g0 >= -opts.cert_tol and pen > best_pen:
-            z_best, best_pen = z, pen
-
-    vec = basis @ z_best
+    vec = basis @ (z0 + free @ y)
     alpha = max(float(vec[0]), 0.0)
     w = svec_to_dense(k, vec[1:])
     scale = 1.0 / alpha if alpha > _ALPHA_NORMALIZE else 1.0 / math.hypot(
@@ -496,9 +488,8 @@ def find_multiplier(
     opts = search_opts or SoscOptions()
     if d is None:
         d = _decompose_at(p, xbar, opts.tol, opts.rank_tol)
-    rng = np.random.default_rng([opts.seed, 0])
     rows = _linearized_rows(p, xbar, d)
-    return _multiplier_search(p, xbar, u, d, rows, opts, rng).candidate
+    return _multiplier_search(p, xbar, u, d, rows, opts).candidate
 
 
 def sosc_margin(
@@ -541,18 +532,15 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
     opts = opts or SoscOptions()
     xbar = np.asarray(xbar, dtype=float)
     d = _decompose_at(p, xbar, opts.tol, opts.rank_tol)
-    dirs = sample_critical_directions(
-        p, xbar, n_dirs=opts.n_dirs, seed=opts.seed, tol=opts.tol, d=d
-    )
     rows = _linearized_rows(p, xbar, d)
+    dirs = _critical_directions(p.n, rows, opts.n_dirs, opts.seed, opts.tol, d)
     certificates: list[DirectionCertificate] = []
     failures = []  # (rank_key, slope, direction, reason)
     inconclusive = []
     margins = []
     gf = grad_f(p, xbar)
-    for idx, u in enumerate(dirs):
-        rng = np.random.default_rng([opts.seed, idx])
-        outcome = _multiplier_search(p, xbar, u, d, rows, opts, rng)
+    for u in dirs:
+        outcome = _multiplier_search(p, xbar, u, d, rows, opts)
         slope = float(gf @ u)
         if outcome.candidate is not None:
             certificates.append(DirectionCertificate(u, outcome.candidate, outcome.margin))
@@ -588,7 +576,8 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
     elif inconclusive:
         verdict, worst, no_margin = INCONCLUSIVE, inconclusive[0], math.inf
         notes.append(
-            f"multiplier search hit its iteration cap on {len(inconclusive)} direction(s)"
+            "multiplier search stopped at its Newton-step cap or on a numerical "
+            f"breakdown on {len(inconclusive)} direction(s)"
         )
     else:  # every direction carries a margin
         verdict, no_margin = VERIFIED_SAMPLED, None

@@ -256,7 +256,7 @@ def test_criterion_8_homogeneity():
 
 def test_criterion_9_certificate_non_triviality():
     rng = np.random.default_rng(109)
-    opts = SoscOptions(n_dirs=8, n_starts=8, seed=9)
+    opts = SoscOptions(n_dirs=8, seed=9)
     problems = [(build_p1(), np.zeros(2))]
     for _ in range(8):
         n, m = int(rng.integers(1, 4)), int(rng.integers(2, 5))

@@ -50,6 +50,19 @@ def test_check_sosc_trivial(capsys):
     assert "CRITICAL_CONE_TRIVIAL" in capsys.readouterr().out
 
 
+def test_check_sosc_global_minimiser_verified(tmp_path, capsys):
+    # f = |x|^2 / 2 at its global minimiser: alpha = 1, Ystar = 0 has margin
+    # |u|^2 on every direction
+    path = DATA / "false_refutation.json"
+    assert run_cli("check-sosc", str(path), "--dirs", "16") == 0
+    assert "VERIFIED_SAMPLED" in capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert run_cli("check-sosc", str(path), "--dirs", "16", "--json", str(out)) == 0
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, REPORT_SCHEMA["check-sosc"])
+    assert report["result"]["verdict"] == "VERIFIED_SAMPLED"
+
+
 def test_check_sosc_inconclusive_exit_code(monkeypatch, capsys):
     report = sosc.SoscReport(
         verdict=sosc.INCONCLUSIVE,
