@@ -3,12 +3,14 @@ affine-quadratic matrix map staying positive semidefinite.
 
 The data class fixes f(x) = c + g.x + x.h.x/2 and
 F(x) = A0 + sum_i x_i A_i + 1/2 sum_ij x_i x_j B_ij, so every first and
-second derivative is exact and closed under the JSON format.
+second derivative is exact and closed under the JSON format.  F keeps
+its coefficients in that format's row-major lower triangles, stacked into
+arrays, so that F and each derivative is one contraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,50 +56,37 @@ class QuadraticScalar:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticMatrixMap:
-    """F(x) = a0 + sum_i x_i a[i] + 0.5 sum_ij x_i x_j b[i][j]; b may be None."""
+    """F(x) = a0 + sum_i x_i A_i + 0.5 sum_ij x_i x_j B_ij.  ``a[i]`` and
+    ``b[i, j]`` are the lower triangles of A_i and B_ij: read-only arrays of
+    shape (n, m(m+1)/2) and (n, n, m(m+1)/2); ``b`` may be None."""
 
     a0: SymMat
-    a: tuple
-    b: tuple | None = None
+    a: np.ndarray
+    b: np.ndarray | None = None
 
     def __post_init__(self):
-        a = tuple(self.a)
-        m = self.a0.m
-        for mat in a:
-            if mat.m != m:
-                raise ValueError("linear coefficient dimension mismatch")
+        t = _tril_size(self.a0.m)
+        a = np.array(self.a, dtype=float)
+        if a.ndim != 2 or a.shape[1] != t:
+            raise ValueError(f"coefficients a must have shape (n, {t}), got {a.shape}")
         n = len(a)
         b = self.b
         if b is not None:
-            b = tuple(tuple(row) for row in b)
-            if len(b) != n or any(len(row) != n for row in b):
-                raise ValueError(f"quadratic coefficients must form an {n}x{n} grid")
-            for i in range(n):
-                for j in range(n):
-                    if b[i][j].m != m:
-                        raise ValueError("quadratic coefficient dimension mismatch")
-                    if not np.array_equal(b[i][j].lower, b[j][i].lower):
-                        raise ValueError("quadratic coefficients must satisfy b[i][j] == b[j][i]")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        # Stacked lower triangles make repeated evaluation cheap.
-        a_stack = (
-            np.stack([mat.lower for mat in a]) if a else np.zeros((0, _tril_size(m)))
-        )
-        b_stack = (
-            np.stack([np.stack([mat.lower for mat in row]) for row in b])
-            if b is not None
-            else None
-        )
-        object.__setattr__(self, "_a_stack", a_stack)
-        object.__setattr__(self, "_b_stack", b_stack)
-
-    _a_stack: np.ndarray = field(init=False, repr=False, default=None)
-    _b_stack: np.ndarray = field(init=False, repr=False, default=None)
+            b = np.array(b, dtype=float)
+            if b.shape != (n, n, t):
+                raise ValueError(f"coefficients b must have shape {(n, n, t)}, got {b.shape}")
+        if not (np.isfinite(a).all() and (b is None or np.isfinite(b).all())):
+            raise ValueError("coefficient entries must be finite")
+        if b is not None and not np.array_equal(b, b.swapaxes(0, 1)):
+            raise ValueError("quadratic coefficients must satisfy b[i, j] == b[j, i]")
+        for name, arr in (("a", a), ("b", b)):
+            if arr is not None:
+                arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return len(self.a)
+        return self.a.shape[0]
 
     @property
     def m(self) -> int:
@@ -158,11 +147,11 @@ def eval_F_batch(p: NlsdpProblem, xs) -> np.ndarray:
     """Lower triangles of F at every row of the (k, n) array xs, as a
     (k, m(m+1)/2) array."""
     xs = _check_rows(p, xs)
-    lower = p.F.a0.lower + xs @ p.F._a_stack
-    if p.F._b_stack is not None:
+    lower = p.F.a0.lower + xs @ p.F.a
+    if p.F.b is not None:
         k, n = xs.shape
         outer = np.einsum("ki,kj->kij", xs, xs).reshape(k, n * n)
-        lower += 0.5 * (outer @ p.F._b_stack.reshape(n * n, -1))
+        lower += 0.5 * (outer @ p.F.b.reshape(n * n, -1))
     return lower
 
 
@@ -170,14 +159,15 @@ def eval_F(p: NlsdpProblem, x) -> SymMat:
     return SymMat(p.m, eval_F_batch(p, _check_x(p, x)[None, :])[0])
 
 
+def _jacobian(p: NlsdpProblem, x) -> np.ndarray:
+    """Lower triangles of J_i = dF(x, e_i) = A_i + sum_j x_j B_ij, one row each."""
+    return p.F.a if p.F.b is None else p.F.a + np.tensordot(x, p.F.b, 1)
+
+
 def dF(p: NlsdpProblem, x, u) -> SymMat:
     """Directional derivative of F at x in direction u."""
     x = _check_x(p, x)
-    u = _check_x(p, u)
-    lower = p.F._a_stack.T @ u
-    if p.F._b_stack is not None:
-        lower = lower + np.einsum("i,j,ijl->l", u, x, p.F._b_stack)
-    return SymMat(p.m, lower)
+    return SymMat(p.m, _check_x(p, u) @ _jacobian(p, x))
 
 
 def adjoint_dF(p: NlsdpProblem, x, ystar: SymMat) -> np.ndarray:
@@ -186,19 +176,15 @@ def adjoint_dF(p: NlsdpProblem, x, ystar: SymMat) -> np.ndarray:
     x = _check_x(p, x)
     if ystar.m != p.m:
         raise ValueError("multiplier dimension mismatch")
-    weighted = _tril_weights(p.m, 2.0) * ystar.lower
-    out = p.F._a_stack @ weighted
-    if p.F._b_stack is not None:
-        out = out + np.einsum("ijl,j,l->i", p.F._b_stack, x, weighted)
-    return out
+    return _jacobian(p, x) @ (_tril_weights(p.m, 2.0) * ystar.lower)
 
 
 def d2F(p: NlsdpProblem, x, u) -> SymMat:
     """Second derivative of F contracted twice with u; constant in x."""
     u = _check_x(p, u)
-    if p.F._b_stack is None:
+    if p.F.b is None:
         return SymMat.zeros(p.m)
-    lower = np.einsum("i,j,ijl->l", u, u, p.F._b_stack)
+    lower = np.einsum("i,j,ijl->l", u, u, p.F.b)
     return SymMat(p.m, lower)
 
 
@@ -230,6 +216,15 @@ def _field(obj, path: str):
     return obj
 
 
+def _stacked_lowers(entries, m: int, zero_if_none: bool = False) -> np.ndarray:
+    """Lower triangles of m x m matrix JSON objects, one row each; with
+    zero_if_none, null reads as the zero matrix."""
+    mats = [SymMat.zeros(m) if zero_if_none and e is None else SymMat.from_json(e) for e in entries]
+    if any(mat.m != m for mat in mats):
+        raise ValueError(f"coefficient matrices must have dimension m = {m}")
+    return np.array([mat.lower for mat in mats]).reshape(len(mats), _tril_size(m))
+
+
 def problem_from_json(obj: dict) -> tuple[NlsdpProblem, np.ndarray]:
     """Parse problem JSON; returns the problem and the candidate point xbar."""
     try:
@@ -242,16 +237,13 @@ def problem_from_json(obj: dict) -> tuple[NlsdpProblem, np.ndarray]:
             c=float(obj["f"].get("c", 0.0)),
         )
         a0 = SymMat.from_json(_field(obj, "F.A0"))
-        a = tuple(SymMat.from_json(entry) for entry in _field(obj, "F.A"))
-        b = None
-        if obj["F"].get("B") is not None:
-            b = tuple(
-                tuple(
-                    SymMat.zeros(a0.m) if entry is None else SymMat.from_json(entry)
-                    for entry in row
-                )
-                for row in obj["F"]["B"]
-            )
+        a = _stacked_lowers(_field(obj, "F.A"), a0.m)
+        b = obj["F"].get("B")
+        if b is not None:
+            rows = [_stacked_lowers(row, a0.m, zero_if_none=True) for row in b]
+            if any(len(row) != len(rows) for row in rows):
+                raise ValueError("F.B must be a square grid of matrices")
+            b = np.array(rows).reshape(len(rows), len(rows), _tril_size(a0.m))
     except KeyError as exc:
         raise ValueError(f"problem JSON missing required field: {exc.args[0]}") from exc
     except (TypeError, OverflowError) as exc:

@@ -25,8 +25,8 @@ import numpy as np
 from .cone import DEFAULT_TOL, dist_psd, dist_psd_batch
 from .nlsdp import (
     NlsdpProblem,
+    _jacobian,
     dF,
-    d2F,
     eval_F,
     eval_F_batch,
     eval_f,
@@ -37,7 +37,7 @@ from .nlsdp import (
 )
 from .subderivative import ToleranceAnomalyError, second_subderivative
 from .symmat import OrderedEigenDecomposition, SymMat, block, eigen_decompose
-from .symmat import frobenius_inner, pseudoinverse, svec, svec_to_dense
+from .symmat import frobenius_inner, lower_to_dense, pseudoinverse, svec, svec_to_dense
 
 VERIFIED_SAMPLED = "VERIFIED_SAMPLED"
 FAILED_AT_DIRECTION = "FAILED_AT_DIRECTION"
@@ -192,15 +192,25 @@ def _linearized_rows(p: NlsdpProblem, xbar, d: OrderedEigenDecomposition) -> np.
     """Matrix of the linearized map L(u) = (grad f . u, P_omega dF(u) P_omega^T)
     into R x S^k, k = |omega|, in svec coordinates: u @ rows is L(u).
 
-    Row i, L(e_i) = (df/dx_i, svec(block(dF(e_i), omega, omega))), is also
-    the stationarity row of x_i in the multiplier unknowns (alpha, svec W)."""
-    omega = list(d.omega)
-    gf = grad_f(p, xbar)
-    rows = np.empty((p.n, 1 + len(omega) * (len(omega) + 1) // 2))
-    for i, e_i in enumerate(np.eye(p.n)):
-        rows[i, 0] = gf[i]
-        rows[i, 1:] = svec(block(dF(p, xbar, e_i), d, omega, omega))
-    return rows
+    Row i, L(e_i) = (df/dx_i, svec(P_omega J_i P_omega^T)), is also the
+    stationarity row of x_i in the multiplier unknowns (alpha, svec W)."""
+    p_omega = d.p_matrix[list(d.omega)]
+    blocks = p_omega @ lower_to_dense(p.m, _jacobian(p, xbar)) @ p_omega.T
+    return np.column_stack((grad_f(p, xbar), svec(blocks)))
+
+
+def _margin_coefficients(p: NlsdpProblem, xbar, d: OrderedEigenDecomposition) -> np.ndarray:
+    """The margin's W part, quadratic in u: for ystar = P_omega^T W P_omega,
+    <ystar, d2F(u) - 2 dF(u) pinv(F) dF(u)> = svec(W) . sum_ab u_a u_b T[a, b]
+    with T[a, b] = svec(P_omega (B_ab - 2 J_a pinv(F) J_b) P_omega^T), J_a =
+    dF(xbar, e_a) and pinv(F) = P_pi^T diag(1 / lambda_pi) P_pi."""
+    p_omega, p_pi = d.p_matrix[list(d.omega)], d.p_matrix[list(d.pi)]
+    cross = p_pi @ lower_to_dense(p.m, _jacobian(p, xbar)) @ p_omega.T
+    inv = 1.0 / d.eigenvalues[list(d.pi)]
+    coeffs = -2.0 * np.einsum("arp,r,brq->abpq", cross, inv, cross)
+    if p.F.b is not None:
+        coeffs += p_omega @ lower_to_dense(p.m, p.F.b) @ p_omega.T
+    return svec(coeffs)
 
 
 def _row_norms(zs: np.ndarray) -> np.ndarray:
@@ -257,15 +267,9 @@ def sample_critical_directions(
     tested together, as the rows of one array."""
     if d is None:
         d = _decompose_at(p, xbar, tol)
-    return _critical_directions(p.n, _linearized_rows(p, xbar, d), n_dirs, seed, tol, d)
-
-
-def _critical_directions(
-    n: int, rows: np.ndarray, n_dirs: int, seed: int, tol: float, d: OrderedEigenDecomposition
-) -> list[np.ndarray]:
-    """sample_critical_directions with the matrix of L already built."""
     if n_dirs < 1:
         raise ValueError("n_dirs must be positive")
+    n = p.n
     eye = np.eye(n)
     candidates = [np.stack((eye, -eye), axis=1).reshape(2 * n, n)]
     if n == 2:
@@ -284,7 +288,7 @@ def _critical_directions(
 
     kept: list[np.ndarray] = []
     cos_dedup = math.cos(_DEDUP_ANGLE)
-    for u in us[_critical_mask(rows, us, d, tol)]:
+    for u in us[_critical_mask(_linearized_rows(p, xbar, d), us, d, tol)]:
         if any(float(u @ v) > cos_dedup for v in kept):
             continue
         kept.append(u)
@@ -380,12 +384,14 @@ def _multiplier_search(
     u,
     d: OrderedEigenDecomposition,
     rows: np.ndarray,
+    coeffs: np.ndarray,
     opts: SoscOptions,
 ) -> _SearchOutcome:
     """Search a multiplier for direction u.  ``rows`` is the matrix of the
     linearized map (``_linearized_rows``): its rows are the stationarity rows
     in the unknowns (alpha, svec W), where ystar = P.T [[0, 0], [0, W]] P
-    ranges over the normal-cone face.
+    ranges over the normal-cone face.  ``coeffs`` is the margin's W part
+    (``_margin_coefficients``).
 
     On the null space of those rows and of the orthogonality row, the
     multipliers are the z with G(z) = diag(alpha, -W) PSD; tr G = 1 fixes
@@ -397,10 +403,9 @@ def _multiplier_search(
     u = np.asarray(u, dtype=float)
     omega = list(d.omega)
     k = len(omega)
-    g_dir = dF(p, xbar, u)
 
     # The stationarity rows, then the orthogonality row <W, (dF u)_omega> = 0.
-    orthogonality = np.concatenate(([0.0], svec(block(g_dir, d, omega, omega))))
+    orthogonality = np.concatenate(([0.0], (u @ rows)[1:]))
     basis = _null_space(np.vstack((rows, orthogonality)))
     trace = basis.T @ np.concatenate(([1.0], -svec(np.eye(k))))
     norm2 = float(trace @ trace)
@@ -425,16 +430,7 @@ def _multiplier_search(
         return _SearchOutcome(None, None, best_interiority, hit_cap)
     if best_interiority > -delta:  # phase I's point is inside phase II's set
         # The margin is linear in (alpha, svec W): its coefficient row.
-        fdag = pseudoinverse(d).dense()
-        g_dense = g_dir.dense()
-        curv_mat = SymMat.from_dense(g_dense @ fdag @ g_dense, check_symmetry=False)
-        quad = d2F(p, xbar, u)
-        margin_row = np.concatenate(
-            (
-                [float(u @ p.f.h @ u)],
-                svec(block(quad, d, omega, omega) - 2.0 * block(curv_mat, d, omega, omega)),
-            )
-        )
+        margin_row = np.concatenate(([u @ p.f.h @ u], np.einsum("a,b,abl->l", u, u, coeffs)))
         gain = (basis @ free).T @ margin_row
         y, _, capped = _barrier_max(
             g0 + delta * np.eye(size), g_free, gain, y, float(np.linalg.norm(gain)),
@@ -453,7 +449,7 @@ def _multiplier_search(
     ystar = _embed_omega(d, w)
 
     pi = list(d.pi)
-    slack_terms = [abs(frobenius_inner(ystar, g_dir))]
+    slack_terms = [abs(frobenius_inner(ystar, dF(p, xbar, u)))]
     if k:
         slack_terms.append(max(0.0, float(np.linalg.eigvalsh(w)[-1])))
     if pi:
@@ -483,13 +479,15 @@ def find_multiplier(
 
     Returns the best candidate found (alpha normalized to 1 when bounded away
     from zero, otherwise unit Frobenius norm) or None when the feasible set
-    reduces to the origin.
+    reduces to the origin.  A u outside the critical cone raises ValueError.
     """
     opts = search_opts or SoscOptions()
     if d is None:
         d = _decompose_at(p, xbar, opts.tol, opts.rank_tol)
-    rows = _linearized_rows(p, xbar, d)
-    return _multiplier_search(p, xbar, u, d, rows, opts).candidate
+    if not critical_cone_contains(p, xbar, u, opts.tol, d):
+        raise ValueError("direction is not in the critical cone")
+    rows, coeffs = _linearized_rows(p, xbar, d), _margin_coefficients(p, xbar, d)
+    return _multiplier_search(p, xbar, u, d, rows, coeffs, opts).candidate
 
 
 def sosc_margin(
@@ -532,15 +530,15 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
     opts = opts or SoscOptions()
     xbar = np.asarray(xbar, dtype=float)
     d = _decompose_at(p, xbar, opts.tol, opts.rank_tol)
-    rows = _linearized_rows(p, xbar, d)
-    dirs = _critical_directions(p.n, rows, opts.n_dirs, opts.seed, opts.tol, d)
+    dirs = sample_critical_directions(p, xbar, opts.n_dirs, opts.seed, opts.tol, d)
+    rows, coeffs = _linearized_rows(p, xbar, d), _margin_coefficients(p, xbar, d)
     certificates: list[DirectionCertificate] = []
     failures = []  # (rank_key, slope, direction, reason)
     inconclusive = []
     margins = []
     gf = grad_f(p, xbar)
     for u in dirs:
-        outcome = _multiplier_search(p, xbar, u, d, rows, opts)
+        outcome = _multiplier_search(p, xbar, u, d, rows, coeffs, opts)
         slope = float(gf @ u)
         if outcome.candidate is not None:
             certificates.append(DirectionCertificate(u, outcome.candidate, outcome.margin))

@@ -154,7 +154,8 @@ def _schur_terms(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float):
     """
     p = d.p_matrix
     conj = p @ lower_to_dense(d.m, lowers) @ p.T
-    conj = 0.5 * (conj + conj.swapaxes(-1, -2))
+    conj *= 0.5  # halved before the sum, which would overflow near 1e308
+    conj = conj + conj.swapaxes(-1, -2)
     pi, omega = np.array(d.pi, dtype=np.intp), np.array(d.omega, dtype=np.intp)
     ok = np.ones(len(conj), dtype=bool)
     coupling = None

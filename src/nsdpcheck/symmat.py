@@ -82,11 +82,12 @@ def lower_to_dense(m: int, lower: np.ndarray, out: np.ndarray | None = None) -> 
 
 
 def svec(a: np.ndarray) -> np.ndarray:
-    """Lower triangle of a square array, scaled so that
+    """Lower triangles of square arrays stacked along the leading axes,
+    shape (..., m, m) to (..., m(m+1)/2), scaled so that
     <A, B> = svec(A) . svec(B)."""
-    m = a.shape[0]
+    m = a.shape[-1]
     i, j = _tril_indices(m)
-    return _tril_weights(m, _SQRT2) * a[i, j]
+    return _tril_weights(m, _SQRT2) * a[..., i, j]
 
 
 def svec_to_dense(m: int, vecs: np.ndarray) -> np.ndarray:
@@ -129,7 +130,8 @@ class SymMat:
             scale = max(1.0, np.abs(a).max(initial=0.0))
             if asym > 1e-8 * scale:
                 raise ValueError(f"matrix is not symmetric (|A - A.T| = {asym:.3e})")
-        sym = 0.5 * (a + a.T)
+        # halve before adding: 0.5 * (a + a.T) overflows near 1e308
+        sym = 0.5 * a + 0.5 * a.T
         return cls(a.shape[0], sym[_tril_indices(a.shape[0])])
 
     @classmethod

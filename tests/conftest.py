@@ -90,12 +90,9 @@ def valid_triple(rng, m, rank):
 def build_p1(objective_sign=1.0):
     """min sign * x2 subject to [[1, x1], [x1, x2]] PSD; candidate the origin."""
     f = QuadraticScalar(c=0.0, g=np.array([0.0, objective_sign]), h=np.zeros((2, 2)))
+    # rows: lower triangles of A_1 = [[0, 1], [1, 0]] and A_2 = diag(0, 1)
     cap_f = QuadraticMatrixMap(
-        a0=SymMat.diagonal([1.0, 0.0]),
-        a=(
-            SymMat.from_dense([[0.0, 1.0], [1.0, 0.0]]),
-            SymMat.diagonal([0.0, 1.0]),
-        ),
+        a0=SymMat.diagonal([1.0, 0.0]), a=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     )
     return NlsdpProblem(n=2, m=2, f=f, F=cap_f)
 
@@ -103,7 +100,7 @@ def build_p1(objective_sign=1.0):
 def build_trivial_cone():
     """min x subject to diag(x, x) PSD; the critical cone at 0 is {0}."""
     f = QuadraticScalar(c=0.0, g=np.array([1.0]), h=np.zeros((1, 1)))
-    cap_f = QuadraticMatrixMap(a0=SymMat.zeros(2), a=(SymMat.identity(2),))
+    cap_f = QuadraticMatrixMap(a0=SymMat.zeros(2), a=[SymMat.identity(2).lower])
     return NlsdpProblem(n=1, m=2, f=f, F=cap_f)
 
 
@@ -116,16 +113,14 @@ def random_problem(rng, n, m, quadratic=True):
         h=0.5 * (h + h.T),
     )
     a0 = random_psd(rng, m, rank=int(rng.integers(1, m + 1)))
-    a = tuple(random_symmat(rng, m) for _ in range(n))
+    t = m * (m + 1) // 2
+    a = np.array([random_symmat(rng, m).lower for _ in range(n)]).reshape(n, t)
     b = None
     if quadratic:
-        mats = {}
+        b = np.empty((n, n, t))
         for i in range(n):
             for j in range(i, n):
-                mats[(i, j)] = random_symmat(rng, m, scale=0.5)
-        b = tuple(
-            tuple(mats[(min(i, j), max(i, j))] for j in range(n)) for i in range(n)
-        )
+                b[i, j] = b[j, i] = random_symmat(rng, m, scale=0.5).lower
     return NlsdpProblem(n=n, m=m, f=f, F=QuadraticMatrixMap(a0=a0, a=a, b=b))
 
 

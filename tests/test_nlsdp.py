@@ -1,5 +1,8 @@
 """Quadratic problem family: exact derivatives and the generalized Lagrangian."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -154,9 +157,6 @@ def test_lagrangian_matches_finite_differences():
 
 
 def test_problem_json_roundtrip_and_validation():
-    from pathlib import Path
-    import json
-
     obj = json.loads((Path(__file__).parent / "data" / "p1.json").read_text())
     p, xbar = problem_from_json(obj)
     assert (p.n, p.m) == (2, 2)
@@ -176,14 +176,71 @@ def test_problem_json_roundtrip_and_validation():
 
 
 def test_quadratic_coefficients_must_be_symmetric_in_indices():
-    m1 = SymMat.identity(2)
-    m2 = SymMat.diagonal([2.0, 0.0])
-    with pytest.raises(ValueError):
+    m1 = SymMat.identity(2).lower
+    m2 = SymMat.diagonal([2.0, 0.0]).lower
+    with pytest.raises(ValueError, match=r"b\[i, j\] == b\[j, i\]"):
         QuadraticMatrixMap(
             a0=SymMat.zeros(2),
-            a=(m1, m1),
-            b=((m1, m1), (m2, m1)),
+            a=[m1, m1],
+            b=[[m1, m1], [m2, m1]],
         )
+
+
+P1_A = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # lower triangles of p1's A_1, A_2
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ([[0.0, 1.0, np.inf]], None, "must be finite"),
+        (P1_A, [[[0.0] * 3, [0.0] * 3], [[0.0] * 3, [np.nan, 0.0, 0.0]]], "must be finite"),
+        ([[0.0, 1.0]], None, r"must have shape \(n, 3\)"),
+        ([0.0, 1.0, 0.0], None, r"must have shape \(n, 3\)"),
+        (P1_A, np.zeros((2, 1, 3)), r"must have shape \(2, 2, 3\)"),
+        (P1_A, np.zeros((2, 2, 6)), r"must have shape \(2, 2, 3\)"),
+        (P1_A, [[[0.0] * 3, [0.0, 1.0, 0.0]], [[0.0] * 3, [0.0] * 3]], r"b\[i, j\] == b\[j, i\]"),
+    ],
+)
+def test_matrix_map_validates_its_arrays(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        QuadraticMatrixMap(a0=SymMat.zeros(2), a=a, b=b)
+
+
+def test_matrix_map_keeps_read_only_copies():
+    a, b = np.array(P1_A), np.zeros((2, 2, 3))
+    cap = QuadraticMatrixMap(a0=SymMat.zeros(2), a=a, b=b)
+    a[0, 1] = b[0, 0, 0] = 5.0
+    assert cap.a[0, 1] == 1.0 and cap.b[0, 0, 0] == 0.0
+    assert not cap.a.flags.writeable and not cap.b.flags.writeable
+    assert (cap.n, cap.m) == (2, 2)
+    empty = QuadraticMatrixMap(a0=SymMat.zeros(1), a=np.zeros((0, 1)), b=np.zeros((0, 0, 1)))
+    assert (empty.n, empty.m) == (0, 1)
+
+
+def test_problem_from_json_stacks_quadratic_coefficients():
+    obj = json.loads((Path(__file__).parent / "data" / "p1.json").read_text())
+    obj["F"]["B"] = [[{"m": 2, "lower": [0.0, 0.0, 0.6]}, None], [None, None]]
+    p, _ = problem_from_json(obj)
+    assert p.F.a.tolist() == P1_A
+    assert p.F.b.shape == (2, 2, 3)
+    assert p.F.b[0, 0].tolist() == [0.0, 0.0, 0.6] and not p.F.b[1:].any()
+    for grid, message in (
+        ([[None, None]], "square grid"),
+        ([[None, None], [None]], "square grid"),
+        ([[None], [None]], "square grid"),
+        ([[{"m": 3, "lower": [0.0] * 6}, None], [None, None]], "dimension m = 2"),
+        ([[{"m": 2, "lower": [0.0, 1.0, 0.0]}, None], [None, None]], None),
+    ):
+        obj["F"]["B"] = grid
+        if message is None:
+            problem_from_json(obj)  # B_11 and its own transpose: symmetric
+            continue
+        with pytest.raises(ValueError, match=message):
+            problem_from_json(obj)
+    obj["F"]["B"] = None
+    obj["F"]["A"][1] = {"m": 3, "lower": [0.0] * 6}
+    with pytest.raises(ValueError, match="dimension m = 2"):
+        problem_from_json(obj)
 
 
 def test_dimension_validation():

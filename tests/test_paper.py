@@ -45,15 +45,18 @@ FAILS = (1.5, 2.0)  # c near 1 is skipped: sampling misses the boundary there
 def p1_c(c: float, b: float = 0.0) -> NlsdpProblem:
     """The family; b != 0 adds x1**2 b to the (2, 2) entry of F through
     B_11 = [[0, 0], [0, 2b]]."""
-    zero = SymMat.zeros(2)
-    quad = None if b == 0.0 else ((SymMat.diagonal([0.0, 2.0 * b]), zero), (zero, zero))
+    quad = None
+    if b != 0.0:
+        quad = np.zeros((2, 2, 3))  # lower triangles of B_ij
+        quad[0, 0] = [0.0, 0.0, 2.0 * b]
     return NlsdpProblem(
         n=2,
         m=2,
         f=QuadraticScalar(c=0.0, g=np.array([0.0, 1.0]), h=np.diag([-2.0 * c, 0.0])),
         F=QuadraticMatrixMap(
             a0=SymMat.diagonal([1.0, 0.0]),
-            a=(SymMat.from_dense([[0.0, 1.0], [1.0, 0.0]]), SymMat.diagonal([0.0, 1.0])),
+            # lower triangles of [[0, 1], [1, 0]] and diag(0, 1)
+            a=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
             b=quad,
         ),
     )

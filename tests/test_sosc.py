@@ -39,8 +39,8 @@ from nsdpcheck import (
 )
 from nsdpcheck import sosc
 from nsdpcheck.cone import tangent_cone_contains
-from nsdpcheck.nlsdp import dF, lagrangian_grad
-from nsdpcheck.symmat import block
+from nsdpcheck.nlsdp import dF, d2F, lagrangian_grad
+from nsdpcheck.symmat import block, lower_to_dense, pseudoinverse, svec
 
 from conftest import build_p1, build_trivial_cone, kkt_consistent_problem, linalg_calls
 
@@ -187,6 +187,94 @@ def test_sample_directions_match_per_candidate_reference(case):
         assert critical_cone_contains(p, xbar, u, d=d) == expect, (name, u)
 
 
+def reference_linearized_rows(p, xbar, d):
+    """sosc._linearized_rows one axis at a time: row i is grad f . e_i and
+    svec of the omega-omega block of dF(e_i)."""
+    omega = list(d.omega)
+    gf = grad_f(p, xbar)
+    rows = np.empty((p.n, 1 + len(omega) * (len(omega) + 1) // 2))
+    for i, e_i in enumerate(np.eye(p.n)):
+        rows[i, 0] = gf[i]
+        rows[i, 1:] = svec(block(dF(p, xbar, e_i), d, omega, omega))
+    return rows
+
+
+def reference_margin_row(p, xbar, u, d):
+    """The margin's coefficient row in (alpha, svec W) for one direction,
+    built from dF(u), d2F(u) and pinv(F):
+    (u.h.u, svec((d2F(u) - 2 dF(u) pinv(F) dF(u))_omega,omega))."""
+    omega = list(d.omega)
+    g = dF(p, xbar, u).dense()
+    curv = SymMat.from_dense(g @ pseudoinverse(d).dense() @ g, check_symmetry=False)
+    quad = block(d2F(p, xbar, u), d, omega, omega) - 2.0 * block(curv, d, omega, omega)
+    return np.concatenate(([float(u @ p.f.h @ u)], svec(quad)))
+
+
+def linearized_map_cases():
+    """(name, problem, xbar): sampler_problems() (p1 and its negation, the
+    trivial cone, an interior point with empty omega, n = 0, KKT-consistent
+    problems with B), the other tests/data fixtures, and p1 with
+    B_11 = [[0, 0], [0, 0.6]]."""
+    cases = sampler_problems()
+    for name in ("false_refutation", "p1", "p1_negated", "trivial_cone"):
+        doc = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+        cases.append((f"data/{name}", *problem_from_json(doc)))
+    p1 = build_p1()
+    quad = np.zeros((2, 2, 3))
+    quad[0, 0, 2] = 0.6
+    cap = QuadraticMatrixMap(a0=p1.F.a0, a=p1.F.a, b=quad)
+    cases.append(("p1_b", NlsdpProblem(n=2, m=2, f=p1.f, F=cap), XBAR))
+    return cases
+
+
+def assert_close(new, ref):
+    assert new.shape == ref.shape
+    assert np.abs(new - ref).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(ref).max(initial=0.0))
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_linearized_map_matches_per_axis_reference(case):
+    _, p, xbar = linearized_map_cases()[case]
+    d = eigen_decompose(eval_F(p, xbar))
+    rows = sosc._linearized_rows(p, xbar, d)
+    assert_close(rows, reference_linearized_rows(p, xbar, d))
+    coeffs = sosc._margin_coefficients(p, xbar, d)
+    assert coeffs.shape == (p.n, p.n, rows.shape[1] - 1)
+    omega = list(d.omega)
+    us = np.vstack((np.eye(p.n), np.random.default_rng(case).standard_normal((6, p.n))))
+    for u in us:
+        # the search's orthogonality row and phase-II objective, per direction
+        assert_close((u @ rows)[1:], svec(block(dF(p, xbar, u), d, omega, omega)))
+        new = np.concatenate(([u @ p.f.h @ u], np.einsum("a,b,abl->l", u, u, coeffs)))
+        assert_close(new, reference_margin_row(p, xbar, u, d))
+
+
+def test_linearized_map_is_one_contraction(monkeypatch):
+    # neither matrix is built from per-axis dF, block or pinv calls
+    p, xbar = kkt_consistent_problem(np.random.default_rng(0), 3, 9), np.zeros(3)
+    d = eigen_decompose(eval_F(p, xbar))
+    k = len(d.omega)
+    for name in ("dF", "block", "pseudoinverse"):
+        monkeypatch.setattr(sosc, name, None)
+    assert sosc._linearized_rows(p, xbar, d).shape == (3, 1 + k * (k + 1) // 2)
+    assert sosc._margin_coefficients(p, xbar, d).shape == (3, 3, k * (k + 1) // 2)
+
+
+def test_check_sosc_samples_through_the_public_sampler(monkeypatch, p1):
+    # a tracer that wraps sample_critical_directions by name sees each check
+    calls = []
+    sampler = sosc.sample_critical_directions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(sosc, "sample_critical_directions", counted)
+    report = check_sosc(p1, XBAR, FAST)
+    assert len(calls) == 1
+    assert report.directions_checked == 2
+
+
 def test_sample_directions_eigvalsh_calls_do_not_grow_with_candidates(monkeypatch, p1):
     # one stacked eigvalsh tests every candidate that passes the slope test;
     # one call per such candidate grew with n_dirs
@@ -205,6 +293,17 @@ def test_find_multiplier_p1(p1):
     assert np.allclose(cand.ystar.dense(), np.diag([0.0, -1.0]), atol=1e-9)
     assert cand.stationarity_residual <= 1e-10
     assert cand.normal_cone_slack <= 1e-10
+
+
+def test_find_multiplier_rejects_non_critical_direction():
+    # the margin's subderivative route is +inf off the cone; the search used
+    # to end in its ToleranceAnomalyError
+    p = kkt_consistent_problem(np.random.default_rng(0), 3, 9)
+    u = np.random.default_rng(5).standard_normal(3)
+    u /= np.linalg.norm(u)
+    assert not critical_cone_contains(p, np.zeros(3), u)
+    with pytest.raises(ValueError, match="direction is not in the critical cone"):
+        find_multiplier(p, np.zeros(3), u)
 
 
 def test_find_multiplier_absent_for_descent_direction(p1_negated):
@@ -288,7 +387,7 @@ def test_check_sosc_trivial_cone():
 
 def test_check_sosc_inconclusive_on_exhausted_search():
     f = QuadraticScalar(c=0.0, g=np.zeros(1), h=np.zeros((1, 1)))
-    cap = QuadraticMatrixMap(a0=SymMat.zeros(2), a=(SymMat.diagonal([1.0, 0.0]),))
+    cap = QuadraticMatrixMap(a0=SymMat.zeros(2), a=[SymMat.diagonal([1.0, 0.0]).lower])
     p = NlsdpProblem(n=1, m=2, f=f, F=cap)
     report = check_sosc(
         p, np.zeros(1), SoscOptions(n_dirs=4, max_iters=0, seed=5)
@@ -564,7 +663,7 @@ def multiplier_workload_problem(rng):
     a1 = np.diag([float(rng.uniform(-1.0, 1.0)), 2.0, 2.0])
     a1[0, 1:] = a1[1:, 0] = rng.uniform(-1.0, 1.0, 2)
     f = QuadraticScalar(c=0.0, g=np.zeros(1), h=np.array([[h]]))
-    cap = QuadraticMatrixMap(a0=SymMat.diagonal([lam, 0.0, 0.0]), a=(SymMat.from_dense(a1),))
+    cap = QuadraticMatrixMap(a0=SymMat.diagonal([lam, 0.0, 0.0]), a=[SymMat.from_dense(a1).lower])
     return NlsdpProblem(n=1, m=3, f=f, F=cap)
 
 
@@ -585,7 +684,7 @@ def open_multiplier_problem(h):
     a1 = np.zeros((3, 3))
     a1[0, 1:] = a1[1:, 0] = (0.6, 0.8)
     f = QuadraticScalar(c=0.0, g=np.zeros(1), h=np.array([[h]]))
-    cap = QuadraticMatrixMap(a0=SymMat.diagonal([1.0, 0.0, 0.0]), a=(SymMat.from_dense(a1),))
+    cap = QuadraticMatrixMap(a0=SymMat.diagonal([1.0, 0.0, 0.0]), a=[SymMat.from_dense(a1).lower])
     return NlsdpProblem(n=1, m=3, f=f, F=cap)
 
 
@@ -639,10 +738,8 @@ def multiplier_slice(p, xbar, u):
     and, per basis column, G = diag(alpha, -W), the trace alpha - tr W and
     the margin alpha u.h.u + <W, E^T (d2F(u) - 2 dF(u) pinv(F) dF(u)) E>."""
     n, m = p.n, p.m
-    a = np.array([mat.dense() for mat in p.F.a])
-    b = np.zeros((n, n, m, m))
-    if p.F.b is not None:
-        b = np.array([[mat.dense() for mat in row] for row in p.F.b])
+    a = lower_to_dense(m, p.F.a)
+    b = np.zeros((n, n, m, m)) if p.F.b is None else lower_to_dense(m, p.F.b)
     fx = p.F.a0.dense() + np.einsum("i,ikl->kl", xbar, a) + 0.5 * np.einsum(
         "i,j,ijkl->kl", xbar, xbar, b
     )
@@ -685,6 +782,13 @@ def multiplier_slice(p, xbar, u):
     return blocks, traces, margins, coords
 
 
+def search(p, xbar, u, d, opts):
+    """sosc._multiplier_search with the two matrices check_sosc builds once
+    per check."""
+    rows, coeffs = sosc._linearized_rows(p, xbar, d), sosc._margin_coefficients(p, xbar, d)
+    return sosc._multiplier_search(p, xbar, u, d, rows, coeffs, opts)
+
+
 def reference_multiplier_search(p, xbar, u, d, opts):
     """The outcome each of the first five multiplier_search_cases() is built
     to have, one scalar at a time: where grad f(xbar) = 0 the one multiplier
@@ -706,7 +810,7 @@ def test_multiplier_search_matches_scalar_reference(case):
     p, xbar, u = multiplier_search_cases()[case]
     opts = SoscOptions(seed=4)
     d = eigen_decompose(eval_F(p, xbar), opts.rank_tol)
-    new = sosc._multiplier_search(p, xbar, u, d, sosc._linearized_rows(p, xbar, d), opts)
+    new = search(p, xbar, u, d, opts)
     ref = reference_multiplier_search(p, xbar, u, d, opts)
     assert (new.candidate is None) == (ref.candidate is None) == (case in (2, 3))
     assert not new.hit_cap
@@ -751,7 +855,7 @@ def test_multiplier_search_optimum_bounds_every_multiplier(data):
     p, xbar, u = search_case(data)
     opts = SoscOptions()
     d = eigen_decompose(eval_F(p, xbar), opts.rank_tol)
-    outcome = sosc._multiplier_search(p, xbar, u, d, sosc._linearized_rows(p, xbar, d), opts)
+    outcome = search(p, xbar, u, d, opts)
     blocks, traces, margins, coords = multiplier_slice(p, xbar, u)
     r = len(traces)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="draw seed"))
@@ -788,9 +892,9 @@ def test_multiplier_search_linalg_calls_are_bounded(monkeypatch):
     xbar, u = np.zeros(1), np.ones(1)
     opts = SoscOptions()
     d = eigen_decompose(eval_F(p, xbar), opts.rank_tol)
-    rows = sosc._linearized_rows(p, xbar, d)
+    rows, coeffs = sosc._linearized_rows(p, xbar, d), sosc._margin_coefficients(p, xbar, d)
     calls = linalg_calls(
-        monkeypatch, lambda: sosc._multiplier_search(p, xbar, u, d, rows, opts)
+        monkeypatch, lambda: sosc._multiplier_search(p, xbar, u, d, rows, coeffs, opts)
     )
     assert 0 < sum(calls.values()) < 120
 

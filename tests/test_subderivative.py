@@ -511,3 +511,13 @@ def test_trace_linalg_calls_do_not_grow_with_samples(monkeypatch):
     assert calls(200) == base
     monkeypatch.setattr(subderivative, "_TRACE_BLOCK", 1024)
     assert calls(512) == base
+
+
+def test_schur_terms_symmetrize_without_overflow():
+    # off-diagonal entries near the largest float: 0.5 * (c + c.T) overflowed
+    d = eigen_decompose(SymMat.diagonal([1.0, 0.0, 0.0]))
+    lowers = np.array([[0.0, 0.0, 0.0, 0.0, 1e308, 0.0]])  # V_21 = V_12 = 1e308
+    conj, ok, _ = subderivative._schur_terms(d, lowers, 1.0)
+    assert ok.all()
+    assert np.isfinite(conj).all()
+    assert np.abs(conj).max() == 1e308

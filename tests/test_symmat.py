@@ -11,6 +11,7 @@ from nsdpcheck.symmat import (
     eigen_decompose,
     frobenius_inner,
     pseudoinverse,
+    svec,
 )
 
 from conftest import random_orthogonal, random_psd, random_symmat
@@ -195,6 +196,23 @@ def test_symmat_validation():
         SymMat.from_dense([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         SymMat.from_dense(np.zeros((2, 3)))
+
+
+def test_from_dense_near_overflow():
+    # symmetrizing by 0.5 * (a + a.T) overflowed to inf and rejected the matrix
+    a = SymMat.from_dense([[1.5e308, 1e308], [1e308, 0.0]])
+    assert a.lower.tolist() == [1.5e308, 1e308, 0.0]
+
+
+def test_svec_of_stacked_matrices():
+    rng = np.random.default_rng(2)
+    mats = np.array([random_symmat(rng, 3).dense() for _ in range(6)]).reshape(2, 3, 3, 3)
+    vecs = svec(mats)
+    assert vecs.shape == (2, 3, 6)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(vecs[idx], svec(mats[idx]))
+        assert float(vecs[idx] @ vecs[idx]) == pytest.approx(float(np.sum(mats[idx] ** 2)))
+    assert svec(np.zeros((4, 0, 0))).shape == (4, 0)
 
 
 def test_decomposition_invariants_enforced():
