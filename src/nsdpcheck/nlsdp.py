@@ -143,16 +143,22 @@ def hess_f(p: NlsdpProblem, x=None) -> np.ndarray:
     return p.f.h.copy()
 
 
+def _quadratic_rows(a0: np.ndarray, a: np.ndarray, b: np.ndarray | None, xs: np.ndarray):
+    """a0 + sum_i x_i a[i] + 0.5 sum_ij x_i x_j b[i, j] for every row x of the
+    (k, n) array xs, as a (k, t) array: a0 has shape (t,), a (n, t) and b
+    (n, n, t) or None, the layout of ``QuadraticMatrixMap``."""
+    out = a0 + xs @ a
+    if b is not None:
+        k, n = xs.shape
+        outer = np.einsum("ki,kj->kij", xs, xs).reshape(k, n * n)
+        out += 0.5 * (outer @ b.reshape(n * n, -1))
+    return out
+
+
 def eval_F_batch(p: NlsdpProblem, xs) -> np.ndarray:
     """Lower triangles of F at every row of the (k, n) array xs, as a
     (k, m(m+1)/2) array."""
-    xs = _check_rows(p, xs)
-    lower = p.F.a0.lower + xs @ p.F.a
-    if p.F.b is not None:
-        k, n = xs.shape
-        outer = np.einsum("ki,kj->kij", xs, xs).reshape(k, n * n)
-        lower += 0.5 * (outer @ p.F.b.reshape(n * n, -1))
-    return lower
+    return _quadratic_rows(p.F.a0.lower, p.F.a, p.F.b, _check_rows(p, xs))
 
 
 def eval_F(p: NlsdpProblem, x) -> SymMat:

@@ -8,7 +8,12 @@ for every sampled direction and evaluates the curvature margin
 which must be positive along every critical direction.  The multiplier
 search is a one-block semidefinite program, solved by a two-phase
 log-barrier Newton method.  ``verify_growth`` samples the quadratic-growth
-inequality that this condition guarantees.
+inequality that this condition guarantees.  It screens the samples with a
+lower bound of dist(F(x), PSD): the distance of F(x) compressed onto the
+eigenvectors of F(xbar) at or below the rank tolerance, a k x k matrix,
+minus a rounding slack.  The full m x m distance is computed only where the
+bound could decide a count, the feasible set or the minimum ratio, so the
+report is the one that the full computation gives, bit for bit.
 
 The verdicts are explicitly sampled statements: VERIFIED_SAMPLED means every
 checked direction carried a positive margin, not that all of the critical
@@ -26,6 +31,7 @@ from .cone import DEFAULT_TOL, dist_psd, dist_psd_batch
 from .nlsdp import (
     NlsdpProblem,
     _jacobian,
+    _quadratic_rows,
     dF,
     eval_F,
     eval_F_batch,
@@ -37,7 +43,8 @@ from .nlsdp import (
 )
 from .subderivative import ToleranceAnomalyError, second_subderivative
 from .symmat import OrderedEigenDecomposition, SymMat, block, eigen_decompose
-from .symmat import frobenius_inner, lower_to_dense, pseudoinverse, svec, svec_to_dense
+from .symmat import _tril_indices, frobenius_inner, frobenius_norms, lower_to_dense
+from .symmat import pseudoinverse, svec, svec_to_dense
 
 VERIFIED_SAMPLED = "VERIFIED_SAMPLED"
 FAILED_AT_DIRECTION = "FAILED_AT_DIRECTION"
@@ -57,6 +64,10 @@ _DEDUP_ANGLE = 1e-3
 _GROWTH_BLOCK = 256
 # Growth samples with dist(F(x), PSD) at most this count as feasible.
 _GROWTH_FEAS_TOL = 1e-9
+# The growth screen lowers its distance bound by _GROWTH_ROUNDING * (m + n)^2
+# * eps times a bound of ||F(x)||: more than both eigenvalue routes and the
+# sums that form F(x) can round apart.
+_GROWTH_ROUNDING = 16.0
 
 # The multiplier search's barrier method: a centering ends at Newton
 # decrement _NEWTON_TOL, or where rounding keeps the decrement from halving
@@ -632,6 +643,63 @@ def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
     return xs[: 4 * n + rows]
 
 
+def _psd_distance_bounds(p: NlsdpProblem, xbar, xs: np.ndarray) -> np.ndarray:
+    """Lower bounds of dist(F(x), PSD) for the rows x of xs, rounding
+    included; -inf where none is computed.
+
+    P holds the eigenvector rows of F(xbar) whose eigenvalues are at most the
+    rank tolerance.  For orthonormal rows, dist(P A P^T) <= dist(A): P applied
+    to A's PSD projection is PSD and no farther from P A P^T.  F's
+    coefficients are projected to k x k once, so a block of samples takes
+    one stacked k x k eigvalsh.  The bound is then lowered by
+    _GROWTH_ROUNDING (m + n)^2 eps ||F(x)||, where the same quadratic map, in
+    |x| and with the coefficients' Frobenius norms, bounds ||F(x)||.  A row
+    on which any of this overflows gets -inf."""
+    d = eigen_decompose(eval_F(p, xbar))
+    rows = d.p_matrix[d.eigenvalues <= d.rank_tol]
+    k = len(rows)
+    i, j = _tril_indices(k)
+
+    def project(lower):
+        return (rows @ lower_to_dense(p.m, lower) @ rows.T)[..., i, j]
+
+    def norms(lower):
+        return frobenius_norms(p.m, lower)[..., None]
+
+    b = p.F.b
+    coeffs = (project(p.F.a0.lower), project(p.F.a), None if b is None else project(b))
+    sizes = (norms(p.F.a0.lower), norms(p.F.a), None if b is None else norms(b))
+    slack = _GROWTH_ROUNDING * (p.m + p.n) ** 2 * np.finfo(float).eps
+    bounds = np.full(len(xs), -np.inf)
+    work = np.empty((min(_GROWTH_BLOCK, len(xs)), k, k))
+    for start in range(0, len(xs), _GROWTH_BLOCK):
+        x = xs[start : start + _GROWTH_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower = _quadratic_rows(*coeffs, x)
+            size = _quadratic_rows(*sizes, np.abs(x))[:, 0]
+            ok = np.isfinite(size) & np.isfinite(lower).all(axis=1)
+            lower[~ok] = 0.0
+            dist = dist_psd_batch(k, lower, work[: len(x)])
+        ok &= np.isfinite(dist)
+        bounds[start : start + len(x)][ok] = dist[ok] - slack * size[ok]
+    return bounds
+
+
+def _exact_psd_distances(p: NlsdpProblem, xs, mask, out: np.ndarray, work: np.ndarray):
+    """Set out[mask] to dist(F(x), PSD) for the rows of xs that mask selects,
+    with the bits of one blocked pass over all of xs.  BLAS rounds a row of
+    a product differently in stacks of different heights, so F is evaluated
+    on each whole _GROWTH_BLOCK block that holds a selected row; eigvalsh
+    solves each matrix alone, so it takes the selected rows only."""
+    for start in range(0, len(xs), _GROWTH_BLOCK):
+        sel = mask[start : start + _GROWTH_BLOCK]
+        if sel.any():
+            lower = eval_F_batch(p, xs[start : start + _GROWTH_BLOCK])[sel]
+            out[start : start + _GROWTH_BLOCK][sel] = dist_psd_batch(
+                p.m, lower, work[: len(lower)]
+            )
+
+
 def verify_growth(
     p: NlsdpProblem,
     xbar,
@@ -645,8 +713,18 @@ def verify_growth(
     restricted to (numerically) feasible samples.
 
     The samples are drawn one at a time from a seeded stream and scaled to
-    their radii in bulk (``_growth_offsets``); F and its PSD distance are
-    then evaluated for blocks of samples at once."""
+    their radii in bulk (``_growth_offsets``).  Every sample first gets a
+    lower bound of its distance from F's projection onto the near-kernel of
+    F(xbar) (``_psd_distance_bounds``), hence a lower bound of its ratio.
+    The full m x m distance is computed only on the set E of samples whose
+    bound could decide the report: a bound ratio below beta, a bound distance
+    at or below the feasibility tolerance or a non-finite value; then the
+    sample with the smallest bound ratio; then every sample whose bound ratio
+    does not exceed the smallest exact ratio found so far.  Any other sample
+    provably has a ratio of at least beta, above the minimum, and is
+    infeasible, so the counts, the minimum and its first sample are those of
+    the full computation, whose bits the exact distances keep
+    (``_exact_psd_distances``)."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if not (math.isfinite(beta) and beta >= 0):
@@ -664,15 +742,25 @@ def verify_growth(
     xs, sq = xs[nonzero], sq[nonzero]
     total = len(xs)
     gaps = eval_f_batch(p, xs) - f0
-    dists = np.empty(total)
+    dists = _psd_distance_bounds(p, xbar, xs)
     work = np.empty((min(_GROWTH_BLOCK, total), p.m, p.m))
-    for start in range(0, total, _GROWTH_BLOCK):
-        stop = min(start + _GROWTH_BLOCK, total)
-        dists[start:stop] = dist_psd_batch(
-            p.m, eval_F_batch(p, xs[start:stop]), work[: stop - start]
-        )
-    # max(gap, dist) as Python's max takes it: the gap unless dist is larger.
-    ratios = np.where(dists > gaps, dists, gaps) / sq
+
+    def ratio(i):  # max(gap, dist) as Python's max takes it: the gap unless dist is larger
+        return np.where(dists[i] > gaps[i], dists[i], gaps[i]) / sq[i]
+
+    def settle(mask):
+        _exact_psd_distances(p, xs, mask, dists, work)
+        ratios[mask] = ratio(mask)
+        settled[mask] = True
+
+    ratios = ratio(slice(None))  # lower bounds until settled
+    settled = np.zeros(total, dtype=bool)
+    settle(~((ratios >= beta) & (dists > _GROWTH_FEAS_TOL)))
+    if not settled.all():
+        # The smallest open bound, then every open bound that does not exceed
+        # the smallest exact ratio: the rest lie above the minimum.
+        settle(~settled & (ratios == ratios[~settled].min()))
+        settle(~settled & (ratios <= ratios[settled].min()))
     feasible = dists <= _GROWTH_FEAS_TOL
     feasible_ratios = gaps[feasible] / sq[feasible]
     if total:

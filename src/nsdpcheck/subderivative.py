@@ -118,8 +118,11 @@ def second_subderivative(
         raise HypothesisViolation("ystar is not in the normal cone at the base point")
     if not tangent_cone_contains(d, v, tol):
         return ExtendedReal.plus_infinity()
-    inner = frobenius_inner(ystar, v)
-    scale = max(1.0, ystar.norm() * v.norm())
+    y_norm, v_norm = ystar.norm(), v.norm()
+    if math.isfinite(y_norm * v_norm):
+        inner, scale = frobenius_inner(ystar, v), max(1.0, y_norm * v_norm)
+    else:  # the product overflows: compare <ystar, v> / (|ystar| |v|) with tol
+        inner, scale = frobenius_inner(ystar * (1.0 / y_norm), v * (1.0 / v_norm)), 1.0
     if inner < -tol * scale:
         return ExtendedReal.plus_infinity()
     if inner > tol * scale:

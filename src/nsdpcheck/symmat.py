@@ -170,7 +170,7 @@ class SymMat:
 
     def norm(self) -> float:
         """Frobenius norm."""
-        return float(np.sqrt(np.sum(_tril_weights(self.m, 2.0) * self.lower**2)))
+        return float(frobenius_norms(self.m, self.lower))
 
     def _same_dim(self, other: "SymMat") -> None:
         if self.m != other.m:
@@ -194,6 +194,24 @@ class SymMat:
 
     def __repr__(self) -> str:
         return f"SymMat(m={self.m})"
+
+
+def frobenius_norms(m: int, lower: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the m x m matrices whose lower triangles are
+    stacked along the last axis of ``lower``.
+
+    The squares overflow from about 1.3e154.  A matrix whose plain sum of
+    squares is not finite is summed again scaled by its largest |entry|;
+    every other one keeps the bits of the plain sum.
+    """
+    weights = _tril_weights(m, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.sqrt(np.sum(weights * lower**2, axis=-1))
+        if not np.isfinite(out).all():
+            top = np.abs(lower).max(axis=-1)
+            rescaled = top * np.sqrt(np.sum(weights * (lower / top[..., None]) ** 2, axis=-1))
+            out = np.where(np.isfinite(out), out, rescaled)
+    return out
 
 
 def frobenius_inner(a: SymMat, b: SymMat) -> float:
@@ -234,7 +252,7 @@ class OrderedEigenDecomposition:
             raise ValueError(f"p_matrix is not orthogonal (defect {orth:.3e})")
         y = self.source.dense()
         recon = np.linalg.norm(p.T @ np.diag(lam) @ p - y)
-        if recon > RECON_TOL * max(1.0, np.linalg.norm(y)):
+        if recon > RECON_TOL * max(1.0, self.source.norm()):
             raise ValueError(f"decomposition does not reproduce source (defect {recon:.3e})")
         expect_pi = tuple(int(k) for k in np.nonzero(lam > self.rank_tol)[0])
         expect_omega = tuple(int(k) for k in np.nonzero(np.abs(lam) <= self.rank_tol)[0])

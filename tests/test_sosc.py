@@ -1,7 +1,9 @@
 """Critical cone sampling, multiplier search, margins, verdicts and growth."""
 
+import dataclasses
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +40,12 @@ from nsdpcheck import (
     verify_growth,
 )
 from nsdpcheck import sosc
-from nsdpcheck.cone import tangent_cone_contains
-from nsdpcheck.nlsdp import dF, d2F, lagrangian_grad
+from nsdpcheck.cone import dist_psd_batch, tangent_cone_contains
+from nsdpcheck.nlsdp import dF, d2F, eval_F_batch, eval_f_batch, lagrangian_grad
 from nsdpcheck.symmat import block, lower_to_dense, pseudoinverse, svec
 
 from conftest import build_p1, build_trivial_cone, kkt_consistent_problem, linalg_calls
+from conftest import random_orthogonal, random_symmat
 
 XBAR = np.zeros(2)
 FAST = SoscOptions(n_dirs=64)
@@ -649,6 +652,148 @@ def test_verify_growth_norm_calls_do_not_grow_with_samples(monkeypatch, p1):
     ]
     assert counts[0]["norm"] == counts[1]["norm"]
     assert counts[0]["eigvalsh"] < counts[1]["eigvalsh"]  # the counter sees calls
+
+
+def growth_screen_problem(rng, n, m, kind, quadratic, shift):
+    """Random problem and xbar for the growth screen.  F(xbar) is singular
+    (rank 0 to m - 1), nonsingular or not PSD.  Two singular kinds are
+    bordered by a block that the kernel of F(xbar) does not see: "huge" by a
+    1 x 1 block near 1e150 in every coefficient, "overflow" by A0's 2 x 2
+    block 1.5e308 I, whose Frobenius norm overflows.  A smaller m is raised to
+    the border plus 1.  F is centred on xbar, so F(xbar) has the chosen
+    spectrum."""
+    corner = {"huge": 1, "overflow": 2}.get(kind, 0)
+    m = max(m, corner + 1)
+    size = m - corner
+    lam = rng.uniform(1.0, 2.0, size)
+    if kind == "not_psd":
+        lam[rng.integers(0, size) :] *= -1.0
+    elif kind != "nonsingular":
+        lam[rng.integers(0, size) :] = 0.0
+    q = random_orthogonal(rng, size)
+    a0 = (q * lam) @ q.T
+    a = [random_symmat(rng, size).dense() for _ in range(n)]
+    b = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            b[i][j] = b[j][i] = random_symmat(rng, size, 0.5).dense() * quadratic
+    if corner:
+        def border(mat, scale):
+            out = np.zeros((m, m))
+            out[:corner, :corner], out[corner:, corner:] = scale * np.eye(corner), mat
+            return out
+
+        huge = kind == "huge"
+        a0 = border(a0, 1e150 if huge else 1.5e308)
+        a = [border(ai, float(rng.uniform(-1e150, 1e150)) * huge) for ai in a]
+        b = [[border(bij, 1e149 * quadratic * huge) for bij in row] for row in b]
+    lower = np.tril_indices(m)
+    a0, a, b = a0[lower], np.array([ai[lower] for ai in a]), np.array(
+        [[bij[lower] for bij in row] for row in b]
+    ).reshape(n, n, len(lower[0]))
+    xbar = rng.uniform(-shift, shift, n)
+    # F(x) = G(x - xbar) for the map G with coefficients (a0, a, b)
+    a0 = a0 - xbar @ a + 0.5 * np.einsum("i,j,ijl->l", xbar, xbar, b)
+    a = a - np.tensordot(xbar, b, 1)
+    h = rng.uniform(-1.0, 1.0, (n, n))
+    f = QuadraticScalar(c=0.0, g=rng.uniform(-1.0, 1.0, n), h=h + h.T)
+    cap_f = QuadraticMatrixMap(a0=SymMat(m, a0), a=a, b=b if quadratic else None)
+    return NlsdpProblem(n=n, m=m, f=f, F=cap_f), xbar
+
+
+def unscreened_growth(p, xbar, epsilon, beta, n_samples, seed):
+    """verify_growth without the screen: the full distance of every sample,
+    from F evaluated in the same blocks of sosc._GROWTH_BLOCK samples."""
+    xs = sosc._growth_offsets(np.random.default_rng([seed, 2]), p.n, epsilon, n_samples)
+    sq = (xs[:, None, :] @ xs[:, :, None]).reshape(len(xs))
+    xs, sq = (xs + xbar)[sq != 0.0], sq[sq != 0.0]
+    gaps = eval_f_batch(p, xs) - eval_f(p, xbar)
+    block = sosc._GROWTH_BLOCK
+    dists = np.concatenate(
+        [dist_psd_batch(p.m, eval_F_batch(p, xs[i : i + block])) for i in range(0, len(xs), block)]
+        or [np.empty(0)]
+    )
+    ratios = np.where(dists > gaps, dists, gaps) / sq
+    feasible = dists <= sosc._GROWTH_FEAS_TOL
+    k = int(np.argmin(ratios)) if len(xs) else None
+    fr = gaps[feasible] / sq[feasible]
+    return GrowthReport(
+        epsilon, beta, len(xs), int(np.count_nonzero(ratios < beta)),
+        math.inf if k is None else float(ratios[k]), xbar.copy() if k is None else xs[k],
+        len(fr), int(np.count_nonzero(fr < beta)), float(fr.min()) if len(fr) else None,
+    )
+
+
+def assert_identical_growth(new, ref):
+    for field in dataclasses.fields(GrowthReport):
+        a, b = getattr(new, field.name), getattr(ref, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 12),
+    kind=st.sampled_from(["singular", "nonsingular", "not_psd", "huge", "overflow"]),
+    quadratic=st.booleans(),
+    shift=st.sampled_from([0.0, 0.05]),
+    epsilon=st.sampled_from([0.01, 0.1, 1.0]),
+    beta=st.sampled_from([0.0, 0.01, 2.0, 1e3]),
+    n_samples=st.integers(1, 700),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_growth_matches_per_sample_reference_property(
+    n, m, kind, quadratic, shift, epsilon, beta, n_samples, seed
+):
+    rng = np.random.default_rng(seed)
+    p, xbar = growth_screen_problem(rng, n, m, kind, quadratic, shift)
+    new = verify_growth(p, xbar, epsilon, beta, n_samples=n_samples, seed=seed)
+    assert_same_growth(new, reference_growth(p, xbar, epsilon, beta, n_samples, seed))
+    # and bit for bit what the same blocks give without the screen
+    assert_identical_growth(new, unscreened_growth(p, xbar, epsilon, beta, n_samples, seed))
+
+
+def test_growth_distance_bounds_stay_below_exact_distances():
+    # the bounds are checked against distances of F evaluated one sample at a
+    # time, which rounds apart from the blocked evaluation
+    for case in range(25):
+        rng = np.random.default_rng([case, 7])
+        kind = ("singular", "nonsingular", "not_psd", "huge", "overflow")[case % 5]
+        n, m = int(rng.integers(1, 7)), int(rng.integers(2, 13))
+        p, xbar = growth_screen_problem(rng, n, m, kind, case % 3 > 0, 0.05)
+        xs = xbar + rng.uniform(-0.2, 0.2, (600, n))
+        bounds = sosc._psd_distance_bounds(p, xbar, xs)
+        exact = np.array([dist_psd(eval_F(p, x)) for x in xs])
+        assert (bounds <= exact).all()
+        if kind == "singular":
+            assert (bounds > 0).any()  # the screen sees the kernel's negativity
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_screened_growth_keeps_the_blocked_bits(seed):
+    # a row of a BLAS product rounds differently in stacks of other heights:
+    # F evaluated for the settled rows alone moves min_ratio in its last bits
+    p = kkt_consistent_problem(np.random.default_rng(seed), 6, 12)
+    xbar = np.zeros(6)
+    new = verify_growth(p, xbar, 0.1, 0.01, n_samples=10_000)
+    assert_identical_growth(new, unscreened_growth(p, xbar, 0.1, 0.01, 10_000, 0))
+
+
+def test_growth_screen_solves_few_full_matrices(monkeypatch):
+    p = kkt_consistent_problem(np.random.default_rng(0), 6, 12)
+    xbar = np.zeros(6)
+    assert eigen_decompose(eval_F(p, xbar)).omega  # F(0) is singular
+    solved = Counter()
+
+    def counted(a, *args, _orig=np.linalg.eigvalsh, **kwargs):
+        a = np.asarray(a)
+        solved[a.shape[-1]] += len(a) if a.ndim == 3 else 1
+        return _orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    report = verify_growth(p, xbar, 0.1, 0.01, n_samples=10_000)
+    assert report.samples == 11_024
+    assert solved[12] <= 0.02 * report.samples
 
 
 # -- multiplier search -------------------------------------------------------

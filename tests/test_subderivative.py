@@ -93,6 +93,15 @@ def test_second_subderivative_infinite_outside_tangent():
     )
 
 
+@pytest.mark.parametrize("s", [1.0, 1e100, 1e160, 1e300])
+def test_second_subderivative_negative_inner_product_at_any_scale(s):
+    # |ystar| |v| = s^2 overflows from s = 1.3e154, which made the relative
+    # test of <ystar, v> = -s^2 vacuous and returned finite(-0.0)
+    d = eigen_decompose(SymMat.diagonal([1.0, 0.0]))
+    ystar, v = SymMat.diagonal([0.0, -s]), SymMat.diagonal([0.0, s])
+    assert second_subderivative(d, ystar, v) == ExtendedReal.plus_infinity()
+
+
 def test_second_subderivative_rejects_bad_multiplier():
     d = eigen_decompose(Y_CORNER)
     with pytest.raises(HypothesisViolation):

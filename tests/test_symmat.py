@@ -10,6 +10,7 @@ from nsdpcheck.symmat import (
     conjugate,
     eigen_decompose,
     frobenius_inner,
+    frobenius_norms,
     pseudoinverse,
     svec,
 )
@@ -202,6 +203,31 @@ def test_from_dense_near_overflow():
     # symmetrizing by 0.5 * (a + a.T) overflowed to inf and rejected the matrix
     a = SymMat.from_dense([[1.5e308, 1e308], [1e308, 0.0]])
     assert a.lower.tolist() == [1.5e308, 1e308, 0.0]
+
+
+def test_norm_beyond_squared_overflow():
+    # the squares overflow from about 1.3e154; rescaled rows keep the norm finite
+    assert SymMat.diagonal([0.0, 1e160]).norm() == 1e160
+    assert SymMat(2, [1e300, 1e300, -1e300]).norm() == pytest.approx(2e300, rel=1e-15)
+    assert SymMat(1, [1e308]).norm() == 1e308
+
+
+def test_stacked_norms_keep_the_plain_sums_bits():
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 5, 12):
+        i, j = np.tril_indices(m)
+        weights = np.where(i == j, 1.0, 2.0)
+        scales = 10.0 ** rng.uniform(-50, 150, (3, 2, 1))
+        lowers = rng.standard_normal((3, 2, len(i))) * scales
+        norms = frobenius_norms(m, lowers)
+        assert norms.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            plain = np.sqrt(np.sum(weights * lowers[idx] ** 2))
+            assert norms[idx] == plain == SymMat(m, lowers[idx]).norm()
+        # past the squares' overflow the rows are rescaled, not rounded apart
+        unit = lowers / scales
+        big = frobenius_norms(m, 1e200 * unit)
+        assert big == pytest.approx(1e200 * frobenius_norms(m, unit), rel=1e-14)
 
 
 def test_svec_of_stacked_matrices():
