@@ -13,7 +13,9 @@ lower bound of dist(F(x), PSD): the distance of F(x) compressed onto the
 eigenvectors of F(xbar) at or below the rank tolerance, a k x k matrix,
 minus a rounding slack.  The full m x m distance is computed only where the
 bound could decide a count, the feasible set or the minimum ratio, so the
-report is the one that the full computation gives, bit for bit.
+report is the one that the full computation gives, bit for bit.  Once the
+bound leaves most of a block open, the remaining blocks are computed in full
+without it.
 
 The verdicts are explicitly sampled statements: VERIFIED_SAMPLED means every
 checked direction carried a positive margin, not that all of the critical
@@ -68,6 +70,9 @@ _GROWTH_FEAS_TOL = 1e-9
 # * eps times a bound of ||F(x)||: more than both eigenvalue routes and the
 # sums that form F(x) can round apart.
 _GROWTH_ROUNDING = 16.0
+# The growth screen stops after a block whose bounds left more than this share
+# of its samples open: such a block costs more screened than computed in full.
+_GROWTH_SCREEN_OPEN = 0.5
 
 # The multiplier search's barrier method: a centering ends at Newton
 # decrement _NEWTON_TOL, or where rounding keeps the decrement from halving
@@ -643,9 +648,10 @@ def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
     return xs[: 4 * n + rows]
 
 
-def _psd_distance_bounds(p: NlsdpProblem, xbar, xs: np.ndarray) -> np.ndarray:
-    """Lower bounds of dist(F(x), PSD) for the rows x of xs, rounding
-    included; -inf where none is computed.
+def _psd_distance_screen(p: NlsdpProblem, xbar, rows: int):
+    """(k, bounds): ``bounds`` maps up to ``rows`` rows x at a time to lower
+    bounds of dist(F(x), PSD), rounding included; -inf where none is
+    computed.
 
     P holds the eigenvector rows of F(xbar) whose eigenvalues are at most the
     rank tolerance.  For orthonormal rows, dist(P A P^T) <= dist(A): P applied
@@ -656,12 +662,12 @@ def _psd_distance_bounds(p: NlsdpProblem, xbar, xs: np.ndarray) -> np.ndarray:
     |x| and with the coefficients' Frobenius norms, bounds ||F(x)||.  A row
     on which any of this overflows gets -inf."""
     d = eigen_decompose(eval_F(p, xbar))
-    rows = d.p_matrix[d.eigenvalues <= d.rank_tol]
-    k = len(rows)
+    basis = d.p_matrix[d.eigenvalues <= d.rank_tol]
+    k = len(basis)
     i, j = _tril_indices(k)
 
     def project(lower):
-        return (rows @ lower_to_dense(p.m, lower) @ rows.T)[..., i, j]
+        return (basis @ lower_to_dense(p.m, lower) @ basis.T)[..., i, j]
 
     def norms(lower):
         return frobenius_norms(p.m, lower)[..., None]
@@ -670,10 +676,9 @@ def _psd_distance_bounds(p: NlsdpProblem, xbar, xs: np.ndarray) -> np.ndarray:
     coeffs = (project(p.F.a0.lower), project(p.F.a), None if b is None else project(b))
     sizes = (norms(p.F.a0.lower), norms(p.F.a), None if b is None else norms(b))
     slack = _GROWTH_ROUNDING * (p.m + p.n) ** 2 * np.finfo(float).eps
-    bounds = np.full(len(xs), -np.inf)
-    work = np.empty((min(_GROWTH_BLOCK, len(xs)), k, k))
-    for start in range(0, len(xs), _GROWTH_BLOCK):
-        x = xs[start : start + _GROWTH_BLOCK]
+    work = np.empty((rows, k, k))
+
+    def bounds(x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             lower = _quadratic_rows(*coeffs, x)
             size = _quadratic_rows(*sizes, np.abs(x))[:, 0]
@@ -681,13 +686,17 @@ def _psd_distance_bounds(p: NlsdpProblem, xbar, xs: np.ndarray) -> np.ndarray:
             lower[~ok] = 0.0
             dist = dist_psd_batch(k, lower, work[: len(x)])
         ok &= np.isfinite(dist)
-        bounds[start : start + len(x)][ok] = dist[ok] - slack * size[ok]
-    return bounds
+        out = np.full(len(x), -np.inf)
+        out[ok] = dist[ok] - slack * size[ok]
+        return out
+
+    return k, bounds
 
 
 def _exact_psd_distances(p: NlsdpProblem, xs, mask, out: np.ndarray, work: np.ndarray):
     """Set out[mask] to dist(F(x), PSD) for the rows of xs that mask selects,
-    with the bits of one blocked pass over all of xs.  BLAS rounds a row of
+    with the bits of one blocked pass over all of xs; xs is the sample array
+    or one of its _GROWTH_BLOCK blocks, out its distances.  BLAS rounds a row of
     a product differently in stacks of different heights, so F is evaluated
     on each whole _GROWTH_BLOCK block that holds a selected row; eigvalsh
     solves each matrix alone, so it takes the selected rows only."""
@@ -713,9 +722,9 @@ def verify_growth(
     restricted to (numerically) feasible samples.
 
     The samples are drawn one at a time from a seeded stream and scaled to
-    their radii in bulk (``_growth_offsets``).  Every sample first gets a
-    lower bound of its distance from F's projection onto the near-kernel of
-    F(xbar) (``_psd_distance_bounds``), hence a lower bound of its ratio.
+    their radii in bulk (``_growth_offsets``).  A block of samples first gets
+    lower bounds of its distances from F's projection onto the near-kernel
+    of F(xbar) (``_psd_distance_screen``), hence lower bounds of its ratios.
     The full m x m distance is computed only on the set E of samples whose
     bound could decide the report: a bound ratio below beta, a bound distance
     at or below the feasibility tolerance or a non-finite value; then the
@@ -724,7 +733,11 @@ def verify_growth(
     provably has a ratio of at least beta, above the minimum, and is
     infeasible, so the counts, the minimum and its first sample are those of
     the full computation, whose bits the exact distances keep
-    (``_exact_psd_distances``)."""
+    (``_exact_psd_distances``).
+
+    The screen stops after a block whose bounds left more than
+    _GROWTH_SCREEN_OPEN of its samples open, and does not start where k = m;
+    a block that is not screened puts all of its samples in E."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if not (math.isfinite(beta) and beta >= 0):
@@ -742,30 +755,40 @@ def verify_growth(
     xs, sq = xs[nonzero], sq[nonzero]
     total = len(xs)
     gaps = eval_f_batch(p, xs) - f0
-    dists = _psd_distance_bounds(p, xbar, xs)
+    k, bounds = _psd_distance_screen(p, xbar, min(_GROWTH_BLOCK, total))
     work = np.empty((min(_GROWTH_BLOCK, total), p.m, p.m))
+    dists = np.full(total, -np.inf)  # lower bounds until settled
+    ratios = np.empty(total)  # likewise
+    settled = np.zeros(total, dtype=bool)
 
     def ratio(i):  # max(gap, dist) as Python's max takes it: the gap unless dist is larger
         return np.where(dists[i] > gaps[i], dists[i], gaps[i]) / sq[i]
 
-    def settle(mask):
-        _exact_psd_distances(p, xs, mask, dists, work)
-        ratios[mask] = ratio(mask)
-        settled[mask] = True
+    def settle(rows, mask):
+        _exact_psd_distances(p, xs[rows], mask, dists[rows], work)
+        settled[rows] |= mask
+        ratios[rows] = ratio(rows)
 
-    ratios = ratio(slice(None))  # lower bounds until settled
-    settled = np.zeros(total, dtype=bool)
-    settle(~((ratios >= beta) & (dists > _GROWTH_FEAS_TOL)))
+    screen = k < p.m  # at k = m, P is a rotation: its bound costs as much as the distance
+    for start in range(0, total, _GROWTH_BLOCK):
+        block = slice(start, start + _GROWTH_BLOCK)
+        if screen:
+            dists[block] = bounds(xs[block])
+        # open: the sample may violate or be feasible
+        left = ~((ratio(block) >= beta) & (dists[block] > _GROWTH_FEAS_TOL))
+        settle(block, left)
+        screen = screen and left.mean() <= _GROWTH_SCREEN_OPEN
     if not settled.all():
         # The smallest open bound, then every open bound that does not exceed
         # the smallest exact ratio: the rest lie above the minimum.
-        settle(~settled & (ratios == ratios[~settled].min()))
-        settle(~settled & (ratios <= ratios[settled].min()))
+        everything = slice(None)
+        settle(everything, ~settled & (ratios == ratios[~settled].min()))
+        settle(everything, ~settled & (ratios <= ratios[settled].min()))
     feasible = dists <= _GROWTH_FEAS_TOL
     feasible_ratios = gaps[feasible] / sq[feasible]
     if total:
-        k = int(np.argmin(ratios))  # first minimum, as a strict-< scan keeps
-        min_ratio, worst = float(ratios[k]), xs[k].copy()
+        first = int(np.argmin(ratios))  # first minimum, as a strict-< scan keeps
+        min_ratio, worst = float(ratios[first]), xs[first].copy()
     else:
         min_ratio, worst = math.inf, xbar.copy()
     return GrowthReport(

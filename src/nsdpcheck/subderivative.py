@@ -119,10 +119,16 @@ def second_subderivative(
     if not tangent_cone_contains(d, v, tol):
         return ExtendedReal.plus_infinity()
     y_norm, v_norm = ystar.norm(), v.norm()
-    if math.isfinite(y_norm * v_norm):
+    vs, y_top = v, 1.0  # <ystar, v> is tested in units of y_top * (v's largest |entry|)
+    if not (ystar.lower.any() and v.lower.any()):  # 0, without reading 0 * inf
+        inner, scale = 0.0, 1.0
+    elif math.isfinite(y_norm * v_norm):
         inner, scale = frobenius_inner(ystar, v), max(1.0, y_norm * v_norm)
-    else:  # the product overflows: compare <ystar, v> / (|ystar| |v|) with tol
-        inner, scale = frobenius_inner(ystar * (1.0 / y_norm), v * (1.0 / v_norm)), 1.0
+    else:  # |ystar| |v| overflows: test copies scaled to a largest |entry| of 1
+        y_top = float(np.abs(ystar.lower).max())
+        ys = SymMat(ystar.m, ystar.lower / y_top)
+        vs = SymMat(v.m, v.lower / np.abs(v.lower).max())
+        inner, scale = frobenius_inner(ys, vs), ys.norm() * vs.norm()
     if inner < -tol * scale:
         return ExtendedReal.plus_infinity()
     if inner > tol * scale:
@@ -130,10 +136,10 @@ def second_subderivative(
         # norm up to tol, which add up to tol (||V_pp|| + 2 ||V_po||) to the
         # inner product, V's blocks taken in d's eigenbasis.
         pi, omega = d.pi, d.omega
-        admitted = np.linalg.norm(block(v, d, pi, pi)) + 2.0 * np.linalg.norm(
-            block(v, d, pi, omega)
+        admitted = np.linalg.norm(block(vs, d, pi, pi)) + 2.0 * np.linalg.norm(
+            block(vs, d, pi, omega)
         )
-        if inner > tol * (scale + admitted):
+        if inner > tol * (scale + admitted / y_top):
             # Would be the minus-infinity branch, impossible for a normal-cone
             # multiplier against a tangent direction (polar cones).
             raise ToleranceAnomalyError(

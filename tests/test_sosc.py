@@ -762,7 +762,7 @@ def test_growth_distance_bounds_stay_below_exact_distances():
         n, m = int(rng.integers(1, 7)), int(rng.integers(2, 13))
         p, xbar = growth_screen_problem(rng, n, m, kind, case % 3 > 0, 0.05)
         xs = xbar + rng.uniform(-0.2, 0.2, (600, n))
-        bounds = sosc._psd_distance_bounds(p, xbar, xs)
+        bounds = sosc._psd_distance_screen(p, xbar, len(xs))[1](xs)
         exact = np.array([dist_psd(eval_F(p, x)) for x in xs])
         assert (bounds <= exact).all()
         if kind == "singular":
@@ -779,10 +779,9 @@ def test_screened_growth_keeps_the_blocked_bits(seed):
     assert_identical_growth(new, unscreened_growth(p, xbar, 0.1, 0.01, 10_000, 0))
 
 
-def test_growth_screen_solves_few_full_matrices(monkeypatch):
-    p = kkt_consistent_problem(np.random.default_rng(0), 6, 12)
-    xbar = np.zeros(6)
-    assert eigen_decompose(eval_F(p, xbar)).omega  # F(0) is singular
+def eigvalsh_matrices(monkeypatch, fn):
+    """Result of fn() and the number of matrices of each size that it passes
+    to np.linalg.eigvalsh."""
     solved = Counter()
 
     def counted(a, *args, _orig=np.linalg.eigvalsh, **kwargs):
@@ -791,9 +790,43 @@ def test_growth_screen_solves_few_full_matrices(monkeypatch):
         return _orig(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    report = verify_growth(p, xbar, 0.1, 0.01, n_samples=10_000)
+    out = fn()
+    monkeypatch.undo()
+    return out, solved
+
+
+def test_growth_screen_solves_few_full_matrices(monkeypatch):
+    p = kkt_consistent_problem(np.random.default_rng(0), 6, 12)
+    xbar = np.zeros(6)
+    assert eigen_decompose(eval_F(p, xbar)).omega  # F(0) is singular
+    report, solved = eigvalsh_matrices(
+        monkeypatch, lambda: verify_growth(p, xbar, 0.1, 0.01, n_samples=10_000)
+    )
     assert report.samples == 11_024
     assert solved[12] <= 0.02 * report.samples
+
+
+def test_growth_screen_stops_where_it_does_not_pay(monkeypatch):
+    # where every sample violates, the blocks after the first are computed
+    # in full without a screen; where F(xbar) = 0, P is a rotation and no
+    # block is screened
+    p = kkt_consistent_problem(np.random.default_rng(0), 6, 12)
+    xbar = np.zeros(6)
+    k = len(eigen_decompose(eval_F(p, xbar)).omega)
+    assert 0 < k < 12
+    report, solved = eigvalsh_matrices(
+        monkeypatch, lambda: verify_growth(p, xbar, 0.1, 1e3, n_samples=10_000)
+    )
+    assert report.violations == report.samples == 11_024
+    assert solved[k] <= sosc._GROWTH_BLOCK
+    assert solved[12] == report.samples
+    flat = NlsdpProblem(
+        n=6, m=12, f=p.f, F=QuadraticMatrixMap(a0=SymMat.zeros(12), a=p.F.a, b=p.F.b)
+    )
+    report, solved = eigvalsh_matrices(
+        monkeypatch, lambda: verify_growth(flat, xbar, 0.1, 0.01, n_samples=10_000)
+    )
+    assert solved[12] == report.samples
 
 
 # -- multiplier search -------------------------------------------------------

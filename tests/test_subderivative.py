@@ -102,6 +102,27 @@ def test_second_subderivative_negative_inner_product_at_any_scale(s):
     assert second_subderivative(d, ystar, v) == ExtendedReal.plus_infinity()
 
 
+HUGE = 1.5e308  # two such diagonal entries give a Frobenius norm above DBL_MAX
+
+
+def test_second_subderivative_negative_inner_product_beyond_dbl_max():
+    # |ystar| and |v| are inf, so dividing by them would zero both copies
+    d = eigen_decompose(SymMat.diagonal([1.0, 0.0, 0.0]))
+    ystar, v = SymMat.diagonal([0.0, -HUGE, -HUGE]), SymMat.diagonal([0.0, HUGE, HUGE])
+    assert second_subderivative(d, ystar, v) == ExtendedReal.plus_infinity()
+
+
+@pytest.mark.parametrize(
+    "ystar, v",
+    [([0.0, 0.0, 0.0], [0.0, HUGE, HUGE]), ([0.0, -HUGE, -HUGE], [0.0, 0.0, 0.0])],
+)
+def test_second_subderivative_zero_partner_of_an_infinite_norm(ystar, v):
+    # |ystar| |v| reads 0 * inf = nan; the inner product is 0, so finite
+    d = eigen_decompose(SymMat.diagonal([1.0, 0.0, 0.0]))
+    value = second_subderivative(d, SymMat.diagonal(ystar), SymMat.diagonal(v))
+    assert value == ExtendedReal.finite(0.0)
+
+
 def test_second_subderivative_rejects_bad_multiplier():
     d = eigen_decompose(Y_CORNER)
     with pytest.raises(HypothesisViolation):
