@@ -696,10 +696,10 @@ def _psd_distance_screen(p: NlsdpProblem, xbar, rows: int):
 def _exact_psd_distances(p: NlsdpProblem, xs, mask, out: np.ndarray, work: np.ndarray):
     """Set out[mask] to dist(F(x), PSD) for the rows of xs that mask selects,
     with the bits of one blocked pass over all of xs; xs is the sample array
-    or one of its _GROWTH_BLOCK blocks, out its distances.  BLAS rounds a row of
-    a product differently in stacks of different heights, so F is evaluated
-    on each whole _GROWTH_BLOCK block that holds a selected row; eigvalsh
-    solves each matrix alone, so it takes the selected rows only."""
+    or one of its _GROWTH_BLOCK blocks, out its distances.  BLAS rounds a
+    row of a product differently in stacks of different heights, so F is
+    evaluated on each whole _GROWTH_BLOCK block that holds a selected row;
+    eigvalsh solves each matrix alone, so it takes the selected rows only."""
     for start in range(0, len(xs), _GROWTH_BLOCK):
         sel = mask[start : start + _GROWTH_BLOCK]
         if sel.any():
