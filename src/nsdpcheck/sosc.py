@@ -8,14 +8,16 @@ for every sampled direction and evaluates the curvature margin
 which must be positive along every critical direction.  The multiplier
 search is a one-block semidefinite program, solved by a two-phase
 log-barrier Newton method.  ``verify_growth`` samples the quadratic-growth
-inequality that this condition guarantees.  It screens the samples with a
-lower bound of dist(F(x), PSD): the distance of F(x) compressed onto the
-eigenvectors of F(xbar) at or below the rank tolerance, a k x k matrix,
-minus a rounding slack.  The full m x m distance is computed only where the
-bound could decide a count, the feasible set or the minimum ratio, so the
-report is the one that the full computation gives, bit for bit.  Once the
-bound leaves most of a block open, the remaining blocks are computed in full
-without it.
+inequality that this condition guarantees.  It screens the samples with
+lower bounds of dist(F(x), PSD), taken from M, F(x) compressed onto the
+eigenvectors of F(xbar) at or below the rank tolerance, a k x k matrix: the
+largest distance of a 2 x 2 principal block of M, in closed form, and, only
+where that leaves a count or the minimum open, the distance of M from one
+stacked eigenvalue call; both minus a rounding slack.  The full m x m
+distance is computed only where the bounds could decide a count, the
+feasible set or the minimum ratio, so the report is the one that the full
+computation gives, bit for bit.  Once a bound leaves most of a block open,
+the remaining blocks go without it.
 
 The verdicts are explicitly sampled statements: VERIFIED_SAMPLED means every
 checked direction carried a positive margin, not that all of the critical
@@ -72,6 +74,7 @@ _GROWTH_FEAS_TOL = 1e-9
 _GROWTH_ROUNDING = 16.0
 # The growth screen stops after a block whose bounds left more than this share
 # of its samples open: such a block costs more screened than computed in full.
+# Its pair bound stops likewise once it leaves that share to the k x k bound.
 _GROWTH_SCREEN_OPEN = 0.5
 
 # The multiplier search's barrier method: a centering ends at Newton
@@ -613,11 +616,13 @@ def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
     of the epsilon-sphere and up to n_samples points of the epsilon-ball.
     A zero draw gives no row.
 
-    The loop makes only the calls that fix the stream, one sample at a time:
-    each normal draw goes straight into its row, ``row.dot(row)`` is the
-    square that np.linalg.norm takes the root of, and ``rng.random()`` draws
-    what ``rng.uniform()`` draws.  The rows are then scaled in bulk in the
-    order of the per-sample ``radius * raw / norm``."""
+    The sphere points take one normal draw, which gives the stream of one
+    draw per point, since no uniform comes between them.  The ball points
+    are drawn one at a time, each normal draw straight into its row and
+    followed by its ``rng.random()``, which draws what ``rng.uniform()``
+    draws.  A row's ``row @ row`` is the square that np.linalg.norm takes
+    the root of.  The rows are then scaled in bulk in the order of the
+    per-sample ``radius * raw / norm``."""
     n_boundary = max(1, n_samples // 10)
     xs = np.empty((4 * n + n_boundary + n_samples, n))
     axes = epsilon * np.eye(n)
@@ -625,16 +630,16 @@ def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
     drawn = xs[4 * n :]
     sqn = np.empty(len(drawn))
     scale = np.empty(len(drawn))
+    boundary = drawn[:n_boundary]
+    rng.standard_normal(out=boundary)
+    squares = (boundary[:, None, :] @ boundary[:, :, None]).reshape(n_boundary)
+    kept = squares != 0.0
+    rows = int(np.count_nonzero(kept))
+    if rows < n_boundary:
+        boundary[:rows] = boundary[kept]
+    sqn[:rows], scale[:rows] = squares[kept], epsilon
     power = 1.0 / n if n else 0.0  # no draw is kept when n = 0
     normal, uniform = rng.standard_normal, rng.random
-    rows = 0
-    for _ in range(n_boundary):
-        row = drawn[rows]
-        normal(out=row)
-        s = row.dot(row)
-        if s != 0.0:
-            sqn[rows], scale[rows] = s, epsilon
-            rows += 1
     for _ in range(n_samples):
         row = drawn[rows]
         normal(out=row)
@@ -648,16 +653,43 @@ def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
     return xs[: 4 * n + rows]
 
 
+def _principal_block_distances(k: int):
+    """The function that maps stacked k x k lower triangles to the largest
+    distance to the PSD cone among each matrix's principal 2 x 2 blocks (its
+    1 x 1 block at k = 1), in closed form: [[a, b], [b, c]] has eigenvalues
+    h -+ hypot((a - c) / 2, b), h = (a + c) / 2.  At k <= 2 that block is
+    the matrix itself."""
+    i, j = _tril_indices(k)
+    diag = np.flatnonzero(i == j)
+    off = np.flatnonzero(i != j)
+    first, second = diag[i[off]], diag[j[off]]
+
+    def distances(lower: np.ndarray) -> np.ndarray:
+        if k == 1:
+            squares = np.minimum(lower, 0.0) ** 2
+        else:
+            a, c, b = lower[:, first], lower[:, second], lower[:, off]
+            half, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+            squares = np.minimum(half - radius, 0.0) ** 2 + np.minimum(half + radius, 0.0) ** 2
+        return np.sqrt(squares.max(axis=1, initial=0.0))
+
+    return distances
+
+
 def _psd_distance_screen(p: NlsdpProblem, xbar, rows: int):
-    """(k, bounds): ``bounds`` maps up to ``rows`` rows x at a time to lower
-    bounds of dist(F(x), PSD), rounding included; -inf where none is
-    computed.
+    """(k, pair_bounds, bounds): both functions map up to ``rows`` rows x at
+    a time to lower bounds of dist(F(x), PSD), rounding included; -inf where
+    none is computed.
 
     P holds the eigenvector rows of F(xbar) whose eigenvalues are at most the
     rank tolerance.  For orthonormal rows, dist(P A P^T) <= dist(A): P applied
     to A's PSD projection is PSD and no farther from P A P^T.  F's
-    coefficients are projected to k x k once, so a block of samples takes
-    one stacked k x k eigvalsh.  The bound is then lowered by
+    coefficients are projected to k x k once.  ``bounds`` takes dist(P F(x)
+    P^T) from one stacked k x k eigvalsh per block of samples;
+    ``pair_bounds`` takes the largest distance of a principal 2 x 2 block of
+    P F(x) P^T in closed form (``_principal_block_distances``), which is a
+    distance of E P F(x) P^T E^T for two orthonormal rows E, so again a lower
+    bound, and at k <= 2 the same distance.  Both are lowered by
     _GROWTH_ROUNDING (m + n)^2 eps ||F(x)||, where the same quadratic map, in
     |x| and with the coefficients' Frobenius norms, bounds ||F(x)||.  A row
     on which any of this overflows gets -inf."""
@@ -678,19 +710,25 @@ def _psd_distance_screen(p: NlsdpProblem, xbar, rows: int):
     slack = _GROWTH_ROUNDING * (p.m + p.n) ** 2 * np.finfo(float).eps
     work = np.empty((rows, k, k))
 
-    def bounds(x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            lower = _quadratic_rows(*coeffs, x)
-            size = _quadratic_rows(*sizes, np.abs(x))[:, 0]
-            ok = np.isfinite(size) & np.isfinite(lower).all(axis=1)
-            lower[~ok] = 0.0
-            dist = dist_psd_batch(k, lower, work[: len(x)])
-        ok &= np.isfinite(dist)
-        out = np.full(len(x), -np.inf)
-        out[ok] = dist[ok] - slack * size[ok]
-        return out
+    def screen(distances):
+        def bounds(x: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore"):
+                lower = _quadratic_rows(*coeffs, x)
+                size = _quadratic_rows(*sizes, np.abs(x))[:, 0]
+                ok = np.isfinite(size) & np.isfinite(lower).all(axis=1)
+                lower[~ok] = 0.0
+                dist = distances(lower)
+            ok &= np.isfinite(dist)
+            out = np.full(len(x), -np.inf)
+            out[ok] = dist[ok] - slack * size[ok]
+            return out
 
-    return k, bounds
+        return bounds
+
+    def eigenvalue_distances(lower):
+        return dist_psd_batch(k, lower, work[: len(lower)])
+
+    return k, screen(_principal_block_distances(k)), screen(eigenvalue_distances)
 
 
 def _exact_psd_distances(p: NlsdpProblem, xs, mask, out: np.ndarray, work: np.ndarray):
@@ -721,23 +759,35 @@ def verify_growth(
     epsilon-ball, plus boundary and axis points.  Also reports the variant
     restricted to (numerically) feasible samples.
 
-    The samples are drawn one at a time from a seeded stream and scaled to
-    their radii in bulk (``_growth_offsets``).  A block of samples first gets
-    lower bounds of its distances from F's projection onto the near-kernel
-    of F(xbar) (``_psd_distance_screen``), hence lower bounds of its ratios.
+    The samples are drawn from a seeded stream and scaled to their radii in
+    bulk (``_growth_offsets``).  A block of samples first gets lower bounds
+    of its distances from F's projection M onto the near-kernel of F(xbar)
+    (``_psd_distance_screen``), hence lower bounds of its ratios, in two
+    tiers.  The pair bound, the largest distance of a 2 x 2 principal block
+    of M, takes no eigenvalue call; the k x k bound, the distance of M,
+    takes one stacked call and replaces it where the pair bound leaves a
+    sample undecided, on the first block, and for the minimum below.  At
+    k <= 2 the two are the same and the pair bound is used alone.
+
     The full m x m distance is computed only on the set E of samples whose
     bound could decide the report: a bound ratio below beta, a bound distance
-    at or below the feasibility tolerance or a non-finite value; then the
-    sample with the smallest bound ratio; then every sample whose bound ratio
-    does not exceed the smallest exact ratio found so far.  Any other sample
-    provably has a ratio of at least beta, above the minimum, and is
-    infeasible, so the counts, the minimum and its first sample are those of
-    the full computation, whose bits the exact distances keep
-    (``_exact_psd_distances``).
+    at or below the feasibility tolerance or a non-finite value; then, after
+    the k x k bound has replaced the _GROWTH_BLOCK smallest pair bounds, the
+    sample with the smallest k x k bound ratio; then, after the k x k bound
+    has replaced every pair bound that does not exceed the smallest exact
+    ratio, every sample whose bound ratio does not exceed it either.  Any
+    other sample provably has a ratio of at least beta, above the minimum,
+    and is infeasible, so the counts, the minimum and its first sample are
+    those of the full computation, whose bits the exact distances keep
+    (``_exact_psd_distances``).  Which bound decided a sample does not
+    matter: both are lower bounds.
 
     The screen stops after a block whose bounds left more than
     _GROWTH_SCREEN_OPEN of its samples open, and does not start where k = m;
-    a block that is not screened puts all of its samples in E."""
+    a block that is not screened puts all of its samples in E.  The pair
+    bound stops, leaving the k x k bound alone, after a block where more
+    than that share is undecided or not above the smallest k x k bound
+    ratio so far: those samples would need both."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if not (math.isfinite(beta) and beta >= 0):
@@ -755,34 +805,75 @@ def verify_growth(
     xs, sq = xs[nonzero], sq[nonzero]
     total = len(xs)
     gaps = eval_f_batch(p, xs) - f0
-    k, bounds = _psd_distance_screen(p, xbar, min(_GROWTH_BLOCK, total))
+    k, pair_bounds, bounds = _psd_distance_screen(p, xbar, min(_GROWTH_BLOCK, total))
     work = np.empty((min(_GROWTH_BLOCK, total), p.m, p.m))
     dists = np.full(total, -np.inf)  # lower bounds until settled
     ratios = np.empty(total)  # likewise
     settled = np.zeros(total, dtype=bool)
+    coarse = np.zeros(total, dtype=bool)  # bounded by 2 x 2 blocks only, at k > 2
 
     def ratio(i):  # max(gap, dist) as Python's max takes it: the gap unless dist is larger
         return np.where(dists[i] > gaps[i], dists[i], gaps[i]) / sq[i]
+
+    def undecided(i):  # the sample may violate or be feasible
+        return ~((ratio(i) >= beta) & (dists[i] > _GROWTH_FEAS_TOL))
 
     def settle(rows, mask):
         _exact_psd_distances(p, xs[rows], mask, dists[rows], work)
         settled[rows] |= mask
         ratios[rows] = ratio(rows)
 
+    def refine(rows):  # the k x k bound for these coarse rows
+        for start in range(0, len(rows), _GROWTH_BLOCK):
+            chunk = rows[start : start + _GROWTH_BLOCK]
+            dists[chunk] = np.maximum(dists[chunk], bounds(xs[chunk]))
+            ratios[chunk] = ratio(chunk)
+        coarse[rows] = False
+
     screen = k < p.m  # at k = m, P is a rotation: its bound costs as much as the distance
+    pairs = screen  # at k <= 2 the pair bound is the k x k bound
+    best = math.inf  # the smallest ratio bound from the k x k bound so far
     for start in range(0, total, _GROWTH_BLOCK):
         block = slice(start, start + _GROWTH_BLOCK)
-        if screen:
+        if pairs:
+            dists[block] = pair_bounds(xs[block])
+            if k > 2:
+                # The pair bound leaves to the k x k bound its undecided rows
+                # and its candidates for the minimum, the rows whose ratio
+                # bound does not exceed the best one.  The first block takes
+                # the k x k bound everywhere, which sets the best one.
+                pair_ratios, left = ratio(block), undecided(block)
+                sharp = left if start else np.ones_like(left)
+                if sharp.any():
+                    view = dists[block]
+                    view[sharp] = np.maximum(view[sharp], bounds(xs[block][sharp]))
+                coarse[block] = ~sharp
+                best = min(best, ratio(block)[sharp].min(initial=math.inf))
+                pairs = np.mean(left | (pair_ratios <= best)) <= _GROWTH_SCREEN_OPEN
+        elif screen:
             dists[block] = bounds(xs[block])
-        # open: the sample may violate or be feasible
-        left = ~((ratio(block) >= beta) & (dists[block] > _GROWTH_FEAS_TOL))
+        left = undecided(block)
         settle(block, left)
         screen = screen and left.mean() <= _GROWTH_SCREEN_OPEN
+        pairs = pairs and screen
     if not settled.all():
-        # The smallest open bound, then every open bound that does not exceed
-        # the smallest exact ratio: the rest lie above the minimum.
         everything = slice(None)
-        settle(everything, ~settled & (ratios == ratios[~settled].min()))
+        # The sample with the smallest k x k bound ratio is settled, once the
+        # _GROWTH_BLOCK smallest pair bounds are refined; then every pair
+        # bound that does not exceed the smallest exact ratio is refined, the
+        # smallest bound is settled if it does not exceed it either, and then
+        # every bound that does not: the rest lie above the minimum.
+        lowest = np.flatnonzero(coarse)
+        if len(lowest) > _GROWTH_BLOCK:
+            part = np.argpartition(ratios[lowest], _GROWTH_BLOCK - 1)
+            lowest = lowest[part[:_GROWTH_BLOCK]]
+        refine(lowest)
+        fine = ~settled & ~coarse
+        settle(everything, fine & (ratios == ratios[fine].min()))
+        refine(np.flatnonzero(coarse & ~settled & (ratios <= ratios[settled].min())))
+        smallest = ratios[~settled].min(initial=math.inf)
+        if smallest <= ratios[settled].min():
+            settle(everything, ~settled & (ratios == smallest))
         settle(everything, ~settled & (ratios <= ratios[settled].min()))
     feasible = dists <= _GROWTH_FEAS_TOL
     feasible_ratios = gaps[feasible] / sq[feasible]

@@ -290,6 +290,27 @@ def _candidate_blocks(rng, v: SymMat, t: float, radius: float, n_samples: int):
         yield buf[:filled]
 
 
+def _quotients(ystar: SymMat, lowers: np.ndarray, t: float) -> np.ndarray:
+    """-2 <ystar, v'> / t for every row v' of ``lowers``, summed as
+    frobenius_inner sums.  Where that overflows or reads inf - inf, the row
+    is summed again with ystar and the row scaled to a largest |entry| of 1,
+    and the scales are put back as powers of two, so an overflow keeps its
+    sign and nothing warns.  Every finite quotient keeps its bits."""
+    weights = _tril_weights(ystar.m, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = -2.0 * np.sum(weights * ystar.lower * lowers, axis=-1) / t
+        bad = ~np.isfinite(out)
+        if bad.any():
+            y_top = np.abs(ystar.lower).max()
+            rows = lowers[bad]
+            top = np.abs(rows).max(axis=-1)
+            top[top == 0.0] = 1.0
+            inner = np.sum(weights * (ystar.lower / y_top) * (rows / top[:, None]), axis=-1)
+            (mi, ei), (my, ey), (mr, er), (mt, et) = map(np.frexp, (-2.0 * inner, y_top, top, t))
+            out[bad] = np.ldexp(mi * my * mr / mt, ei + ey + er - et)
+    return out
+
+
 def subderivative_sampling_trace(
     y: SymMat,
     ystar: SymMat,
@@ -331,8 +352,6 @@ def subderivative_sampling_trace(
         raise ValueError("t_grid must contain positive step sizes")
     rng = np.random.default_rng(seed)
     tangent = tangent_cone_contains(d, v, tol)
-    # <ystar, v'> of each row as frobenius_inner forms it
-    ystar_weighted = _tril_weights(y.m, 2.0) * ystar.lower
 
     trace = []
     for t in t_values:
@@ -340,7 +359,7 @@ def subderivative_sampling_trace(
         if tangent:
             try:
                 v_rec = recovery_sequence(d, v, t)
-                recovery_q = -2.0 * frobenius_inner(ystar, v_rec) / t
+                recovery_q = float(_quotients(ystar, v_rec.lower[None, :], t)[0])
                 count, lowest = 1, recovery_q
             except PivotNotPositiveDefinite:
                 pass
@@ -348,7 +367,7 @@ def subderivative_sampling_trace(
             kept = rows[_samples_feasible(d, rows, t)]
             if not len(kept):
                 continue
-            quotients = -2.0 * np.sum(ystar_weighted * kept, axis=-1) / t
+            quotients = _quotients(ystar, kept, t)
             # the first of equal minima, as min() over the candidates keeps
             low = float(quotients[np.argmin(quotients)])
             count += len(kept)

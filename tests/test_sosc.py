@@ -41,8 +41,9 @@ from nsdpcheck import (
 )
 from nsdpcheck import sosc
 from nsdpcheck.cone import dist_psd_batch, tangent_cone_contains
-from nsdpcheck.nlsdp import dF, d2F, eval_F_batch, eval_f_batch, lagrangian_grad
-from nsdpcheck.symmat import block, lower_to_dense, pseudoinverse, svec
+from nsdpcheck.nlsdp import _quadratic_rows, dF, d2F, eval_F_batch, eval_f_batch
+from nsdpcheck.nlsdp import lagrangian_grad
+from nsdpcheck.symmat import block, frobenius_norms, lower_to_dense, pseudoinverse, svec
 
 from conftest import build_p1, build_trivial_cone, kkt_consistent_problem, linalg_calls
 from conftest import random_orthogonal, random_symmat
@@ -754,19 +755,54 @@ def test_screened_growth_matches_per_sample_reference_property(
 
 
 def test_growth_distance_bounds_stay_below_exact_distances():
-    # the bounds are checked against distances of F evaluated one sample at a
-    # time, which rounds apart from the blocked evaluation
+    # both tiers, the closed-form pair bound and the k x k bound, are checked
+    # against distances of F evaluated one sample at a time, which rounds
+    # apart from the blocked evaluation
     for case in range(25):
         rng = np.random.default_rng([case, 7])
         kind = ("singular", "nonsingular", "not_psd", "huge", "overflow")[case % 5]
         n, m = int(rng.integers(1, 7)), int(rng.integers(2, 13))
         p, xbar = growth_screen_problem(rng, n, m, kind, case % 3 > 0, 0.05)
         xs = xbar + rng.uniform(-0.2, 0.2, (600, n))
-        bounds = sosc._psd_distance_screen(p, xbar, len(xs))[1](xs)
+        _, pair_bounds, bounds = sosc._psd_distance_screen(p, xbar, len(xs))
         exact = np.array([dist_psd(eval_F(p, x)) for x in xs])
-        assert (bounds <= exact).all()
-        if kind == "singular":
-            assert (bounds > 0).any()  # the screen sees the kernel's negativity
+        for tier in (pair_bounds, bounds):
+            tight = tier(xs)
+            assert (tight <= exact).all()
+            if kind == "singular":
+                assert (tight > 0).any()  # the screen sees the kernel's negativity
+
+
+def test_growth_pair_bound_is_the_projected_distance_at_k_up_to_2():
+    # at k <= 2 the closed form is the distance of P F(x) P^T itself, short
+    # of the rounding slack that both tiers subtract
+    seen = Counter()
+    for case in range(200):
+        rng = np.random.default_rng([case, 11])
+        n, m = int(rng.integers(1, 7)), int(rng.integers(2, 13))
+        p, xbar = growth_screen_problem(rng, n, m, "singular", case % 2 > 0, 0.05)
+        d = eigen_decompose(eval_F(p, xbar))
+        basis = d.p_matrix[d.eigenvalues <= d.rank_tol]
+        k = len(basis)
+        if k not in (1, 2) or seen[k] == 4:
+            continue
+        seen[k] += 1
+        xs = xbar + rng.uniform(-0.2, 0.2, (300, n))
+        projected = np.array([basis @ eval_F(p, x).dense() @ basis.T for x in xs])
+        dist = np.sqrt((np.minimum(np.linalg.eigvalsh(projected), 0.0) ** 2).sum(axis=1))
+        # the bound of ||F(x)|| that the slack scales: F's quadratic map in |x|
+        # with the coefficients' Frobenius norms
+        norms = [None if c is None else frobenius_norms(m, c)[..., None]
+                 for c in (p.F.a0.lower, p.F.a, p.F.b)]
+        size = _quadratic_rows(*norms, np.abs(xs))[:, 0]
+        slack = sosc._GROWTH_ROUNDING * (m + n) ** 2 * np.finfo(float).eps * size
+        screen_k, pair_bounds, _ = sosc._psd_distance_screen(p, xbar, len(xs))
+        assert screen_k == k
+        pair = pair_bounds(xs)
+        assert (pair <= dist).all()
+        assert (dist - pair <= 2.0 * slack).all()
+        assert (dist > slack).any()  # not every sample sits in the slack
+    assert seen == {1: 4, 2: 4}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -803,6 +839,35 @@ def test_growth_screen_solves_few_full_matrices(monkeypatch):
         monkeypatch, lambda: verify_growth(p, xbar, 0.1, 0.01, n_samples=10_000)
     )
     assert report.samples == 11_024
+    assert solved[12] <= 0.02 * report.samples
+
+
+def test_growth_screen_solves_few_kxk_matrices(monkeypatch):
+    # the closed-form pair bound decides most samples; the k x k eigvalsh
+    # runs on the first block, the undecided rows and the candidates for the
+    # minimum only
+    p = kkt_consistent_problem(np.random.default_rng(0), 6, 12)
+    xbar = np.zeros(6)
+    k = len(eigen_decompose(eval_F(p, xbar)).omega)
+    assert 2 < k < 12
+    report, solved = eigvalsh_matrices(
+        monkeypatch, lambda: verify_growth(p, xbar, 0.1, 0.01, n_samples=10_000)
+    )
+    assert report.samples == 11_024
+    assert 0 < solved[k] <= 0.1 * report.samples
+
+
+def test_growth_pair_bound_stops_where_it_is_weak(monkeypatch):
+    # at k = 11 of m = 12 most pair ratio bounds lie below the minimum, so
+    # the pair bound stops after the first block and every sample takes the
+    # k x k bound once, as without the pair bound
+    p = kkt_consistent_problem(np.random.default_rng(5), 6, 12)
+    xbar = np.zeros(6)
+    assert len(eigen_decompose(eval_F(p, xbar)).omega) == 11
+    report, solved = eigvalsh_matrices(
+        monkeypatch, lambda: verify_growth(p, xbar, 0.1, 0.01, n_samples=10_000)
+    )
+    assert report.samples == solved[11] == 11_024
     assert solved[12] <= 0.02 * report.samples
 
 

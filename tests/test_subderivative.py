@@ -2,6 +2,7 @@
 the sampling oracle."""
 
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsdpcheck import subderivative
+from nsdpcheck import cli, subderivative
 from nsdpcheck.cone import is_psd, normal_cone_contains, tangent_cone_contains
 from nsdpcheck.subderivative import (
     SAMPLING_T_GRID,
@@ -551,3 +552,48 @@ def test_schur_terms_symmetrize_without_overflow():
     assert ok.all()
     assert np.isfinite(conj).all()
     assert np.abs(conj).max() == 1e308
+
+
+def test_trace_quotients_overflow_with_their_sign():
+    # -2 <ystar, v'> / t past the largest float: an overflow is an infinity of
+    # the quotient's sign, inf - inf is summed again at scale, and every
+    # quotient that the plain formula gets finite keeps its bits
+    t = 0.5
+    ystar = SymMat(2, np.array([-1.5e308, 1e308, 0.0]))  # 2 * 1e308 overflows
+    rows = np.array([
+        [1.0, 0.0, 0.0],  # -2 * (-1.5e308) / 0.5
+        [0.0, -1e-10, 0.0],  # 2 * 1e308 * -1e-10, finite
+        [-1.0, 0.0, 0.0],
+        [1e-300, 0.0, 0.0],
+        [0.0, 0.0, 3.0],  # 0, although 2 * 1e308 * 0 reads NaN
+    ])
+    with np.errstate(all="raise"):
+        got = subderivative._quotients(ystar, rows, t)
+    assert got[0] == np.inf and got[2] == -np.inf
+    assert got[1] == pytest.approx(8e298, rel=1e-15)
+    assert got[3] == pytest.approx(6e8, rel=1e-15)  # 2 * 1.5e308 * 1e-300 / 0.5
+    assert got[4] == 0.0
+    plain = SymMat(2, np.array([-1.5, 1.0, 0.25]))
+    finite = np.random.default_rng(3).standard_normal((50, 3))
+    expected = [-2.0 * frobenius_inner(plain, SymMat(2, row)) / t for row in finite]
+    assert subderivative._quotients(plain, finite, t).tolist() == expected
+
+
+def test_cli_subderivative_quotients_overflow_quietly(tmp_path, capsys):
+    # Ystar near -DBL_MAX on the kernel of Y: the quotients of the feasible
+    # samples overflow to +inf, and the report keeps the finite minimum
+    triple = {
+        "Y": {"m": 3, "lower": [1, 0, 0, 0, 0, 0]},
+        "Ystar": {"m": 3, "lower": [0, 0, -1.5e308, 0, 0, -1.5e308]},
+        "V": {"m": 3, "lower": [0, 0, 0, 0, 0, 0]},
+    }
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(triple))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["subderivative", str(path), "--json", str(out)])
+    assert code == 0
+    result = json.loads(out.read_text())["result"]
+    assert [level["min_quotient"] for level in result["trace"]] == [0.0] * 8
+    assert all(level["feasible_samples"] > 1 for level in result["trace"])
