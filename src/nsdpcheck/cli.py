@@ -146,7 +146,8 @@ ERROR_SCHEMA = _object(
 )
 
 # Internal numerical failures: not a verdict on the input, so never exit 1.
-# FloatingPointError is a NaN met while a report is written.
+# FloatingPointError is an overflow in a computed value, or a NaN met while a
+# report is written.
 _NUMERICAL_ANOMALIES = (ToleranceAnomalyError, np.linalg.LinAlgError, FloatingPointError)
 
 # Parsed arguments that are not options of the run.

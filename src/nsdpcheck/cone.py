@@ -39,9 +39,17 @@ def dist_psd_batch(m: int, lower: np.ndarray, work: np.ndarray | None = None) ->
     triangles are the rows of ``lower``, with one stacked eigenvalue call.
 
     ``work``, if given, is a (k, m, m) scratch buffer that is overwritten.
+    The squares overflow from about 1.3e154: a row whose plain sum is not
+    finite is summed again by ``np.hypot``, which rescales; every other row
+    keeps the bits of the plain sum.
     """
-    lam = np.linalg.eigvalsh(lower_to_dense(m, lower, work))
-    return np.sqrt(np.sum(np.minimum(lam, 0.0) ** 2, axis=-1))
+    neg = np.minimum(np.linalg.eigvalsh(lower_to_dense(m, lower, work)), 0.0)
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.sum(neg**2, axis=-1))
+    big = np.isinf(out)
+    if big.any():
+        out[big] = np.hypot.reduce(neg[big], axis=-1)
+    return out
 
 
 def dist_psd(a: SymMat) -> float:

@@ -616,40 +616,25 @@ def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
     of the epsilon-sphere and up to n_samples points of the epsilon-ball.
     A zero draw gives no row.
 
-    The sphere points take one normal draw, which gives the stream of one
-    draw per point, since no uniform comes between them.  The ball points
-    are drawn one at a time, each normal draw straight into its row and
-    followed by its ``rng.random()``, which draws what ``rng.uniform()``
-    draws.  A row's ``row @ row`` is the square that np.linalg.norm takes
-    the root of.  The rows are then scaled in bulk in the order of the
-    per-sample ``radius * raw / norm``."""
+    One normal draw fills the sphere and ball rows in place, then one
+    uniform draw gives the ball radii epsilon u^(1/n).  A row's
+    ``row @ row`` is the square that np.linalg.norm takes the root of, and
+    each row is scaled as ``radius * raw / norm``."""
     n_boundary = max(1, n_samples // 10)
     xs = np.empty((4 * n + n_boundary + n_samples, n))
     axes = epsilon * np.eye(n)
     xs[: 4 * n] = np.stack((axes, -axes, 0.5 * axes, -0.5 * axes), axis=1).reshape(4 * n, n)
     drawn = xs[4 * n :]
-    sqn = np.empty(len(drawn))
-    scale = np.empty(len(drawn))
-    boundary = drawn[:n_boundary]
-    rng.standard_normal(out=boundary)
-    squares = (boundary[:, None, :] @ boundary[:, :, None]).reshape(n_boundary)
-    kept = squares != 0.0
+    rng.standard_normal(out=drawn)
+    radii = np.full(len(drawn), epsilon)
+    radii[n_boundary:] = epsilon * rng.random(n_samples) ** (1.0 / max(n, 1))  # no row at n = 0
+    squares = (drawn[:, None, :] @ drawn[:, :, None]).reshape(len(drawn))
+    kept = squares != 0.0  # every row, unless a draw is zero
     rows = int(np.count_nonzero(kept))
-    if rows < n_boundary:
-        boundary[:rows] = boundary[kept]
-    sqn[:rows], scale[:rows] = squares[kept], epsilon
-    power = 1.0 / n if n else 0.0  # no draw is kept when n = 0
-    normal, uniform = rng.standard_normal, rng.random
-    for _ in range(n_samples):
-        row = drawn[rows]
-        normal(out=row)
-        s = row.dot(row)
-        if s != 0.0:
-            # a Python-float power: numpy's vector ** differs in last bits
-            sqn[rows], scale[rows] = s, epsilon * uniform() ** power
-            rows += 1
-    drawn[:rows] *= scale[:rows, None]
-    drawn[:rows] /= np.sqrt(sqn[:rows])[:, None]
+    if rows < len(drawn):
+        drawn[:rows], squares, radii = drawn[kept], squares[kept], radii[kept]
+    drawn[:rows] *= radii[:, None]
+    drawn[:rows] /= np.sqrt(squares)[:, None]
     return xs[: 4 * n + rows]
 
 
@@ -813,7 +798,8 @@ def verify_growth(
     coarse = np.zeros(total, dtype=bool)  # bounded by 2 x 2 blocks only, at k > 2
 
     def ratio(i):  # max(gap, dist) as Python's max takes it: the gap unless dist is larger
-        return np.where(dists[i] > gaps[i], dists[i], gaps[i]) / sq[i]
+        with np.errstate(over="ignore"):  # a ratio past the largest float is inf, above beta
+            return np.where(dists[i] > gaps[i], dists[i], gaps[i]) / sq[i]
 
     def undecided(i):  # the sample may violate or be feasible
         return ~((ratio(i) >= beta) & (dists[i] > _GROWTH_FEAS_TOL))

@@ -109,6 +109,7 @@ def second_subderivative(
     Requires ystar in the normal cone at the base point (enforced).  Returns
     plus infinity when v leaves the tangent cone or <ystar, v> is negative
     beyond tolerance; otherwise the finite value -2 <ystar, v pinv v>.
+    Raises FloatingPointError where that value overflows.
     """
     if not d.psd:
         raise HypothesisViolation("base point is not PSD within rank_tol")
@@ -147,8 +148,11 @@ def second_subderivative(
             )
     ydag = pseudoinverse(d).dense()
     vd = v.dense()
-    curvature = float(np.sum(ystar.dense() * (vd @ ydag @ vd)))
-    return ExtendedReal.finite(-2.0 * curvature)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = -2.0 * float(np.sum(ystar.dense() * (vd @ ydag @ vd)))
+    if not math.isfinite(value):
+        raise FloatingPointError(f"the closed form -2 <ystar, v pinv(y) v> overflows to {value}")
+    return ExtendedReal.finite(value)
 
 
 def _schur_terms(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float):
@@ -263,31 +267,22 @@ def _samples_feasible(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float
 
 def _candidate_blocks(rng, v: SymMat, t: float, radius: float, n_samples: int):
     """Lower triangles of v and of n_samples random symmetric perturbations of
-    v within radius*t, in blocks of at most _TRACE_BLOCK rows.
-
-    The draws are made one sample at a time, so the stream is that of a
-    per-sample loop; ``rng.random()`` draws what ``rng.uniform()`` draws.
-    Each yielded block is a buffer that the next block overwrites.
-    """
+    v within radius*t: the samples in blocks of _TRACE_BLOCK draws, v ahead
+    of the first.  A block takes one normal and then one uniform draw; a zero
+    noise gives no row."""
     m = v.m
-    tril = _tril_indices(m)
-    buf = np.empty((min(1 + n_samples, _TRACE_BLOCK), len(v.lower)))
-    buf[0] = v.lower
-    filled = 1
-    for _ in range(n_samples):
-        noise = rng.standard_normal((m, m))
-        noise = 0.5 * (noise + noise.T)
-        flat = noise.ravel()
-        nrm = np.sqrt(flat.dot(flat))  # np.linalg.norm(noise), without its overhead
-        if nrm == 0.0:
-            continue
-        buf[filled] = v.lower + noise[tril] * (radius * t * rng.random() / nrm)
-        filled += 1
-        if filled == len(buf):
-            yield buf
-            filled = 0
-    if filled:
-        yield buf[:filled]
+    i, j = _tril_indices(m)
+    for start in range(0, n_samples, _TRACE_BLOCK):
+        noise = rng.standard_normal((min(_TRACE_BLOCK, n_samples - start), m, m))
+        scale = radius * t * rng.random(len(noise))
+        noise = 0.5 * (noise + noise.swapaxes(1, 2))
+        flat = noise.reshape(len(noise), 1, m * m)
+        norms = np.sqrt((flat @ flat.swapaxes(1, 2)).reshape(len(noise)))  # as np.linalg.norm
+        keep = norms != 0.0
+        rows = v.lower + noise[keep][:, i, j] * (scale[keep] / norms[keep])[:, None]
+        yield np.concatenate((v.lower[None], rows)) if start == 0 else rows
+    if n_samples == 0:
+        yield v.lower[None]
 
 
 def _quotients(ystar: SymMat, lowers: np.ndarray, t: float) -> np.ndarray:
@@ -332,8 +327,8 @@ def subderivative_sampling_trace(
     PSD (tangent directions).  ``d``, when given, is y's decomposition at
     rank_tol and is not recomputed.
 
-    The perturbations are drawn one by one from a seeded stream; their
-    feasibility and quotients are then evaluated for blocks of them at once.
+    The perturbations are drawn from a seeded stream in blocks, and the
+    feasibility and quotients of a block are evaluated at once.
     Raises FloatingPointError when the radius is so large that a sample's
     norm overflows, which would make the feasibility slack infinite.
     """

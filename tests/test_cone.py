@@ -5,6 +5,7 @@ import pytest
 
 from nsdpcheck.cone import (
     dist_psd,
+    dist_psd_batch,
     is_psd,
     normal_cone_contains,
     project_psd,
@@ -17,6 +18,7 @@ from nsdpcheck.symmat import (
     block,
     eigen_decompose,
     frobenius_inner,
+    lower_to_dense,
 )
 
 from conftest import random_orthogonal, random_psd, random_symmat, valid_triple
@@ -48,6 +50,19 @@ def test_dist_psd_examples():
     assert dist_psd(SymMat.from_dense([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+def test_dist_psd_overflow_keeps_finite_distances():
+    # eigenvalues below -1.3e154 overflowed the squares to an infinite
+    # distance with a RuntimeWarning; rows whose plain sum is finite keep it
+    big = np.array([[-1e200], [1e300], [-3e-200], [-2.5]])
+    with np.errstate(over="raise", invalid="raise"):
+        assert dist_psd_batch(1, big).tolist() == [1e200, 0.0, 0.0, 2.5]
+        assert dist_psd(SymMat.diagonal([-3e200, 1.0, -4e200])) == pytest.approx(5e200)
+    rows = np.random.default_rng(5).standard_normal((40, 6))
+    lam = np.linalg.eigvalsh(lower_to_dense(3, rows))
+    plain = np.sqrt(np.sum(np.minimum(lam, 0.0) ** 2, axis=-1))
+    assert dist_psd_batch(3, rows).tobytes() == plain.tobytes()
 
 
 def test_projection_optimality():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from nsdpcheck import (
     sosc_margin,
     verify_growth,
 )
-from nsdpcheck import sosc
+from nsdpcheck import cli, sosc
 from nsdpcheck.cone import dist_psd_batch, tangent_cone_contains
 from nsdpcheck.nlsdp import _quadratic_rows, dF, d2F, eval_F_batch, eval_f_batch
 from nsdpcheck.nlsdp import lagrangian_grad
@@ -503,27 +504,25 @@ def test_direction_slope_breaks_ties_for_worst_direction(p1_negated):
 
 
 def reference_offsets(n, epsilon, n_samples, seed):
-    """The growth samples' offsets from xbar as a per-sample loop draws and
-    scales them: axis points, then sphere and ball points, each normalised
-    by its own np.linalg.norm."""
+    """The growth samples' offsets from xbar, scaled one at a time: axis
+    points, then sphere and ball points, each normalised by its own
+    np.linalg.norm.  The draws are those of _growth_offsets: every normal
+    at once, then every ball radius epsilon u^(1/n) at once."""
     rng = np.random.default_rng([seed, 2])
+    n_boundary = max(1, n_samples // 10)
+    raws = rng.standard_normal((n_boundary + n_samples, n))
+    radii = [epsilon] * n_boundary
+    if n:
+        radii.extend(epsilon * rng.random(n_samples) ** (1.0 / n))
     offsets = []
     for i in range(n):
         axis = np.zeros(n)
         axis[i] = epsilon
         offsets.extend((axis.copy(), -axis, 0.5 * axis, -0.5 * axis))
-    for _ in range(max(1, n_samples // 10)):
-        raw = rng.standard_normal(n)
+    for raw, radius in zip(raws, radii):
         nrm = np.linalg.norm(raw)
         if nrm > 0:
-            offsets.append(epsilon * raw / nrm)
-    for _ in range(n_samples):
-        raw = rng.standard_normal(n)
-        nrm = np.linalg.norm(raw)
-        if nrm == 0:
-            continue
-        radius = epsilon * rng.uniform() ** (1.0 / n)
-        offsets.append(radius * raw / nrm)
+            offsets.append(radius * raw / nrm)
     return offsets
 
 
@@ -644,8 +643,54 @@ def test_growth_offsets_match_per_sample_draws_property(n, epsilon, n_samples, s
     assert_offsets_match_reference(n, epsilon, n_samples, seed)
 
 
+def test_growth_samples_lie_on_the_sphere_and_in_the_ball():
+    # checked apart from reference_offsets, which draws as _growth_offsets does
+    for n in (1, 2, 6, 20):
+        xs = sosc._growth_offsets(np.random.default_rng([4, 2]), n, 0.3, 2000)
+        assert xs.shape == (4 * n + 200 + 2000, n)
+        norms = np.linalg.norm(xs[4 * n :], axis=1)
+        assert norms[:200] == pytest.approx(np.full(200, 0.3), rel=4 * np.finfo(float).eps)
+        assert (norms[200:] <= 0.3 * (1 + 4 * np.finfo(float).eps)).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_growth_ball_radii_follow_the_uniform_law(n):
+    # in the epsilon-ball of R^n, P(|x| <= r) = (r / epsilon)^n: the
+    # Kolmogorov-Smirnov statistic of 10k radii stays below 1.95 / sqrt(10k),
+    # its 0.1% critical value; the power 1/(n + 1) in place of 1/n reads 0.05
+    # or more at these n
+    epsilon, n_samples = 0.3, 10_000
+    xs = sosc._growth_offsets(np.random.default_rng([7, 2]), n, epsilon, n_samples)
+    radii = np.sort(np.linalg.norm(xs[-n_samples:], axis=1))
+    cdf = (radii / epsilon) ** n
+    steps = np.arange(1, n_samples + 1) / n_samples
+    ks = max((steps - cdf).max(), (cdf - steps + 1 / n_samples).max())
+    assert ks < 1.95 / math.sqrt(n_samples)
+
+
+def test_cli_growth_distance_overflow_exits_quietly(tmp_path, capsys):
+    # F(x) = -1e200 x: on x > 0 the distance is about 1e200 x, whose square
+    # overflowed to an infinite distance with a RuntimeWarning
+    problem = {
+        "n": 1, "m": 1, "f": {"c": 0, "g": [0], "h": [2]},
+        "F": {"A0": {"m": 1, "lower": [0]}, "A": [{"m": 1, "lower": [-1e200]}], "B": None},
+        "xbar": [0],
+    }
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
+    path.write_text(json.dumps(problem))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(
+            ["growth", str(path), "--epsilon", "0.1", "--beta", "0.1", "--json", str(out)]
+        )
+    assert code == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["violations"] == 0 and result["min_ratio"] == 1.0
+    assert 0 < result["feasible_samples"] < result["samples"]
+
+
 def test_verify_growth_norm_calls_do_not_grow_with_samples(monkeypatch, p1):
-    # the draw loop squares each row with a dot product; a per-sample
+    # the draws are squared by one stacked row product; a per-sample
     # np.linalg.norm would add one call per draw
     counts = [
         linalg_calls(monkeypatch, lambda: verify_growth(p1, XBAR, 0.1, 0.25, n_samples=k))

@@ -2,10 +2,12 @@
 the sampling oracle."""
 
 import json
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -416,16 +418,19 @@ def reference_trace(
                 pass
         if reference_feasible(d, v, t, stats):
             quotients.append(-2.0 * frobenius_inner(ystar, v) / t)
-        for _ in range(n_samples):
-            noise = rng.standard_normal((m, m))
-            noise = 0.5 * (noise + noise.T)
-            nrm = np.linalg.norm(noise)
-            if nrm == 0.0:
-                continue
-            noise *= radius * t * rng.uniform() / nrm
-            vprime = v + SymMat(m, noise[tril])
-            if reference_feasible(d, vprime, t, stats):
-                quotients.append(-2.0 * frobenius_inner(ystar, vprime) / t)
+        for start in range(0, n_samples, subderivative._TRACE_BLOCK):
+            # the draws of one block, all normals first, as the trace makes them
+            size = min(subderivative._TRACE_BLOCK, n_samples - start)
+            noises, uniforms = rng.standard_normal((size, m, m)), rng.random(size)
+            for noise, u in zip(noises, uniforms):
+                noise = 0.5 * (noise + noise.T)
+                nrm = np.linalg.norm(noise)
+                if nrm == 0.0:
+                    continue
+                noise *= radius * t * u / nrm
+                vprime = v + SymMat(m, noise[tril])
+                if reference_feasible(d, vprime, t, stats):
+                    quotients.append(-2.0 * frobenius_inner(ystar, vprime) / t)
         trace.append(
             {
                 "t": t,
@@ -542,6 +547,57 @@ def test_trace_linalg_calls_do_not_grow_with_samples(monkeypatch):
     assert calls(200) == base
     monkeypatch.setattr(subderivative, "_TRACE_BLOCK", 1024)
     assert calls(512) == base
+
+
+def test_trace_perturbations_lie_within_radius_t():
+    # checked apart from reference_trace, which draws as the trace does: every
+    # perturbation of v lies within radius * t, at a norm uniform on that
+    # interval (KS statistic of 10k norms below 1.95 / sqrt(10k))
+    v, radius, t, n_samples = random_symmat(np.random.default_rng(8), 3), 0.7, 1e-3, 10_000
+    rng = np.random.default_rng(9)
+    rows = np.concatenate(list(subderivative._candidate_blocks(rng, v, t, radius, n_samples)))
+    assert rows.shape == (1 + n_samples, 6)
+    assert rows[0].tolist() == v.lower.tolist()
+    norms = np.sort([(SymMat(3, row) - v).norm() for row in rows[1:]]) / (radius * t)
+    assert norms.max() <= 1 + 1e-9
+    steps = np.arange(1, n_samples + 1) / n_samples
+    ks = max((steps - norms).max(), (norms - steps + 1 / n_samples).max())
+    assert ks < 1.95 / np.sqrt(n_samples)
+
+
+def test_trace_memory_does_not_grow_with_samples():
+    # one draw of all 50k 12 x 12 noise matrices would allocate 57.6 MB; the
+    # blocks of _TRACE_BLOCK draws peak at about 1.4 MB
+    y, ystar, v, _ = valid_triple(np.random.default_rng(33), 12, rank=6)
+    tracemalloc.start()
+    try:
+        trace = subderivative_sampling_trace(y, ystar, v, t_grid=(0.1,), n_samples=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 1
+    assert peak < 57.6e6 / 10
+
+
+@pytest.mark.parametrize("entry", [1e154, 1e200])
+def test_cli_subderivative_closed_form_overflow_exits_4(tmp_path, capsys, entry):
+    # -2 <ystar, v pinv(y) v> = 2 entry^2 overflows: a numerical anomaly, not
+    # the input error that the infinite "finite" value raised, and no warning
+    triple = {
+        "Y": {"m": 2, "lower": [1, 0, 0]},
+        "Ystar": {"m": 2, "lower": [0, 0, -1]},
+        "V": {"m": 2, "lower": [0, entry, 0]},
+    }
+    path, out = tmp_path / "triple.json", tmp_path / "report.json"
+    path.write_text(json.dumps(triple))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["subderivative", str(path), "--json", str(out)])
+    assert code == 4
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, cli.ERROR_SCHEMA)
+    assert report["error"]["kind"] == "numerical_anomaly"
+    assert "numerical anomaly" in capsys.readouterr().err
 
 
 def test_schur_terms_symmetrize_without_overflow():
