@@ -6,6 +6,7 @@ from .cone import (
     dist_psd_batch,
     is_psd,
     normal_cone_contains,
+    normal_cone_residual,
     project_psd,
     tangent_cone_contains,
     tangent_cone_contains_oracle,

@@ -2,7 +2,9 @@
 
 Membership, projection and distance are eigenvalue based (numpy's LAPACK
 eigensolver; these are plumbing).  The tangent/normal cone tests evaluate the
-closed-form block criteria in the eigenbasis of the base point, and
+closed-form block criteria on the blocks of one conjugation into the
+eigenbasis of the base point; ``normal_cone_residual`` is the one measure
+behind the normal-cone test and the multiplier certificates' slack.
 ``tangent_cone_contains_oracle`` checks the defining difference quotient
 directly so the two routes stay independent.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symmat import OrderedEigenDecomposition, SymMat, block, lower_to_dense
+from .symmat import OrderedEigenDecomposition, SymMat, lower_to_dense, split_blocks
 
 DEFAULT_TOL = 1e-8
 
@@ -67,8 +69,18 @@ def tangent_cone_contains(
         raise ValueError("tangent cone is defined at PSD base points only")
     if not d.omega:
         return True
-    vb = block(v, d, d.omega, d.omega)
-    return float(np.linalg.eigvalsh(vb)[0]) >= -tol
+    return float(np.linalg.eigvalsh(split_blocks(v, d)[2])[0]) >= -tol
+
+
+def normal_cone_residual(d: OrderedEigenDecomposition, ystar: SymMat) -> float:
+    """How far ystar lies from the normal cone at d.source, in d's
+    eigenbasis: the largest of 0, the norms of its pi-pi and pi-omega blocks
+    and the largest eigenvalue of its omega-omega block."""
+    if not d.psd:
+        raise ValueError("normal cone is defined at PSD base points only")
+    pp, po, oo = split_blocks(ystar, d)
+    top = float(np.linalg.eigvalsh(oo)[-1]) if d.omega else 0.0
+    return max(0.0, float(np.linalg.norm(pp)), float(np.linalg.norm(po)), top)
 
 
 def normal_cone_contains(
@@ -77,17 +89,7 @@ def normal_cone_contains(
     """Normal-cone membership at d.source: in d's eigenbasis the pi-pi and
     pi-omega blocks of ystar vanish and the omega-omega block is negative
     semidefinite, all within tol."""
-    if not d.psd:
-        raise ValueError("normal cone is defined at PSD base points only")
-    pi, omega = d.pi, d.omega
-    if np.linalg.norm(block(ystar, d, pi, pi)) > tol:
-        return False
-    if pi and omega and np.linalg.norm(block(ystar, d, pi, omega)) > tol:
-        return False
-    if not omega:
-        return True
-    wb = block(ystar, d, omega, omega)
-    return float(np.linalg.eigvalsh(wb)[-1]) <= tol
+    return normal_cone_residual(d, ystar) <= tol
 
 
 def tangent_cone_contains_oracle(

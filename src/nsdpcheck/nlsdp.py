@@ -126,7 +126,8 @@ def _check_rows(p: NlsdpProblem, xs) -> np.ndarray:
 def eval_f_batch(p: NlsdpProblem, xs) -> np.ndarray:
     """f at every row of the (k, n) array xs."""
     xs = _check_rows(p, xs)
-    return p.f.c + xs @ p.f.g + 0.5 * np.einsum("ki,ki->k", xs @ p.f.h, xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is the caller's to report
+        return p.f.c + xs @ p.f.g + 0.5 * np.einsum("ki,ki->k", xs @ p.f.h, xs)
 
 
 def eval_f(p: NlsdpProblem, x) -> float:

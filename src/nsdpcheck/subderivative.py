@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import DEFAULT_TOL, normal_cone_contains, tangent_cone_contains
-from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, _tril_weights, block
-from .symmat import eigen_decompose, frobenius_inner, lower_to_dense, pseudoinverse
+from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, _tril_weights
+from .symmat import eigen_decompose, frobenius_inner, lower_to_dense, pseudoinverse, split_blocks
 
 # Sampling-oracle defaults.
 SAMPLING_T_GRID = tuple(np.logspace(-1, -5, 8))
@@ -120,27 +120,30 @@ def second_subderivative(
     if not tangent_cone_contains(d, v, tol):
         return ExtendedReal.plus_infinity()
     y_norm, v_norm = ystar.norm(), v.norm()
-    vs, y_top = v, 1.0  # <ystar, v> is tested in units of y_top * (v's largest |entry|)
+    # <ystar, v> is tested in units of y_top * v_top, the largest |entries|
+    ys, vs, y_top, v_top = ystar, v, 1.0, 1.0
     if not (ystar.lower.any() and v.lower.any()):  # 0, without reading 0 * inf
         inner, scale = 0.0, 1.0
     elif math.isfinite(y_norm * v_norm):
         inner, scale = frobenius_inner(ystar, v), max(1.0, y_norm * v_norm)
     else:  # |ystar| |v| overflows: test copies scaled to a largest |entry| of 1
-        y_top = float(np.abs(ystar.lower).max())
-        ys = SymMat(ystar.m, ystar.lower / y_top)
-        vs = SymMat(v.m, v.lower / np.abs(v.lower).max())
+        y_top, v_top = float(np.abs(ystar.lower).max()), float(np.abs(v.lower).max())
+        ys, vs = SymMat(ystar.m, ystar.lower / y_top), SymMat(v.m, v.lower / v_top)
         inner, scale = frobenius_inner(ys, vs), ys.norm() * vs.norm()
     if inner < -tol * scale:
         return ExtendedReal.plus_infinity()
     if inner > tol * scale:
-        # normal_cone_contains admits pi-pi and pi-omega blocks of ystar of
-        # norm up to tol, which add up to tol (||V_pp|| + 2 ||V_po||) to the
-        # inner product, V's blocks taken in d's eigenbasis.
-        pi, omega = d.pi, d.omega
-        admitted = np.linalg.norm(block(vs, d, pi, pi)) + 2.0 * np.linalg.norm(
-            block(vs, d, pi, omega)
-        )
-        if inner > tol * (scale + admitted / y_top):
+        # The two membership tests admit, in d's eigenbasis, pi-pi and
+        # pi-omega blocks of ystar of norm up to tol, lambda_max(Y_oo) <= tol
+        # and lambda_min(V_oo) >= -tol, which add up to tol (||V_pp|| +
+        # 2 ||V_po|| + tr V_oo^+ + tr Y_oo^-) to the inner product.
+        v_pp, v_po, v_oo = split_blocks(vs, d)
+        y_oo = split_blocks(ys, d)[2]
+        lam_v, lam_y = np.linalg.eigvalsh(v_oo), np.linalg.eigvalsh(y_oo)
+        admitted = (
+            np.linalg.norm(v_pp) + 2.0 * np.linalg.norm(v_po) + np.maximum(lam_v, 0.0).sum()
+        ) / y_top + np.maximum(-lam_y, 0.0).sum() / v_top
+        if inner > tol * (scale + admitted):
             # Would be the minus-infinity branch, impossible for a normal-cone
             # multiplier against a tangent direction (polar cones).
             raise ToleranceAnomalyError(
@@ -152,7 +155,7 @@ def second_subderivative(
         value = -2.0 * float(np.sum(ystar.dense() * (vd @ ydag @ vd)))
     if not math.isfinite(value):
         raise FloatingPointError(f"the closed form -2 <ystar, v pinv(y) v> overflows to {value}")
-    return ExtendedReal.finite(value)
+    return ExtendedReal.finite(value + 0.0)  # a zero reads 0, not -0
 
 
 def _schur_terms(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float):
@@ -303,7 +306,7 @@ def _quotients(ystar: SymMat, lowers: np.ndarray, t: float) -> np.ndarray:
             inner = np.sum(weights * (ystar.lower / y_top) * (rows / top[:, None]), axis=-1)
             (mi, ei), (my, ey), (mr, er), (mt, et) = map(np.frexp, (-2.0 * inner, y_top, top, t))
             out[bad] = np.ldexp(mi * my * mr / mt, ei + ey + er - et)
-    return out
+    return out + 0.0  # a zero reads 0, not -0
 
 
 def subderivative_sampling_trace(

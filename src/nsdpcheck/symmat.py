@@ -226,16 +226,17 @@ class OrderedEigenDecomposition:
 
     Rows of ``p_matrix`` are eigenvectors; eigenvalues are sorted
     non-increasingly.  ``pi`` holds indices of eigenvalues > rank_tol and
-    ``omega`` indices with |eigenvalue| <= rank_tol.  Eigenvalues below
-    -rank_tol belong to neither set and flag the matrix as not PSD.
+    ``omega`` indices with |eigenvalue| <= rank_tol; both are derived from
+    the eigenvalues.  Eigenvalues below -rank_tol belong to neither set and
+    flag the matrix as not PSD.
     """
 
     source: SymMat
     p_matrix: np.ndarray
     eigenvalues: np.ndarray
-    pi: tuple = field(default=())
-    omega: tuple = field(default=())
     rank_tol: float = 0.0
+    pi: tuple = field(init=False)
+    omega: tuple = field(init=False)
 
     def __post_init__(self):
         p = np.asarray(self.p_matrix, dtype=float)
@@ -254,18 +255,16 @@ class OrderedEigenDecomposition:
         recon = np.linalg.norm(p.T @ np.diag(lam) @ p - y)
         if recon > RECON_TOL * max(1.0, self.source.norm()):
             raise ValueError(f"decomposition does not reproduce source (defect {recon:.3e})")
-        expect_pi = tuple(int(k) for k in np.nonzero(lam > self.rank_tol)[0])
-        expect_omega = tuple(int(k) for k in np.nonzero(np.abs(lam) <= self.rank_tol)[0])
-        if tuple(self.pi) != expect_pi or tuple(self.omega) != expect_omega:
-            raise ValueError("pi/omega do not match the eigenvalues at rank_tol")
         p = p.copy()
         p.setflags(write=False)
         lam = lam.copy()
         lam.setflags(write=False)
         object.__setattr__(self, "p_matrix", p)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "pi", expect_pi)
-        object.__setattr__(self, "omega", expect_omega)
+        object.__setattr__(self, "pi", tuple(int(k) for k in np.nonzero(lam > self.rank_tol)[0]))
+        object.__setattr__(
+            self, "omega", tuple(int(k) for k in np.nonzero(np.abs(lam) <= self.rank_tol)[0])
+        )
 
     @property
     def psd(self) -> bool:
@@ -292,11 +291,7 @@ def eigen_decompose(y: SymMat, rank_tol: float | None = None) -> OrderedEigenDec
     p = q[:, ::-1].T
     if rank_tol is None:
         rank_tol = DEFAULT_RANK_REL * max(1.0, float(np.abs(lam).max()))
-    pi = tuple(int(k) for k in np.nonzero(lam > rank_tol)[0])
-    omega = tuple(int(k) for k in np.nonzero(np.abs(lam) <= rank_tol)[0])
-    return OrderedEigenDecomposition(
-        source=y, p_matrix=p, eigenvalues=lam, pi=pi, omega=omega, rank_tol=rank_tol
-    )
+    return OrderedEigenDecomposition(source=y, p_matrix=p, eigenvalues=lam, rank_tol=rank_tol)
 
 
 def pseudoinverse(d: OrderedEigenDecomposition) -> SymMat:
@@ -304,8 +299,8 @@ def pseudoinverse(d: OrderedEigenDecomposition) -> SymMat:
     if not d.psd:
         raise ValueError("pseudoinverse requires a PSD-flagged decomposition")
     inv = np.zeros(d.m)
-    for k in d.pi:
-        inv[k] = 1.0 / d.eigenvalues[k]
+    pi = list(d.pi)
+    inv[pi] = 1.0 / d.eigenvalues[pi]
     dense = d.p_matrix.T @ np.diag(inv) @ d.p_matrix
     return SymMat.from_dense(dense, check_symmetry=False)
 
@@ -326,3 +321,10 @@ def block(a: SymMat, d: OrderedEigenDecomposition, rows, cols) -> np.ndarray:
             raise IndexError(f"index {idx} out of range for dimension {d.m}")
     conj = conjugate(a, d).dense()
     return conj[np.ix_(rows, cols)] if rows and cols else np.zeros((len(rows), len(cols)))
+
+
+def split_blocks(a: SymMat, d: OrderedEigenDecomposition):
+    """The pi-pi, pi-omega and omega-omega blocks of one conjugate(a, d);
+    an empty index set gives empty blocks."""
+    conj = conjugate(a, d).dense()
+    return conj[np.ix_(d.pi, d.pi)], conj[np.ix_(d.pi, d.omega)], conj[np.ix_(d.omega, d.omega)]

@@ -119,15 +119,25 @@ def test_subderivative_hypothesis_violation(tmp_path, capsys):
 
 
 def test_numerical_anomaly_exits_4(tmp_path, capsys):
-    # Ystar = tol passes the absolute normal-cone test at Y = 0, but
-    # <Ystar, V> = 1e-4 fails the scaled polarity test in
-    # second_subderivative: an internal tolerance anomaly, which must not
-    # read as a refutation (exit 1) or escape as a traceback
-    path = tmp_path / "anomaly.json"
+    # Ystar = tol passes the normal-cone test at Y = 0, and against V = 1e4
+    # gives <Ystar, V> = 1e-4; the polarity test admits tol tr V_oo^+ of it,
+    # where it used to exit 4, so the closed form reads 0
+    path = tmp_path / "slack.json"
     path.write_text(json.dumps({
         "Y": {"m": 1, "lower": [0]},
         "Ystar": {"m": 1, "lower": [1e-8]},
         "V": {"m": 1, "lower": [1e4]},
+    }))
+    assert run_cli("subderivative", str(path)) == 0
+    assert "closed form: 0\n" in capsys.readouterr().out
+
+    # -2 <Ystar, V pinv(Y) V> = 2e400 overflows: an internal anomaly, which
+    # must not read as a refutation (exit 1) or escape as a traceback
+    path = tmp_path / "anomaly.json"
+    path.write_text(json.dumps({
+        "Y": {"m": 2, "lower": [1, 0, 0]},
+        "Ystar": {"m": 2, "lower": [0, 0, -1]},
+        "V": {"m": 2, "lower": [0, 1e200, 0]},
     }))
     assert run_cli("subderivative", str(path)) == 4
     captured = capsys.readouterr()
@@ -146,6 +156,52 @@ def test_numerical_anomaly_exits_4(tmp_path, capsys):
     assert report["options"] == {
         "tol": 1e-8, "rank_tol": None, "samples": 64, "radius": 1.0, "seed": 0,
     }
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        # lambda_max(Ystar_oo) = tol admits tol tr V_oo^+ = 1e-4
+        {"Y": [0], "Ystar": [1e-8], "V": [1e4]},
+        # lambda_min(V_oo) = -5e-9 admits tol tr (Ystar_oo)^- = 3e-8
+        {
+            "Y": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            "Ystar": [0, 0, -1, 0, 0, -1, 0, 0, 0, -1],
+            "V": [0, 0, -5e-9, 0, 0, -5e-9, 0, 0, 0, -5e-9],
+        },
+    ],
+)
+def test_omega_omega_slack_is_no_anomaly(triple, tmp_path, capsys):
+    # both polarity reproducers exited 4 with a false "numerical anomaly"
+    m = 1 if len(triple["Y"]) == 1 else 4
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({key: {"m": m, "lower": lower} for key, lower in triple.items()}))
+    report_path = tmp_path / "report.json"
+    assert run_cli("subderivative", str(path), "--json", str(report_path)) == 0
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["result"]["closed_form"] == {"tag": "finite", "value": 0.0}
+
+
+def test_zero_closed_form_reads_0_not_minus_0(tmp_path, capsys):
+    # Ystar = 0: -2 * 0 used to print "-0" and write -0.0, in every step too
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "Y": {"m": 2, "lower": [1, 0, 0]},
+        "Ystar": {"m": 2, "lower": [0, 0, 0]},
+        "V": {"m": 2, "lower": [0, 1, 0]},
+    }))
+    assert run_cli("subderivative", str(path)) == 0
+    out = capsys.readouterr().out
+    assert "closed form: 0\n" in out and "sampling estimate: 0\n" in out
+    steps = [line for line in out.splitlines() if line.startswith("  t=")]
+    assert steps and all(line.endswith("n=1  min=0  recovery=0") for line in steps)
+    report_path = tmp_path / "report.json"
+    assert run_cli("subderivative", str(path), "--json", str(report_path)) == 0
+    capsys.readouterr()
+    text = report_path.read_text()
+    assert '"value": 0.0' in text and "-0.0" not in text
 
 
 def test_admitted_normal_cone_slack_is_no_anomaly(tmp_path, capsys):

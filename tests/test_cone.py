@@ -8,6 +8,7 @@ from nsdpcheck.cone import (
     dist_psd_batch,
     is_psd,
     normal_cone_contains,
+    normal_cone_residual,
     project_psd,
     tangent_cone_contains,
     tangent_cone_contains_oracle,
@@ -92,6 +93,24 @@ def test_normal_cone_examples():
     interior = eigen_decompose(SymMat.identity(2))
     assert normal_cone_contains(interior, SymMat.zeros(2))
     assert not normal_cone_contains(interior, SymMat.diagonal([0.0, -1e-3]))
+
+
+def test_normal_cone_membership_is_its_residual_within_tol():
+    # one measure: the residual is the largest of 0, |Y*_pp|, |Y*_po| and
+    # lambda_max(Y*_oo), and membership is residual <= tol, at every rank
+    rng = np.random.default_rng(59)
+    for trial in range(60):
+        m = int(rng.integers(1, 5))
+        d = eigen_decompose(random_psd(rng, m, rank=trial % (m + 1)))
+        ystar = valid_triple(rng, m, rank=len(d.pi))[1] if trial % 3 else random_symmat(rng, m)
+        ystar = ystar + random_symmat(rng, m, scale=10.0 ** rng.uniform(-10, -6))
+        pp, po, oo = (block(ystar, d, r, c) for r, c in
+                      ((d.pi, d.pi), (d.pi, d.omega), (d.omega, d.omega)))
+        top = np.linalg.eigvalsh(oo)[-1] if d.omega else 0.0
+        residual = normal_cone_residual(d, ystar)
+        assert residual == max(0.0, np.linalg.norm(pp), np.linalg.norm(po), top)
+        for tol in (1e-12, 1e-8, residual, 1.0):
+            assert normal_cone_contains(d, ystar, tol) == (residual <= tol)
 
 
 def test_degenerate_base_points():
@@ -208,8 +227,6 @@ def test_membership_invariant_across_eigenbasis_ties():
             source=y,
             p_matrix=p2,
             eigenvalues=d1.eigenvalues,
-            pi=d1.pi,
-            omega=d1.omega,
             rank_tol=d1.rank_tol,
         )
         assert not np.allclose(d1.p_matrix, d2.p_matrix)

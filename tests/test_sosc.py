@@ -40,14 +40,16 @@ from nsdpcheck import (
     sosc_margin,
     verify_growth,
 )
-from nsdpcheck import cli, sosc
-from nsdpcheck.cone import dist_psd_batch, tangent_cone_contains
+from nsdpcheck import cli, sosc, symmat
+from nsdpcheck.cone import DEFAULT_TOL, dist_psd_batch, normal_cone_residual
+from nsdpcheck.cone import tangent_cone_contains
 from nsdpcheck.nlsdp import _quadratic_rows, dF, d2F, eval_F_batch, eval_f_batch
-from nsdpcheck.nlsdp import lagrangian_grad
+from nsdpcheck.nlsdp import adjoint_dF, lagrangian_grad, lagrangian_hess_form
+from nsdpcheck.subderivative import second_subderivative
 from nsdpcheck.symmat import block, frobenius_norms, lower_to_dense, pseudoinverse, svec
 
 from conftest import build_p1, build_trivial_cone, kkt_consistent_problem, linalg_calls
-from conftest import random_orthogonal, random_symmat
+from conftest import random_orthogonal, random_psd, random_symmat
 
 XBAR = np.zeros(2)
 FAST = SoscOptions(n_dirs=64)
@@ -255,14 +257,55 @@ def test_linearized_map_matches_per_axis_reference(case):
 
 
 def test_linearized_map_is_one_contraction(monkeypatch):
-    # neither matrix is built from per-axis dF, block or pinv calls
+    # neither matrix is built from per-axis dF, eigenbasis-block or pinv calls
     p, xbar = kkt_consistent_problem(np.random.default_rng(0), 3, 9), np.zeros(3)
     d = eigen_decompose(eval_F(p, xbar))
     k = len(d.omega)
-    for name in ("dF", "block", "pseudoinverse"):
-        monkeypatch.setattr(sosc, name, None)
+    for module in (sosc, symmat):
+        for name in ("dF", "block", "split_blocks", "conjugate", "pseudoinverse"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, None)
     assert sosc._linearized_rows(p, xbar, d).shape == (3, 1 + k * (k + 1) // 2)
     assert sosc._margin_coefficients(p, xbar, d).shape == (3, 3, k * (k + 1) // 2)
+
+
+def _kkt_at_rank(rng, n, m, rank):
+    """A KKT point at the origin, as in kkt_consistent_problem, with F(0) of
+    the given rank (0 empties pi, m empties omega) and A_1 = 0, so that the
+    axis e_1 is critical."""
+    base = kkt_consistent_problem(rng, n, m)
+    a = base.F.a.copy()
+    a[0] = 0.0
+    cap = QuadraticMatrixMap(a0=random_psd(rng, m, rank), a=a, b=base.F.b)
+    p_omega = eigen_decompose(cap.a0).p_matrix[rank:]
+    ystar = SymMat.from_dense(-p_omega.T @ p_omega, check_symmetry=False)
+    g = -adjoint_dF(NlsdpProblem(n=n, m=m, f=base.f, F=cap), np.zeros(n), ystar)
+    return NlsdpProblem(n=n, m=m, f=QuadraticScalar(c=0.0, g=g, h=base.f.h), F=cap)
+
+
+@pytest.mark.parametrize("rank", [0, 2, 4])
+def test_margin_is_hessian_form_plus_subderivative(rank):
+    # one curvature route: every certificate's margin is the Lagrangian's
+    # Hessian form plus the second subderivative, bit for bit, and its slack
+    # bounds the normal-cone residual of its multiplier
+    rng = np.random.default_rng(61 + rank)
+    seen = 0
+    for _ in range(5):
+        n, m = int(rng.integers(2, 6)), 4
+        p, xbar = _kkt_at_rank(rng, n, m, rank), np.zeros(n)
+        report = check_sosc(p, xbar, SoscOptions(n_dirs=32))
+        d = report.decomposition
+        assert (len(d.pi), len(d.omega)) == (rank, m - rank)
+        for cert in report.certificates:
+            cand, u = cert.candidate, cert.direction
+            cross_tol = max(DEFAULT_TOL, 10.0 * cand.normal_cone_slack + 1e-12)
+            sub = second_subderivative(d, cand.ystar, dF(p, xbar, u), cross_tol)
+            hess = lagrangian_hess_form(p, cand.alpha, xbar, cand.ystar, u)
+            assert cert.margin == hess + sub.value
+            assert sosc_margin(p, xbar, u, cand, d=d) == cert.margin
+            assert cand.normal_cone_slack >= normal_cone_residual(d, cand.ystar)
+            seen += 1
+    assert seen >= 10
 
 
 def test_check_sosc_samples_through_the_public_sampler(monkeypatch, p1):

@@ -2,6 +2,7 @@
 the sampling oracle."""
 
 import json
+import math
 import tracemalloc
 import warnings
 from collections import Counter
@@ -30,6 +31,7 @@ from nsdpcheck.subderivative import (
     subderivative_sampling_trace,
 )
 from nsdpcheck.symmat import (
+    OrderedEigenDecomposition,
     SymMat,
     _tril_indices,
     conjugate,
@@ -136,14 +138,50 @@ def test_second_subderivative_rejects_bad_multiplier():
 
 
 def test_second_subderivative_reports_unreachable_branch():
-    # a multiplier just inside the tolerance band paired with a large
-    # omega-block direction drives <Ystar, V> past +tol: tolerance drift
+    # a multiplier just inside the tolerance band of the omega-omega block,
+    # against a large omega-block direction, gives <Ystar, V> = 5e-8 > tol:
+    # the membership tests admit tol tr V_oo^+ of it, so this is no anomaly
     d = eigen_decompose(Y_CORNER)
     tol = 1e-8
     drifted = SymMat.diagonal([0.0, 0.99 * tol])
     v = SymMat.diagonal([0.0, 5.0])
+    value = second_subderivative(d, drifted, v, tol).value
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    # an eigenbasis that drifts from orthogonal within the decomposition's own
+    # tolerance shrinks both blocks by s^2 = 1 - 5e-11, so the admitted
+    # slack no longer covers <Ystar, V> = 1: tolerance drift
+    s = math.sqrt(1.0 - 5e-11)
+    skewed = OrderedEigenDecomposition(
+        source=Y_CORNER, p_matrix=np.diag([1.0, s]), eigenvalues=np.array([1.0, 0.0]),
+        rank_tol=d.rank_tol,
+    )
+    ystar, v = SymMat.diagonal([0.0, 1e-12]), SymMat.diagonal([0.0, 1e12])
+    assert second_subderivative(d, ystar, v, 1e-12).value == 0.0
     with pytest.raises(ToleranceAnomalyError):
-        second_subderivative(d, drifted, v, tol)
+        second_subderivative(skewed, ystar, v, 1e-12)
+
+
+def test_polarity_allowance_keeps_units_in_the_scaled_branch():
+    # |Ystar| overflows, so <Ystar, V> is tested on copies scaled to a
+    # largest |entry| of 1: lambda_min(V_oo) = -tol admits tol tr (Ystar_oo)^-,
+    # which stays in V's units, 2.5e-8 > 2.2e-8 (tol |Ystar| |V| there)
+    tol = 1e-8
+    d = eigen_decompose(SymMat.diagonal([1.0] + [0.0] * 5))
+    ystar = SymMat.diagonal([0.0] + [-1e308] * 5)
+    v = SymMat.diagonal([2.0] + [-tol] * 5)
+    assert normal_cone_contains(d, ystar, tol) and tangent_cone_contains(d, v, tol)
+    assert second_subderivative(d, ystar, v, tol).to_json() == {"tag": "finite", "value": 0.0}
+
+
+def test_closed_form_and_quotients_read_zero_not_negative_zero():
+    # Ystar = 0 gives -2 * 0 = -0 in the closed form and every quotient
+    zero = SymMat.zeros(2)
+    value = second_subderivative(eigen_decompose(Y_CORNER), zero, V_CROSS).value
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    trace = subderivative_sampling_trace(Y_CORNER, zero, V_CROSS, n_samples=8)
+    quotients = [lv[key] for lv in trace for key in ("min_quotient", "recovery_quotient")]
+    assert all(q == 0.0 and math.copysign(1.0, q) == 1.0 for q in quotients)
 
 
 def test_schur_feasibility_examples():

@@ -12,6 +12,7 @@ from nsdpcheck.symmat import (
     frobenius_inner,
     frobenius_norms,
     pseudoinverse,
+    split_blocks,
     svec,
 )
 
@@ -248,8 +249,6 @@ def test_decomposition_invariants_enforced():
             source=y,
             p_matrix=np.eye(2) * 2.0,
             eigenvalues=np.array([2.0, 1.0]),
-            pi=(0, 1),
-            omega=(),
             rank_tol=1e-8,
         )
     with pytest.raises(ValueError):
@@ -257,10 +256,35 @@ def test_decomposition_invariants_enforced():
             source=y,
             p_matrix=np.eye(2),
             eigenvalues=np.array([1.0, 2.0]),
-            pi=(0, 1),
-            omega=(),
             rank_tol=1e-8,
         )
+
+
+def test_pi_and_omega_follow_rank_tol_at_the_boundary():
+    # pi is lambda > rank_tol and omega |lambda| <= rank_tol, derived from the
+    # eigenvalues: |lambda| == rank_tol lands in omega, one ulp less in pi
+    lam = np.array([2.0, 0.5, 0.25, 0.0, -0.5])
+    y = SymMat.diagonal(lam)
+    below = float(np.nextafter(0.5, 0.0))
+    for d in (
+        eigen_decompose(y, 0.5),
+        OrderedEigenDecomposition(source=y, p_matrix=np.eye(5), eigenvalues=lam, rank_tol=0.5),
+    ):
+        assert (d.pi, d.omega, d.psd) == ((0,), (1, 2, 3, 4), True)
+    d = eigen_decompose(y, below)
+    assert (d.pi, d.omega, d.psd) == ((0, 1), (2, 3), False)
+
+
+def test_split_blocks_are_the_blocks_of_one_conjugation():
+    # bit for bit the blocks that block() cuts, empty pi and omega included
+    rng = np.random.default_rng(31)
+    for rank in (0, 1, 2, 3):
+        d = eigen_decompose(random_psd(rng, 3, rank))
+        a = random_symmat(rng, 3)
+        pi, omega = d.pi, d.omega
+        for got, (rows, cols) in zip(split_blocks(a, d), ((pi, pi), (pi, omega), (omega, omega))):
+            assert got.shape == (len(rows), len(cols))
+            assert np.array_equal(got, block(a, d, rows, cols))
 
 
 def test_rank_classification_follows_tolerance():
