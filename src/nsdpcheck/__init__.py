@@ -7,6 +7,7 @@ from .cone import (
     is_psd,
     normal_cone_contains,
     normal_cone_residual,
+    project_normal_cone,
     project_psd,
     tangent_cone_contains,
     tangent_cone_contains_oracle,
@@ -47,7 +48,6 @@ from .sosc import (
     verify_growth,
 )
 from .subderivative import (
-    ExtendedReal,
     HypothesisViolation,
     NoFeasibleSampleError,
     PivotNotPositiveDefinite,

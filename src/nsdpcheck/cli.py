@@ -119,7 +119,7 @@ REPORT_SCHEMA = {
         ),
         result=_object(
             closed_form=_object(
-                tag={"enum": ["finite", "plus_infinity", "minus_infinity"]},
+                tag={"enum": ["finite", "plus_infinity"]},
                 value=_NUMBER_OR_NULL,
             ),
             sampling_estimate=_NUMBER_OR_NULL,
@@ -328,11 +328,11 @@ def cmd_subderivative(args) -> int:
         estimate = estimate_from_trace(trace)
     except NoFeasibleSampleError:
         estimate = None
+    tag = "finite" if math.isfinite(closed) else "plus_infinity"
     lines = [
         f"Y eigenvalues: {_fmt_vec(d.eigenvalues)}",
         _split_line(d),
-        "closed form: "
-        + (f"{closed.value:.12g}" if closed.is_finite else closed.tag),
+        "closed form: " + (f"{closed:.12g}" if tag == "finite" else tag),
         "sampling estimate: "
         + (f"{estimate:.12g}" if estimate is not None else "no feasible sample"),
         "trace (t, feasible, min quotient, recovery quotient):",
@@ -355,7 +355,8 @@ def cmd_subderivative(args) -> int:
         "omega": d.omega,
         "rank_tol": d.rank_tol,
     }
-    result = {"closed_form": closed.to_json(), "sampling_estimate": estimate, "trace": trace}
+    closed_form = {"tag": tag, "value": closed}
+    result = {"closed_form": closed_form, "sampling_estimate": estimate, "trace": trace}
     _emit(args, {"triple": triple_json, "result": result}, lines)
     return 0
 

@@ -4,7 +4,8 @@ Membership, projection and distance are eigenvalue based (numpy's LAPACK
 eigensolver; these are plumbing).  The tangent/normal cone tests evaluate the
 closed-form block criteria on the blocks of one conjugation into the
 eigenbasis of the base point; ``normal_cone_residual`` is the one measure
-behind the normal-cone test and the multiplier certificates' slack.
+behind the normal-cone test and the multiplier certificates' slack, and
+``project_normal_cone`` the nearest point of that cone.
 ``tangent_cone_contains_oracle`` checks the defining difference quotient
 directly so the two routes stay independent.
 """
@@ -81,6 +82,26 @@ def normal_cone_residual(d: OrderedEigenDecomposition, ystar: SymMat) -> float:
     pp, po, oo = split_blocks(ystar, d)
     top = float(np.linalg.eigvalsh(oo)[-1]) if d.omega else 0.0
     return max(0.0, float(np.linalg.norm(pp)), float(np.linalg.norm(po)), top)
+
+
+def _embed_omega(d: OrderedEigenDecomposition, w: np.ndarray) -> SymMat:
+    """Lift a |omega| x |omega| block to the full space through d's eigenbasis."""
+    full = np.zeros((d.m, d.m))
+    omega = list(d.omega)
+    if omega:
+        full[np.ix_(omega, omega)] = w
+    dense = d.p_matrix.T @ full @ d.p_matrix
+    return SymMat.from_dense(dense, check_symmetry=False)
+
+
+def project_normal_cone(d: OrderedEigenDecomposition, ystar: SymMat) -> SymMat:
+    """The point of the normal cone at d.source nearest to ystar: in d's
+    eigenbasis, the negative part of ystar's omega-omega block, and 0 in
+    the other blocks."""
+    if not d.psd:
+        raise ValueError("normal cone is defined at PSD base points only")
+    lam, q = np.linalg.eigh(split_blocks(ystar, d)[2])
+    return _embed_omega(d, (q * np.minimum(lam, 0.0)) @ q.T)
 
 
 def normal_cone_contains(

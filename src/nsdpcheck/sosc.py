@@ -1,7 +1,8 @@
 """Second-order sufficient condition checks at a candidate point.
 
-``check_sosc`` samples the critical cone, searches a directional multiplier
-for every sampled direction and evaluates the curvature margin
+``check_sosc`` samples the critical cone, from candidates that repeat none
+of one another (so no dedup pass follows), searches a directional
+multiplier for every sampled direction and evaluates the curvature margin
 
     Lxx[u, u] - 2 <ystar, (dF u) pinv(F) (dF u)>,
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cone import DEFAULT_TOL, dist_psd, dist_psd_batch, normal_cone_residual
+from .cone import DEFAULT_TOL, _embed_omega, dist_psd, dist_psd_batch, normal_cone_residual
 from .nlsdp import (
     NlsdpProblem,
     _jacobian,
@@ -62,7 +63,6 @@ _ALPHA_NORMALIZE = 1e-6
 
 # Angular resolution of the deterministic direction grids.
 _GRID_STEP_DEG = {2: 2.0, 3: 10.0}
-_DEDUP_ANGLE = 1e-3
 
 # Growth samples whose constraint values are eigen-solved together; bounds the
 # (block, m, m) work buffer.
@@ -83,6 +83,7 @@ _GROWTH_SCREEN_OPEN = 0.5
 # below _QUADRATIC, where steps are full and converge quadratically.
 _BARRIER_MU = 100.0
 _BARRIER_GAP = 1e-9
+_MAX_NEWTON_STEPS = 200  # per multiplier search, both phases
 _NEWTON_TOL = 1e-7
 _QUADRATIC = 0.25
 
@@ -102,7 +103,6 @@ class SoscOptions:
     cert_tol: float = 1e-7
     margin_tol: float = 1e-9
     n_dirs: int = 512
-    max_iters: int = 200  # Newton steps per multiplier search, both phases
     seed: int = 0
 
     def __post_init__(self):
@@ -114,8 +114,6 @@ class SoscOptions:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.margin_tol < math.inf:
             raise ValueError(f"margin_tol must be finite and >= 0, got {self.margin_tol}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,16 @@ def require_feasible(p: NlsdpProblem, xbar, tol: float) -> SymMat:
 
 
 def _decompose_at(p: NlsdpProblem, xbar, tol: float, rank_tol=None):
-    return eigen_decompose(require_feasible(p, xbar, tol), rank_tol)
+    """The decomposition of F(xbar), which must be PSD both within tol of
+    the cone and at the rank tolerance: no eigenvalue below -rank_tol."""
+    d = eigen_decompose(require_feasible(p, xbar, tol), rank_tol)
+    if not d.psd:
+        raise InfeasiblePointError(
+            f"F(xbar) is not PSD at the rank tolerance (smallest eigenvalue "
+            f"{d.eigenvalues[-1]:.6e} < -rank_tol = {-d.rank_tol:.6e})",
+            dist_psd(d.source),
+        )
+    return d
 
 
 def _linearized_rows(p: NlsdpProblem, xbar, d: OrderedEigenDecomposition) -> np.ndarray:
@@ -281,10 +288,11 @@ def sample_critical_directions(
     tol: float = DEFAULT_TOL,
     d: OrderedEigenDecomposition | None = None,
 ) -> list[np.ndarray]:
-    """Unit directions inside the critical cone: coordinate axes, a
-    deterministic angular grid for n <= 3, and rejection-sampled sphere
-    points, deduplicated within an angular tolerance.  The candidates are
-    tested together, as the rows of one array."""
+    """Unit directions inside the critical cone, in candidate order: the
+    coordinate axes, a deterministic angular grid for n <= 3 without the
+    points that repeat an axis, and normalized sphere draws for n >= 2 (at
+    n = 1 every draw is an axis).  The candidates are tested together, as
+    the rows of one array, and no candidate repeats another."""
     if d is None:
         d = _decompose_at(p, xbar, tol)
     if n_dirs < 1:
@@ -293,39 +301,27 @@ def sample_critical_directions(
     eye = np.eye(n)
     candidates = [np.stack((eye, -eye), axis=1).reshape(2 * n, n)]
     if n == 2:
-        a = np.radians(np.arange(0.0, 360.0, _GRID_STEP_DEG[2]))
+        deg = np.arange(0.0, 360.0, _GRID_STEP_DEG[2])
+        a = np.radians(deg[deg % 90.0 != 0.0])
         candidates.append(np.column_stack((np.cos(a), np.sin(a))))
     elif n == 3:
         step = _GRID_STEP_DEG[3]
-        theta = np.radians(np.arange(step, 180.0, step))[:, None]
-        phi = np.radians(np.arange(0.0, 360.0, step))
+        theta_deg = np.arange(step, 180.0, step)[:, None]
+        phi_deg = np.arange(0.0, 360.0, step)
+        theta, phi = np.radians(theta_deg), np.radians(phi_deg)
         sphere = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
-        candidates.append(np.stack(np.broadcast_arrays(*sphere), axis=-1).reshape(-1, 3))
-    raw = np.random.default_rng([seed, 1]).standard_normal((n_dirs, n))
-    nrm = _row_norms(raw)
-    candidates.append(raw[nrm > 0] / nrm[nrm > 0, None])
+        on_axis = (theta_deg == 90.0) & (phi_deg % 90.0 == 0.0)
+        grid = np.stack(np.broadcast_arrays(*sphere), axis=-1)
+        candidates.append(grid[~on_axis])
+    if n >= 2:
+        raw = np.random.default_rng([seed, 1]).standard_normal((n_dirs, n))
+        nrm = _row_norms(raw)
+        candidates.append(raw[nrm > 0] / nrm[nrm > 0, None])
     us = np.concatenate(candidates)
-
-    kept: list[np.ndarray] = []
-    cos_dedup = math.cos(_DEDUP_ANGLE)
-    for u in us[_critical_mask(_linearized_rows(p, xbar, d), us, d, tol)]:
-        if any(float(u @ v) > cos_dedup for v in kept):
-            continue
-        kept.append(u)
-    return kept
+    return list(us[_critical_mask(_linearized_rows(p, xbar, d), us, d, tol)])
 
 
 # -- multiplier search ----------------------------------------------------------
-
-
-def _embed_omega(d: OrderedEigenDecomposition, w: np.ndarray) -> SymMat:
-    """Lift a |omega| x |omega| block to the full space through d's eigenbasis."""
-    full = np.zeros((d.m, d.m))
-    omega = list(d.omega)
-    if omega:
-        full[np.ix_(omega, omega)] = w
-    dense = d.p_matrix.T @ full @ d.p_matrix
-    return SymMat.from_dense(dense, check_symmetry=False)
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -418,7 +414,7 @@ def _multiplier_search(
     their scale.  Phase I maximizes s with G(z) - s I PSD (s* < -cert_tol:
     no multiplier), phase II the margin, linear in z, with G(z) +
     (cert_tol / 2) I PSD.  Both run _barrier_max in the free variables y of
-    z = z0 + free @ y and share the max_iters Newton steps."""
+    z = z0 + free @ y and share the _MAX_NEWTON_STEPS Newton steps."""
     xbar = np.asarray(xbar, dtype=float)
     u = np.asarray(u, dtype=float)
     k = len(d.omega)
@@ -442,7 +438,7 @@ def _multiplier_search(
     lmi_s = np.concatenate((g_free, -np.eye(size)[None]))
     x, used, hit_cap = _barrier_max(
         g0, lmi_s, np.eye(len(lmi_s))[-1], np.append(np.zeros(len(g_free)), s0),
-        1.0 / size - s0, opts.max_iters, reach=-delta, floor=-opts.cert_tol,
+        1.0 / size - s0, _MAX_NEWTON_STEPS, reach=-delta, floor=-opts.cert_tol,
     )
     y, best_interiority = x[:-1], float(x[-1])
     if best_interiority < -opts.cert_tol:
@@ -453,7 +449,7 @@ def _multiplier_search(
         gain = (basis @ free).T @ margin_row
         y, _, capped = _barrier_max(
             g0 + delta * np.eye(size), g_free, gain, y, float(np.linalg.norm(gain)),
-            opts.max_iters - used,
+            _MAX_NEWTON_STEPS - used,
         )
         hit_cap = hit_cap or capped
 
@@ -521,9 +517,9 @@ def sosc_margin(
     hess = lagrangian_hess_form(p, cand.alpha, xbar, cand.ystar, u)
     cross_tol = max(tol, 10.0 * cand.normal_cone_slack + 1e-12)
     sub = second_subderivative(d, cand.ystar, g_dir, cross_tol)
-    if not sub.is_finite:
+    if not math.isfinite(sub):
         raise ToleranceAnomalyError("second subderivative is infinite along a critical direction")
-    return hess + sub.value
+    return hess + sub
 
 
 def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscReport:

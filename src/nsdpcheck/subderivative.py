@@ -17,11 +17,10 @@ sampling feasible directions at shrinking step sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import DEFAULT_TOL, normal_cone_contains, tangent_cone_contains
+from .cone import DEFAULT_TOL, normal_cone_contains, project_normal_cone, tangent_cone_contains
 from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, _tril_weights
 from .symmat import eigen_decompose, frobenius_inner, lower_to_dense, pseudoinverse, split_blocks
 
@@ -59,57 +58,20 @@ class ToleranceAnomalyError(RuntimeError):
     signals tolerance drift rather than a regular outcome."""
 
 
-@dataclass(frozen=True)
-class ExtendedReal:
-    """Value in R extended with plus/minus infinity, tagged explicitly."""
-
-    tag: str
-    value: float | None = None
-
-    _TAGS = ("finite", "plus_infinity", "minus_infinity")
-
-    def __post_init__(self):
-        if self.tag not in self._TAGS:
-            raise ValueError(f"unknown tag {self.tag!r}")
-        if self.tag == "finite":
-            if self.value is None or not np.isfinite(self.value):
-                raise ValueError("finite tag requires a finite value")
-        elif self.value is not None:
-            raise ValueError("infinite tags carry no value")
-
-    @classmethod
-    def finite(cls, value: float) -> "ExtendedReal":
-        return cls("finite", float(value))
-
-    @classmethod
-    def plus_infinity(cls) -> "ExtendedReal":
-        return cls("plus_infinity")
-
-    @classmethod
-    def minus_infinity(cls) -> "ExtendedReal":
-        return cls("minus_infinity")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.tag == "finite"
-
-    def to_json(self) -> dict:
-        return {"tag": self.tag, "value": self.value}
-
-
 def second_subderivative(
     d: OrderedEigenDecomposition,
     ystar: SymMat,
     v: SymMat,
     tol: float = DEFAULT_TOL,
-) -> ExtendedReal:
+) -> float:
     """Second subderivative of the PSD-cone indicator at d.source with
-    multiplier ystar, evaluated in direction v.
+    multiplier ystar, evaluated in direction v: a value in [0, +inf] up to
+    the tolerance.
 
     Requires ystar in the normal cone at the base point (enforced).  Returns
-    plus infinity when v leaves the tangent cone or <ystar, v> is negative
-    beyond tolerance; otherwise the finite value -2 <ystar, v pinv v>.
-    Raises FloatingPointError where that value overflows.
+    math.inf when v leaves the tangent cone or <ystar, v> is negative beyond
+    tolerance; otherwise the finite value -2 <ystar, v pinv v>.  Raises
+    FloatingPointError where that value overflows.
     """
     if not d.psd:
         raise HypothesisViolation("base point is not PSD within rank_tol")
@@ -118,7 +80,7 @@ def second_subderivative(
     if not normal_cone_contains(d, ystar, tol):
         raise HypothesisViolation("ystar is not in the normal cone at the base point")
     if not tangent_cone_contains(d, v, tol):
-        return ExtendedReal.plus_infinity()
+        return math.inf
     y_norm, v_norm = ystar.norm(), v.norm()
     # <ystar, v> is tested in units of y_top * v_top, the largest |entries|
     ys, vs, y_top, v_top = ystar, v, 1.0, 1.0
@@ -131,7 +93,7 @@ def second_subderivative(
         ys, vs = SymMat(ystar.m, ystar.lower / y_top), SymMat(v.m, v.lower / v_top)
         inner, scale = frobenius_inner(ys, vs), ys.norm() * vs.norm()
     if inner < -tol * scale:
-        return ExtendedReal.plus_infinity()
+        return math.inf
     if inner > tol * scale:
         # The two membership tests admit, in d's eigenbasis, pi-pi and
         # pi-omega blocks of ystar of norm up to tol, lambda_max(Y_oo) <= tol
@@ -144,8 +106,8 @@ def second_subderivative(
             np.linalg.norm(v_pp) + 2.0 * np.linalg.norm(v_po) + np.maximum(lam_v, 0.0).sum()
         ) / y_top + np.maximum(-lam_y, 0.0).sum() / v_top
         if inner > tol * (scale + admitted):
-            # Would be the minus-infinity branch, impossible for a normal-cone
-            # multiplier against a tangent direction (polar cones).
+            # Would make the value minus infinity, impossible for a
+            # normal-cone multiplier against a tangent direction (polar cones).
             raise ToleranceAnomalyError(
                 f"<ystar, v> = {inner:.3e} > 0 despite enforced normal-cone membership"
             )
@@ -155,7 +117,7 @@ def second_subderivative(
         value = -2.0 * float(np.sum(ystar.dense() * (vd @ ydag @ vd)))
     if not math.isfinite(value):
         raise FloatingPointError(f"the closed form -2 <ystar, v pinv(y) v> overflows to {value}")
-    return ExtendedReal.finite(value + 0.0)  # a zero reads 0, not -0
+    return value + 0.0  # a zero reads 0, not -0
 
 
 def _schur_terms(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float):
@@ -321,7 +283,8 @@ def subderivative_sampling_trace(
     tol: float = DEFAULT_TOL,
     d: OrderedEigenDecomposition | None = None,
 ) -> list[dict]:
-    """Per-step record of the sampled difference quotients -2<ystar, v'>/t.
+    """Per-step record of the sampled difference quotients -2<ystar, v'>/t,
+    with ystar replaced by the nearest point of the normal cone at y.
 
     At each t the candidate set is v itself, the recovery-sequence point and
     n_samples random symmetric perturbations of v within radius*t, every one
@@ -345,6 +308,9 @@ def subderivative_sampling_trace(
         raise HypothesisViolation("base point is not PSD within rank_tol")
     if not normal_cone_contains(d, ystar, tol):
         raise HypothesisViolation("ystar is not in the normal cone at the base point")
+    # the quotients of a ystar that the tolerance admits outside the cone
+    # would grow like 1/t down the grid
+    ystar = project_normal_cone(d, ystar)
     t_values = sorted((float(t) for t in t_grid), reverse=True)
     if not t_values or t_values[-1] <= 0:
         raise ValueError("t_grid must contain positive step sizes")

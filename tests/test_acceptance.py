@@ -68,20 +68,20 @@ def test_criterion_1_closed_form_vs_sampling_oracle():
         rank = int(rng.integers(1, m))
         y, ystar, v, d = valid_triple(rng, m, rank)
         closed = second_subderivative(d, ystar, v)
-        assert closed.is_finite
+        assert math.isfinite(closed)
         trace = subderivative_sampling_trace(
             y, ystar, v, t_grid=DEEP_T_GRID, n_samples=8, seed=trial
         )
         recovery_limit = trace[-1]["recovery_quotient"]
         assert recovery_limit is not None
-        gap = abs(closed.value - recovery_limit)
+        gap = abs(closed - recovery_limit)
         assert gap <= 1e-6
         estimate = estimate_subderivative_sampling(
             y, ystar, v, t_grid=DEEP_T_GRID, n_samples=8, seed=trial
         )
-        assert estimate >= closed.value - 1e-6
+        assert estimate >= closed - 1e-6
         worst_gap = max(worst_gap, gap)
-        worst_under = max(worst_under, closed.value - estimate)
+        worst_under = max(worst_under, closed - estimate)
     _report(
         1,
         f"200 triples: |closed - recovery limit| <= {worst_gap:.2e}, "
@@ -247,9 +247,9 @@ def test_criterion_8_homogeneity():
     for _ in range(30):
         m = int(rng.integers(2, 6))
         _, ystar, v, d = valid_triple(rng, m, rank=int(rng.integers(1, m)))
-        base_val = second_subderivative(d, ystar, v).value
+        base_val = second_subderivative(d, ystar, v)
         c, s = float(rng.uniform(0.1, 8.0)), float(rng.uniform(0.1, 8.0))
-        scaled_val = second_subderivative(d, s * ystar, c * v).value
+        scaled_val = second_subderivative(d, s * ystar, c * v)
         assert scaled_val == pytest.approx(s * c * c * base_val, rel=1e-12, abs=1e-14)
     _report(8, "margins quadratic in u; subderivative quadratic in V, linear in Y*")
 

@@ -100,6 +100,20 @@ def test_infeasible_point_exits_3(tmp_path, capsys):
     assert "dist to PSD cone" in capsys.readouterr().err
 
 
+def test_point_below_minus_rank_tol_is_infeasible(tmp_path, capsys):
+    # dist(F(xbar), PSD) = 1e-9 passes --tol, but the eigenvalue -1e-9 lies
+    # below -rank_tol; this exited 3 with a tangent-cone error from the sampler
+    obj = json.loads((DATA / "p1.json").read_text())
+    obj["F"]["A0"]["lower"] = [1.0, 0.0, -1e-9]
+    path = tmp_path / "below_rank_tol.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("check-sosc", str(path), "--rank-tol", "1e-12", "--dirs", "16") == 3
+    assert capsys.readouterr().err == (
+        "error: F(xbar) is not PSD at the rank tolerance (smallest eigenvalue "
+        "-1.000000e-09 < -rank_tol = -1.000000e-12)\n"
+    )
+
+
 def test_subderivative_report(capsys):
     code = run_cli("subderivative", str(DATA / "triple_basic.json"), "--samples", "8")
     out = capsys.readouterr().out
@@ -182,6 +196,20 @@ def test_omega_omega_slack_is_no_anomaly(triple, tmp_path, capsys):
     report = json.loads(report_path.read_text())
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["result"]["closed_form"] == {"tag": "finite", "value": 0.0}
+
+
+def test_sampling_estimate_agrees_with_closed_form_at_an_admitted_multiplier(tmp_path, capsys):
+    # Ystar = 1e-8 > 0 passes the normal-cone test at tol; sampled as given,
+    # its quotients -2e-4 / t fell to -20 down the grid against a closed form 0
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({
+        "Y": {"m": 1, "lower": [0]},
+        "Ystar": {"m": 1, "lower": [1e-8]},
+        "V": {"m": 1, "lower": [1e4]},
+    }))
+    assert run_cli("subderivative", str(path)) == 0
+    out = capsys.readouterr().out
+    assert "closed form: 0\n" in out and "sampling estimate: 0\n" in out
 
 
 def test_zero_closed_form_reads_0_not_minus_0(tmp_path, capsys):

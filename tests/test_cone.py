@@ -9,6 +9,7 @@ from nsdpcheck.cone import (
     is_psd,
     normal_cone_contains,
     normal_cone_residual,
+    project_normal_cone,
     project_psd,
     tangent_cone_contains,
     tangent_cone_contains_oracle,
@@ -74,6 +75,21 @@ def test_projection_optimality():
         z = random_psd(rng, m, eig_low=0.0)
         proj = project_psd(a)
         assert (a - proj).norm() <= (a - z).norm() + 1e-9
+
+
+def test_normal_cone_projection_optimality():
+    # the nearest point of the normal cone: inside it, no farther from a than
+    # any other point of it, and a fixed point on the cone's own points
+    rng = np.random.default_rng(47)
+    for trial in range(50):
+        m = int(rng.integers(1, 6))
+        _, ystar, _, d = valid_triple(rng, m, rank=trial % (m + 1))
+        a = random_symmat(rng, m)
+        proj = project_normal_cone(d, a)
+        assert normal_cone_residual(d, proj) <= 1e-12
+        for scale in (0.0, 0.5, 2.0):
+            assert (a - proj).norm() <= (a - scale * ystar).norm() + 1e-9
+        assert (project_normal_cone(d, ystar) - ystar).norm() <= 1e-12
 
 
 def test_tangent_cone_examples():

@@ -112,12 +112,11 @@ def reference_critical_contains(p, xbar, u, tol, d):
     return tangent_cone_contains(d, dF(p, xbar, u), tol)
 
 
-def reference_critical_directions(p, xbar, n_dirs, seed, tol=1e-8):
-    """sample_critical_directions one candidate at a time: math-module
-    grids, one normal draw and one np.linalg.norm per random candidate, and
-    one reference_critical_contains call per candidate."""
-    d = eigen_decompose(eval_F(p, xbar))
-    n = p.n
+def reference_candidates(n, n_dirs, seed, axis_repeats=False):
+    """The sampler's candidates one at a time: the axes, math-module grids
+    and one normal draw and one np.linalg.norm per random candidate.  With
+    axis_repeats, the grid points that repeat an axis and the draws at
+    n = 1 stay in, as the sampler took them when a dedup pass followed."""
     candidates = []
     for i in range(n):
         axis = np.zeros(n)
@@ -125,31 +124,48 @@ def reference_critical_directions(p, xbar, n_dirs, seed, tol=1e-8):
         candidates.extend((axis.copy(), -axis))
     if n == 2:
         for deg in np.arange(0.0, 360.0, 2.0):
-            a = math.radians(deg)
-            candidates.append(np.array([math.cos(a), math.sin(a)]))
+            if deg % 90.0 or axis_repeats:
+                a = math.radians(deg)
+                candidates.append(np.array([math.cos(a), math.sin(a)]))
     elif n == 3:
         for theta_deg in np.arange(10.0, 180.0, 10.0):
             theta = math.radians(theta_deg)
             for phi_deg in np.arange(0.0, 360.0, 10.0):
+                if theta_deg == 90.0 and phi_deg % 90.0 == 0.0 and not axis_repeats:
+                    continue
                 phi = math.radians(phi_deg)
                 candidates.append(np.array([
                     math.sin(theta) * math.cos(phi),
                     math.sin(theta) * math.sin(phi),
                     math.cos(theta),
                 ]))
-    rng = np.random.default_rng([seed, 1])
-    for _ in range(n_dirs):
-        raw = rng.standard_normal(n)
-        nrm = np.linalg.norm(raw)
-        if nrm > 0:
-            candidates.append(raw / nrm)
+    if n >= 2 or axis_repeats:
+        rng = np.random.default_rng([seed, 1])
+        for _ in range(n_dirs):
+            raw = rng.standard_normal(n)
+            nrm = np.linalg.norm(raw)
+            if nrm > 0:
+                candidates.append(raw / nrm)
+    return candidates
+
+
+def reference_critical_directions(p, xbar, n_dirs, seed, tol=1e-8, axis_repeats=False):
+    """sample_critical_directions one candidate at a time: one
+    reference_critical_contains call per reference candidate."""
+    d = eigen_decompose(eval_F(p, xbar))
+    return [
+        u for u in reference_candidates(p.n, n_dirs, seed, axis_repeats)
+        if reference_critical_contains(p, xbar, u, tol, d)
+    ]
+
+
+def greedy_dedup(dirs, angle=1e-3):
+    """The dedup pass that the sampler used to end with: each direction is
+    dropped within the angle of an earlier kept one."""
     kept = []
-    for u in candidates:
-        if not reference_critical_contains(p, xbar, u, tol, d):
-            continue
-        if any(float(u @ v) > math.cos(1e-3) for v in kept):
-            continue
-        kept.append(u)
+    for u in dirs:
+        if not any(float(u @ v) > math.cos(angle) for v in kept):
+            kept.append(u)
     return kept
 
 
@@ -192,6 +208,22 @@ def test_sample_directions_match_per_candidate_reference(case):
     for u in np.vstack((eye, -eye, scaled)):
         expect = reference_critical_contains(p, xbar, u, 1e-8, d)
         assert critical_cone_contains(p, xbar, u, d=d) == expect, (name, u)
+
+
+@pytest.mark.parametrize("case", range(19))
+def test_sample_directions_repeat_nothing(case):
+    # the candidates hold no duplicates, so the sampler needs no dedup pass:
+    # it keeps every direction that the pass kept, plus near-duplicates of
+    # them among the sphere draws
+    name, p, xbar = sampler_problems()[case]
+    new = sample_critical_directions(p, xbar, n_dirs=64, seed=3)
+    assert len({tuple(u) for u in new}) == len(new), name
+    if p.n == 1:
+        assert {tuple(u) for u in new} <= {(1.0,), (-1.0,)}, name
+    deduped = greedy_dedup(reference_critical_directions(p, xbar, 64, 3, axis_repeats=True))
+    kept = greedy_dedup(new)
+    assert len(kept) == len(deduped), name
+    assert all(np.array_equal(u, v) for u, v in zip(kept, deduped)), name
 
 
 def reference_linearized_rows(p, xbar, d):
@@ -301,7 +333,7 @@ def test_margin_is_hessian_form_plus_subderivative(rank):
             cross_tol = max(DEFAULT_TOL, 10.0 * cand.normal_cone_slack + 1e-12)
             sub = second_subderivative(d, cand.ystar, dF(p, xbar, u), cross_tol)
             hess = lagrangian_hess_form(p, cand.alpha, xbar, cand.ystar, u)
-            assert cert.margin == hess + sub.value
+            assert cert.margin == hess + sub
             assert sosc_margin(p, xbar, u, cand, d=d) == cert.margin
             assert cand.normal_cone_slack >= normal_cone_residual(d, cand.ystar)
             seen += 1
@@ -433,13 +465,13 @@ def test_check_sosc_trivial_cone():
     assert report.directions_checked == 0
 
 
-def test_check_sosc_inconclusive_on_exhausted_search():
+def test_check_sosc_inconclusive_on_exhausted_search(monkeypatch):
     f = QuadraticScalar(c=0.0, g=np.zeros(1), h=np.zeros((1, 1)))
     cap = QuadraticMatrixMap(a0=SymMat.zeros(2), a=[SymMat.diagonal([1.0, 0.0]).lower])
     p = NlsdpProblem(n=1, m=2, f=f, F=cap)
-    report = check_sosc(
-        p, np.zeros(1), SoscOptions(n_dirs=4, max_iters=0, seed=5)
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(sosc, "_MAX_NEWTON_STEPS", 0)
+        report = check_sosc(p, np.zeros(1), SoscOptions(n_dirs=4, seed=5))
     assert report.verdict == INCONCLUSIVE
 
     # with a real search budget the same problem fails honestly: every
@@ -1243,16 +1275,6 @@ def test_sosc_options_reject_bad_tolerances(field, value):
     # a NaN tol makes every tangency test false and so empties the cone
     with pytest.raises(ValueError, match=field):
         SoscOptions(**{field: value})
-
-
-@pytest.mark.parametrize("field, value", [("max_iters", -1)])
-def test_sosc_options_reject_empty_searches(field, value):
-    with pytest.raises(ValueError, match=field):
-        SoscOptions(**{field: value})
-
-
-def test_sosc_options_smallest_search():
-    assert SoscOptions(max_iters=0).max_iters == 0
 
 
 def test_sosc_options_zero_tolerances():
