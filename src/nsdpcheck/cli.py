@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import sosc
+from .cone import DEFAULT_TOL
 from .nlsdp import problem_from_json
 from .subderivative import (
     HypothesisViolation,
@@ -227,8 +228,6 @@ def cmd_check_sosc(args) -> int:
     opts = sosc.SoscOptions(
         tol=args.tol,
         rank_tol=args.rank_tol,
-        cert_tol=args.cert_tol,
-        margin_tol=args.margin_tol,
         n_dirs=args.dirs,
         seed=args.seed,
     )
@@ -273,7 +272,6 @@ def cmd_check_sosc(args) -> int:
 
 def cmd_growth(args) -> int:
     problem, xbar = problem_from_json(_load_json_file(args.problem))
-    sosc.require_feasible(problem, xbar, args.tol)
     report = sosc.verify_growth(
         problem,
         xbar,
@@ -281,6 +279,7 @@ def cmd_growth(args) -> int:
         beta=args.beta,
         n_samples=args.samples,
         seed=args.seed,
+        d=sosc.require_feasible(problem, xbar, args.tol),
     )
     lines = [
         _problem_line(problem, xbar),
@@ -386,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, rank_tol=True):
-        sp.add_argument("--tol", type=tolerance, default=1e-8, help="membership tolerance")
+        sp.add_argument("--tol", type=tolerance, default=DEFAULT_TOL, help="membership tolerance")
         if rank_tol:
             sp.add_argument(
                 "--rank-tol",
@@ -401,9 +400,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-sosc", help="verify the sufficient condition at xbar")
     sp.add_argument("problem", help="problem JSON file with xbar")
     common(sp)
-    sp.add_argument("--cert-tol", dest="cert_tol", type=tolerance, default=1e-7)
-    sp.add_argument("--margin-tol", dest="margin_tol", type=float, default=1e-9)
-    sp.add_argument("--dirs", type=int, default=512, help="random direction samples")
+    sp.add_argument(
+        "--dirs", type=int, default=sosc.SoscOptions.n_dirs, help="random direction samples"
+    )
     sp.set_defaults(func=cmd_check_sosc)
 
     sp = sub.add_parser("subderivative", help="closed form vs sampling oracle")
@@ -418,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, rank_tol=False)
     sp.add_argument("--epsilon", type=float, required=True, help="ball radius")
     sp.add_argument("--beta", type=float, required=True, help="growth constant")
-    sp.add_argument("--samples", type=int, default=10_000)
+    sp.add_argument("--samples", type=int, default=sosc.GROWTH_SAMPLES)
     sp.set_defaults(func=cmd_growth)
     return parser
 

@@ -37,22 +37,25 @@ def project_psd(a: SymMat) -> SymMat:
     return SymMat.from_dense((q * clipped) @ q.T, check_symmetry=False)
 
 
-def dist_psd_batch(m: int, lower: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Frobenius distances to the PSD cone of the m x m matrices whose lower
-    triangles are the rows of ``lower``, with one stacked eigenvalue call.
-
-    ``work``, if given, is a (k, m, m) scratch buffer that is overwritten.
-    The squares overflow from about 1.3e154: a row whose plain sum is not
-    finite is summed again by ``np.hypot``, which rescales; every other row
-    keeps the bits of the plain sum.
-    """
-    neg = np.minimum(np.linalg.eigvalsh(lower_to_dense(m, lower, work)), 0.0)
+def dist_psd_from_eigenvalues(lam: np.ndarray) -> np.ndarray:
+    """Frobenius distances to the PSD cone of the matrices whose eigenvalues
+    are the rows of ``lam``.  The squares overflow from about 1.3e154: a row
+    whose plain sum is not finite is summed again by ``np.hypot``, which
+    rescales; every other row keeps the bits of the plain sum."""
+    neg = np.minimum(lam, 0.0)
     with np.errstate(over="ignore"):
         out = np.sqrt(np.sum(neg**2, axis=-1))
     big = np.isinf(out)
     if big.any():
         out[big] = np.hypot.reduce(neg[big], axis=-1)
     return out
+
+
+def dist_psd_batch(m: int, lower: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Frobenius distances to the PSD cone of the m x m matrices whose lower
+    triangles are the rows of ``lower``, with one stacked eigenvalue call;
+    ``work``, if given, is a (k, m, m) scratch buffer that is overwritten."""
+    return dist_psd_from_eigenvalues(np.linalg.eigvalsh(lower_to_dense(m, lower, work)))
 
 
 def dist_psd(a: SymMat) -> float:

@@ -13,13 +13,13 @@ search is a one-block semidefinite program, solved by a two-phase
 log-barrier Newton method.  ``verify_growth`` samples the quadratic-growth
 inequality that this condition guarantees.  It screens the samples with
 lower bounds of dist(F(x), PSD), taken from M, F(x) compressed onto the
-eigenvectors of F(xbar) at or below the rank tolerance, a k x k matrix: the
-largest distance of a 2 x 2 principal block of M, in closed form, and, only
-where that leaves a count or the minimum open, the distance of M from one
-stacked eigenvalue call; both minus a rounding slack.  The full m x m
-distance is computed only where the bounds could decide a count, the
-feasible set or the minimum ratio, so the report is the one that the full
-computation gives, bit for bit.  Once a bound leaves most of a block open,
+eigenvectors omega of F(xbar) (eigenvalues within the rank tolerance of 0),
+a k x k matrix: the largest distance of a 2 x 2 principal block of M, in
+closed form, and, only where that leaves a count or the minimum open, the
+distance of M from one stacked eigenvalue call; both minus a rounding
+slack.  The full m x m distance is computed only where the bounds could
+decide a count, the feasible set or the minimum ratio, so the report is the
+one that the full computation gives, bit for bit.  Once a bound leaves most of a block open,
 the remaining blocks go without it.
 
 The verdicts are explicitly sampled statements: VERIFIED_SAMPLED means every
@@ -34,7 +34,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cone import DEFAULT_TOL, _embed_omega, dist_psd, dist_psd_batch, normal_cone_residual
+from .cone import DEFAULT_TOL, _embed_omega, dist_psd_batch, dist_psd_from_eigenvalues
+from .cone import normal_cone_residual
 from .nlsdp import (
     NlsdpProblem,
     _jacobian,
@@ -64,6 +65,7 @@ _ALPHA_NORMALIZE = 1e-6
 # Angular resolution of the deterministic direction grids.
 _GRID_STEP_DEG = {2: 2.0, 3: 10.0}
 
+GROWTH_SAMPLES = 10_000  # verify_growth's default number of ball samples
 # Growth samples whose constraint values are eigen-solved together; bounds the
 # (block, m, m) work buffer.
 _GROWTH_BLOCK = 256
@@ -86,6 +88,10 @@ _BARRIER_GAP = 1e-9
 _MAX_NEWTON_STEPS = 200  # per multiplier search, both phases
 _NEWTON_TOL = 1e-7
 _QUADRATIC = 0.25
+# The search finds no multiplier below interiority -_CERT_TOL; check_sosc
+# fails a direction whose margin is at most _MARGIN_TOL.
+_CERT_TOL = 1e-7
+_MARGIN_TOL = 1e-9
 
 
 class InfeasiblePointError(ValueError):
@@ -100,20 +106,15 @@ class InfeasiblePointError(ValueError):
 class SoscOptions:
     tol: float = DEFAULT_TOL
     rank_tol: float | None = None
-    cert_tol: float = 1e-7
-    margin_tol: float = 1e-9
     n_dirs: int = 512
     seed: int = 0
 
     def __post_init__(self):
         # a NaN tolerance fails every comparison and so empties the critical cone
         rank_tol = 1.0 if self.rank_tol is None else self.rank_tol
-        positive = (("tol", self.tol), ("cert_tol", self.cert_tol), ("rank_tol", rank_tol))
-        for name, value in positive:
+        for name, value in (("tol", self.tol), ("rank_tol", rank_tol)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not 0 <= self.margin_tol < math.inf:
-            raise ValueError(f"margin_tol must be finite and >= 0, got {self.margin_tol}")
 
 
 @dataclass(frozen=True)
@@ -191,26 +192,18 @@ class GrowthReport:
 # -- critical cone -------------------------------------------------------------
 
 
-def require_feasible(p: NlsdpProblem, xbar, tol: float) -> SymMat:
-    """F(xbar), once it is known to lie within tol of the PSD cone."""
-    fx = eval_F(p, xbar)
-    dist = dist_psd(fx)
-    if dist > tol:
-        raise InfeasiblePointError(
-            f"F(xbar) is not PSD (dist to PSD cone: {dist:.6e})", dist
-        )
-    return fx
-
-
-def _decompose_at(p: NlsdpProblem, xbar, tol: float, rank_tol=None):
+def require_feasible(p: NlsdpProblem, xbar, tol: float, rank_tol=None):
     """The decomposition of F(xbar), which must be PSD both within tol of
-    the cone and at the rank tolerance: no eigenvalue below -rank_tol."""
-    d = eigen_decompose(require_feasible(p, xbar, tol), rank_tol)
+    the cone and at the rank tolerance: no eigenvalue below -rank_tol.  Both
+    rules read the eigenvalues of this one decomposition."""
+    d = eigen_decompose(eval_F(p, xbar), rank_tol)
+    dist = float(dist_psd_from_eigenvalues(d.eigenvalues[None, :])[0])
+    if dist > tol:
+        raise InfeasiblePointError(f"F(xbar) is not PSD (dist to PSD cone: {dist:.6e})", dist)
     if not d.psd:
         raise InfeasiblePointError(
             f"F(xbar) is not PSD at the rank tolerance (smallest eigenvalue "
-            f"{d.eigenvalues[-1]:.6e} < -rank_tol = {-d.rank_tol:.6e})",
-            dist_psd(d.source),
+            f"{d.eigenvalues[-1]:.6e} < -rank_tol = {-d.rank_tol:.6e})", dist
         )
     return d
 
@@ -275,8 +268,7 @@ def critical_cone_contains(
     """u is critical iff the objective does not increase to first order and
     the linearized constraint direction is tangent to the cone."""
     u = np.asarray(u, dtype=float)
-    if d is None:
-        d = _decompose_at(p, xbar, tol)
+    d = d or require_feasible(p, xbar, tol)
     return bool(_critical_mask(_linearized_rows(p, xbar, d), u[None, :], d, tol)[0])
 
 
@@ -293,8 +285,7 @@ def sample_critical_directions(
     points that repeat an axis, and normalized sphere draws for n >= 2 (at
     n = 1 every draw is an axis).  The candidates are tested together, as
     the rows of one array, and no candidate repeats another."""
-    if d is None:
-        d = _decompose_at(p, xbar, tol)
+    d = d or require_feasible(p, xbar, tol)
     if n_dirs < 1:
         raise ValueError("n_dirs must be positive")
     n = p.n
@@ -411,9 +402,9 @@ def _multiplier_search(
 
     On the null space of those rows and of the orthogonality row, the
     multipliers are the z with G(z) = diag(alpha, -W) PSD; tr G = 1 fixes
-    their scale.  Phase I maximizes s with G(z) - s I PSD (s* < -cert_tol:
+    their scale.  Phase I maximizes s with G(z) - s I PSD (s* < -_CERT_TOL:
     no multiplier), phase II the margin, linear in z, with G(z) +
-    (cert_tol / 2) I PSD.  Both run _barrier_max in the free variables y of
+    (_CERT_TOL / 2) I PSD.  Both run _barrier_max in the free variables y of
     z = z0 + free @ y and share the _MAX_NEWTON_STEPS Newton steps."""
     xbar = np.asarray(xbar, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -431,17 +422,17 @@ def _multiplier_search(
     z0, free = trace / norm2, _null_space(trace[None, :])
     blocks = _lmi_blocks(k, (basis @ np.column_stack((z0, free))).T)
     g0, g_free = blocks[0], blocks[1:]
-    size, delta = k + 1, 0.5 * opts.cert_tol
+    size, delta = k + 1, 0.5 * _CERT_TOL
 
     # Phase I in (y, s) from y = 0 and s below lambda_min(G0); s <= 1 / size.
     s0 = float(np.linalg.eigvalsh(g0)[0]) - 1.0
     lmi_s = np.concatenate((g_free, -np.eye(size)[None]))
     x, used, hit_cap = _barrier_max(
         g0, lmi_s, np.eye(len(lmi_s))[-1], np.append(np.zeros(len(g_free)), s0),
-        1.0 / size - s0, _MAX_NEWTON_STEPS, reach=-delta, floor=-opts.cert_tol,
+        1.0 / size - s0, _MAX_NEWTON_STEPS, reach=-delta, floor=-_CERT_TOL,
     )
     y, best_interiority = x[:-1], float(x[-1])
-    if best_interiority < -opts.cert_tol:
+    if best_interiority < -_CERT_TOL:
         return _SearchOutcome(None, None, best_interiority, hit_cap)
     if best_interiority > -delta:  # phase I's point is inside phase II's set
         # The margin is linear in (alpha, svec W): its coefficient row.
@@ -490,8 +481,7 @@ def find_multiplier(
     reduces to the origin.  A u outside the critical cone raises ValueError.
     """
     opts = search_opts or SoscOptions()
-    if d is None:
-        d = _decompose_at(p, xbar, opts.tol, opts.rank_tol)
+    d = d or require_feasible(p, xbar, opts.tol, opts.rank_tol)
     if not critical_cone_contains(p, xbar, u, opts.tol, d):
         raise ValueError("direction is not in the critical cone")
     rows, coeffs = _linearized_rows(p, xbar, d), _margin_coefficients(p, xbar, d)
@@ -511,8 +501,7 @@ def sosc_margin(
     indicator at F(xbar) in direction dF u.  The subderivative checks that
     ystar is a normal-cone multiplier and that dF u is tangent; an infinite
     value there is a tolerance anomaly."""
-    if d is None:
-        d = _decompose_at(p, xbar, tol)
+    d = d or require_feasible(p, xbar, tol)
     g_dir = dF(p, xbar, u)
     hess = lagrangian_hess_form(p, cand.alpha, xbar, cand.ystar, u)
     cross_tol = max(tol, 10.0 * cand.normal_cone_slack + 1e-12)
@@ -526,7 +515,7 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
     """Sampled verification of the second-order sufficient condition at xbar."""
     opts = opts or SoscOptions()
     xbar = np.asarray(xbar, dtype=float)
-    d = _decompose_at(p, xbar, opts.tol, opts.rank_tol)
+    d = require_feasible(p, xbar, opts.tol, opts.rank_tol)
     dirs = sample_critical_directions(p, xbar, opts.n_dirs, opts.seed, opts.tol, d)
     rows, coeffs = _linearized_rows(p, xbar, d), _margin_coefficients(p, xbar, d)
     certificates: list[DirectionCertificate] = []
@@ -540,7 +529,7 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
         if outcome.candidate is not None:
             certificates.append(DirectionCertificate(u, outcome.candidate, outcome.margin))
             margins.append((outcome.margin, u))
-            if outcome.margin <= opts.margin_tol:
+            if outcome.margin <= _MARGIN_TOL:
                 if outcome.hit_cap:
                     inconclusive.append(u)
                 else:
@@ -639,13 +628,13 @@ def _principal_block_distances(k: int):
     return distances
 
 
-def _psd_distance_screen(p: NlsdpProblem, xbar, rows: int):
+def _psd_distance_screen(p: NlsdpProblem, d: OrderedEigenDecomposition, rows: int):
     """(k, pair_bounds, bounds): both functions map up to ``rows`` rows x at
     a time to lower bounds of dist(F(x), PSD), rounding included; -inf where
     none is computed.
 
-    P holds the eigenvector rows of F(xbar) whose eigenvalues are at most the
-    rank tolerance.  For orthonormal rows, dist(P A P^T) <= dist(A): P applied
+    P = P_omega holds the eigenvector rows of omega in d, the decomposition
+    of F(xbar).  For orthonormal rows, dist(P A P^T) <= dist(A): P applied
     to A's PSD projection is PSD and no farther from P A P^T.  F's
     coefficients are projected to k x k once.  ``bounds`` takes dist(P F(x)
     P^T) from one stacked k x k eigvalsh per block of samples;
@@ -656,8 +645,7 @@ def _psd_distance_screen(p: NlsdpProblem, xbar, rows: int):
     _GROWTH_ROUNDING (m + n)^2 eps ||F(x)||, where the same quadratic map, in
     |x| and with the coefficients' Frobenius norms, bounds ||F(x)||.  A row
     on which any of this overflows gets -inf."""
-    d = eigen_decompose(eval_F(p, xbar))
-    basis = d.p_matrix[d.eigenvalues <= d.rank_tol]
+    basis = d.p_matrix[list(d.omega)]
     k = len(basis)
     i, j = _tril_indices(k)
 
@@ -715,8 +703,9 @@ def verify_growth(
     xbar,
     epsilon: float,
     beta: float,
-    n_samples: int = 10_000,
+    n_samples: int = GROWTH_SAMPLES,
     seed: int = 0,
+    d: OrderedEigenDecomposition | None = None,
 ) -> GrowthReport:
     """Sample max(f(x) - f(xbar), dist(F(x))) >= beta ||x - xbar||^2 over the
     epsilon-ball, plus boundary and axis points.  Also reports the variant
@@ -724,7 +713,8 @@ def verify_growth(
 
     The samples are drawn from a seeded stream and scaled to their radii in
     bulk (``_growth_offsets``).  A block of samples first gets lower bounds
-    of its distances from F's projection M onto the near-kernel of F(xbar)
+    of its distances from F's projection M onto the near-kernel omega of
+    ``d``, the decomposition of F(xbar), made here when None
     (``_psd_distance_screen``), hence lower bounds of its ratios, in two
     tiers.  The pair bound, the largest distance of a 2 x 2 principal block
     of M, takes no eigenvalue call; the k x k bound, the distance of M,
@@ -768,7 +758,8 @@ def verify_growth(
     xs, sq = xs[nonzero], sq[nonzero]
     total = len(xs)
     gaps = eval_f_batch(p, xs) - f0
-    k, pair_bounds, bounds = _psd_distance_screen(p, xbar, min(_GROWTH_BLOCK, total))
+    d = d or eigen_decompose(eval_F(p, xbar))
+    k, pair_bounds, bounds = _psd_distance_screen(p, d, min(_GROWTH_BLOCK, total))
     work = np.empty((min(_GROWTH_BLOCK, total), p.m, p.m))
     dists = np.full(total, -np.inf)  # lower bounds until settled
     ratios = np.empty(total)  # likewise

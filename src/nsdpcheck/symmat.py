@@ -246,15 +246,20 @@ class OrderedEigenDecomposition:
             raise ValueError("decomposition shapes inconsistent with source dimension")
         if self.rank_tol <= 0:
             raise ValueError("rank_tol must be positive")
-        if np.any(np.diff(lam) > 0):
+        if np.any(lam[1:] > lam[:-1]):  # no difference, which can overflow
             raise ValueError("eigenvalues must be sorted non-increasingly")
         orth = np.linalg.norm(p @ p.T - np.eye(m))
         if orth > ORTH_TOL:
             raise ValueError(f"p_matrix is not orthogonal (defect {orth:.3e})")
-        y = self.source.dense()
-        recon = np.linalg.norm(p.T @ np.diag(lam) @ p - y)
-        if recon > RECON_TOL * max(1.0, self.source.norm()):
-            raise ValueError(f"decomposition does not reproduce source (defect {recon:.3e})")
+        # the reconstruction defect, in units of the largest |entry| when that
+        # exceeds 1: squares of entries past about 1.3e154 overflow
+        unit = max(1.0, float(np.abs(self.source.lower).max()))
+        scaled = self.source.lower / unit
+        recon = float(np.linalg.norm(p.T @ np.diag(lam / unit) @ p - lower_to_dense(m, scaled)))
+        if recon > RECON_TOL * max(1.0, float(frobenius_norms(m, scaled))):
+            raise ValueError(
+                f"decomposition does not reproduce source (defect {unit * recon:.3e})"
+            )
         p = p.copy()
         p.setflags(write=False)
         lam = lam.copy()

@@ -155,14 +155,20 @@ def p1_negated():
     return build_p1(-1.0)
 
 
-def linalg_calls(monkeypatch, run) -> Counter:
-    """Calls of numpy's eigvalsh, solve and norm made by run()."""
+def linalg_calls(monkeypatch, run, of=None) -> Counter:
+    """Calls of numpy's eigh, eigvalsh, solve and norm made by run().  Given
+    a matrix ``of``, counts instead the matrices equal to it that the calls
+    take, each matrix of a stack on its own."""
     counts = Counter()
     with monkeypatch.context() as mp:
-        for name in ("eigvalsh", "solve", "norm"):
-            def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _orig(*args, **kwargs)
+        for name in ("eigh", "eigvalsh", "solve", "norm"):
+            def counted(a, *args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+                if of is None:
+                    counts[_name] += 1
+                elif np.shape(a)[-2:] == of.shape:
+                    stack = np.reshape(a, (-1, *of.shape))
+                    counts[_name] += int(np.count_nonzero((stack == of).all(axis=(1, 2))))
+                return _orig(a, *args, **kwargs)
 
             mp.setattr(np.linalg, name, counted)
         run()

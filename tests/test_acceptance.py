@@ -37,6 +37,7 @@ from nsdpcheck import (
     tangent_cone_contains_oracle,
     verify_growth,
 )
+from nsdpcheck import sosc
 from nsdpcheck.cli import REPORT_SCHEMA, main as cli_main
 from nsdpcheck.subderivative import PivotNotPositiveDefinite
 from nsdpcheck.sosc import CRITICAL_CONE_TRIVIAL, FAILED_AT_DIRECTION, VERIFIED_SAMPLED
@@ -265,11 +266,9 @@ def test_criterion_9_certificate_non_triviality():
     for p, xbar in problems:
         report = check_sosc(p, xbar, opts)
         for cert in report.certificates:
-            if cert.margin > opts.margin_tol:
+            if cert.margin > sosc._MARGIN_TOL:
                 positive += 1
-                assert max(cert.candidate.alpha, cert.candidate.ystar.norm()) > (
-                    opts.cert_tol
-                )
+                assert max(cert.candidate.alpha, cert.candidate.ystar.norm()) > sosc._CERT_TOL
     assert positive >= 3
     _report(9, f"{positive} positive-margin certificates, all nontrivial")
 

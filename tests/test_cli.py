@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -17,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsdpcheck import SymMat, eigen_decompose, problem_from_json, sosc
+from nsdpcheck import SymMat, eigen_decompose, eval_F, problem_from_json, sosc
 from nsdpcheck.cli import ERROR_SCHEMA, REPORT_SCHEMA, main
+
+from conftest import linalg_calls
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,6 +115,88 @@ def test_point_below_minus_rank_tol_is_infeasible(tmp_path, capsys):
         "error: F(xbar) is not PSD at the rank tolerance (smallest eigenvalue "
         "-1.000000e-09 < -rank_tol = -1.000000e-12)\n"
     )
+
+
+def p1_with_a0(tmp_path, lower):
+    obj = json.loads((DATA / "p1.json").read_text())
+    obj["F"]["A0"]["lower"] = lower
+    path = tmp_path / f"p1_a0_{lower[0]:g}_{lower[2]:g}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_growth_applies_the_rank_rule_of_check_sosc(tmp_path, capsys):
+    # dist(F(xbar), PSD) = 1e-4 passes --tol 1e-3, but the eigenvalue -1e-4
+    # lies below -rank_tol; growth accepted this point and exited 0
+    path = p1_with_a0(tmp_path, [1.0, 0.0, -1e-4])
+    message = (
+        "error: F(xbar) is not PSD at the rank tolerance (smallest eigenvalue "
+        "-1.000000e-04 < -rank_tol = -1.000000e-08)\n"
+    )
+    for command, *flags in [("check-sosc",), ("growth", "--epsilon", "0.1", "--beta", "0.01")]:
+        assert run_cli(command, path, "--tol", "1e-3", *flags) == 3
+        assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("entry", [1e175, 1e300])
+@pytest.mark.parametrize(
+    "argv", [("check-sosc", "--dirs", "16"), ("growth", "--epsilon", "0.1", "--beta", "0.25")]
+)
+def test_huge_psd_entries_decompose_without_overflow(entry, argv, tmp_path, capsys):
+    # A0 = diag(entry, 0) is PSD: the reconstruction check of its
+    # decomposition overflowed and exited 3, while 1e180 passed
+    reports = []
+    for value in (entry, 1e180):
+        out = tmp_path / f"{value:g}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(
+                argv[0], p1_with_a0(tmp_path, [value, 0.0, 0.0]), *argv[1:], "--json", str(out)
+            )
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        reports.append(json.loads(out.read_text())["result"])
+    if argv[0] == "check-sosc":
+        assert reports[0]["verdict"] == reports[1]["verdict"] == "FAILED_AT_DIRECTION"
+        assert reports[0]["worst_direction"] == reports[1]["worst_direction"]
+    else:
+        assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "argv", [("check-sosc", "--dirs", "16"), ("growth", "--epsilon", "0.1", "--beta", "0.25")]
+)
+def test_overflowing_eigenvalue_is_an_input_error(argv, tmp_path, capsys):
+    # A0 = [[1e308, 1e308], [1e308, 1e308]] has the eigenvalue 2e308, which
+    # reads inf: the decomposition cannot reproduce it.  Its defect was
+    # measured against an overflowing norm bound and passed, and check-sosc
+    # exited 0 (CRITICAL_CONE_TRIVIAL, at rank_tol inf with omega = [0, 1])
+    path = p1_with_a0(tmp_path, [1e308, 1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(argv[0], path, *argv[1:]) == 3
+    assert capsys.readouterr().err == (
+        "error: decomposition does not reproduce source (defect inf)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-sosc", "p1.json", "--dirs", "16"),
+        ("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.25", "--samples", "50"),
+    ],
+)
+def test_each_command_eigen_solves_f_xbar_once(argv, monkeypatch, capsys):
+    # feasibility, the rank split and the growth screen share one
+    # decomposition; each command solved F(xbar) twice
+    problem, xbar = problem_from_json(json.loads((DATA / argv[1]).read_text()))
+    f_xbar = eval_F(problem, xbar).dense()
+    calls = linalg_calls(
+        monkeypatch, lambda: run_cli(argv[0], str(DATA / argv[1]), *argv[2:]), of=f_xbar
+    )
+    capsys.readouterr()
+    assert calls["eigh"] + calls["eigvalsh"] == 1
 
 
 def test_subderivative_report(capsys):
@@ -496,19 +581,19 @@ def test_non_finite_tolerances_exit_3(argv, flag, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     if argv[0] == "growth" and flag == "--rank-tol":
-        # growth makes no rank decision, so it has no --rank-tol
+        # growth decides rank at the default rank tolerance only
         assert "unrecognized arguments: --rank-tol" in captured.err
     else:
         assert f"argument {flag}: must be a finite number > 0" in captured.err
 
 
-def test_check_sosc_rejects_bad_cert_and_margin_tol(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("check-sosc", str(DATA / "p1.json"), "--cert-tol", "nan")
-    assert exc.value.code == 3
-    assert "argument --cert-tol" in capsys.readouterr().err
-    assert run_cli("check-sosc", str(DATA / "p1.json"), "--margin-tol", "nan") == 3
-    assert "margin_tol must be finite" in capsys.readouterr().err
+def test_check_sosc_rejects_cert_and_margin_tol_flags(capsys):
+    # the multiplier search's and the margin's tolerances are constants
+    for flag, value in (("--cert-tol", "1e-7"), ("--margin-tol", "1e-9")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("check-sosc", str(DATA / "p1.json"), flag, value)
+        assert exc.value.code == 3
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -501,15 +501,15 @@ def test_certificate_soundness_on_random_problems(p1):
         for cert in report.certificates:
             cand = cert.candidate
             found += 1
-            assert cand.stationarity_residual <= opts.cert_tol
-            assert cand.normal_cone_slack <= opts.cert_tol
-            assert max(cand.alpha, cand.ystar.norm()) > opts.cert_tol
-            assert normal_cone_contains(d, cand.ystar, 10 * opts.cert_tol)
+            assert cand.stationarity_residual <= sosc._CERT_TOL
+            assert cand.normal_cone_slack <= sosc._CERT_TOL
+            assert max(cand.alpha, cand.ystar.norm()) > sosc._CERT_TOL
+            assert normal_cone_contains(d, cand.ystar, 10 * sosc._CERT_TOL)
             g = dF(p, xbar, cert.direction)
-            assert abs(frobenius_inner(cand.ystar, g)) <= 10 * opts.cert_tol
+            assert abs(frobenius_inner(cand.ystar, g)) <= 10 * sosc._CERT_TOL
             assert np.linalg.norm(
                 lagrangian_grad(p, cand.alpha, xbar, cand.ystar)
-            ) <= opts.cert_tol
+            ) <= sosc._CERT_TOL
     assert found >= 5
 
 
@@ -884,7 +884,8 @@ def test_growth_distance_bounds_stay_below_exact_distances():
         n, m = int(rng.integers(1, 7)), int(rng.integers(2, 13))
         p, xbar = growth_screen_problem(rng, n, m, kind, case % 3 > 0, 0.05)
         xs = xbar + rng.uniform(-0.2, 0.2, (600, n))
-        _, pair_bounds, bounds = sosc._psd_distance_screen(p, xbar, len(xs))
+        d = eigen_decompose(eval_F(p, xbar))
+        _, pair_bounds, bounds = sosc._psd_distance_screen(p, d, len(xs))
         exact = np.array([dist_psd(eval_F(p, x)) for x in xs])
         for tier in (pair_bounds, bounds):
             tight = tier(xs)
@@ -916,7 +917,7 @@ def test_growth_pair_bound_is_the_projected_distance_at_k_up_to_2():
                  for c in (p.F.a0.lower, p.F.a, p.F.b)]
         size = _quadratic_rows(*norms, np.abs(xs))[:, 0]
         slack = sosc._GROWTH_ROUNDING * (m + n) ** 2 * np.finfo(float).eps * size
-        screen_k, pair_bounds, _ = sosc._psd_distance_screen(p, xbar, len(xs))
+        screen_k, pair_bounds, _ = sosc._psd_distance_screen(p, d, len(xs))
         assert screen_k == k
         pair = pair_bounds(xs)
         assert (pair <= dist).all()
@@ -1179,16 +1180,16 @@ def test_multiplier_search_matches_scalar_reference(case):
     assert not new.hit_cap
     if ref.candidate is None:
         assert new.margin is None
-        assert new.best_interiority < -opts.cert_tol
+        assert new.best_interiority < -sosc._CERT_TOL
         return
     # phase I reaches -cert_tol / 2, phase II's set reaches cert_tol / 2 past
     # the PSD cone: the certificate is the reference one up to cert_tol
-    assert new.best_interiority >= -0.5 * opts.cert_tol
-    assert new.candidate.alpha == pytest.approx(ref.candidate.alpha, abs=opts.cert_tol)
-    assert np.abs(new.candidate.ystar.dense()).max() <= opts.cert_tol
-    assert new.candidate.stationarity_residual <= opts.cert_tol
-    assert new.candidate.normal_cone_slack <= opts.cert_tol
-    assert new.margin == pytest.approx(ref.margin, abs=opts.cert_tol)
+    assert new.best_interiority >= -0.5 * sosc._CERT_TOL
+    assert new.candidate.alpha == pytest.approx(ref.candidate.alpha, abs=sosc._CERT_TOL)
+    assert np.abs(new.candidate.ystar.dense()).max() <= sosc._CERT_TOL
+    assert new.candidate.stationarity_residual <= sosc._CERT_TOL
+    assert new.candidate.normal_cone_slack <= sosc._CERT_TOL
+    assert new.margin == pytest.approx(ref.margin, abs=sosc._CERT_TOL)
 
 
 def search_case(data):
@@ -1238,7 +1239,7 @@ def test_multiplier_search_optimum_bounds_every_multiplier(data):
     least = np.linalg.eigvalsh(g)[:, 0]
     trace = zs @ traces
     if cand is None:
-        assert not np.any((trace > 0) & (least >= -opts.cert_tol * trace))
+        assert not np.any((trace > 0) & (least >= -sosc._CERT_TOL * trace))
         return
     ystar_trace = float(np.trace(cand.ystar.dense()))
     optimum = outcome.margin / (cand.alpha - ystar_trace)
@@ -1269,7 +1270,7 @@ def test_global_minimiser_is_not_refuted():
     assert report.min_margin == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("field", ["tol", "cert_tol", "rank_tol", "margin_tol"])
+@pytest.mark.parametrize("field", ["tol", "rank_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-8])
 def test_sosc_options_reject_bad_tolerances(field, value):
     # a NaN tol makes every tangency test false and so empties the cone
@@ -1278,7 +1279,6 @@ def test_sosc_options_reject_bad_tolerances(field, value):
 
 
 def test_sosc_options_zero_tolerances():
-    assert SoscOptions(margin_tol=0.0, rank_tol=None).margin_tol == 0.0
-    for field in ("tol", "cert_tol", "rank_tol"):
+    for field in ("tol", "rank_tol"):
         with pytest.raises(ValueError, match=field):
             SoscOptions(**{field: 0.0})
