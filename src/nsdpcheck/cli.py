@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import sosc
-from .cone import DEFAULT_TOL
+from .cone import DEFAULT_TOL, project_normal_cone
 from .nlsdp import problem_from_json
 from .subderivative import (
     HypothesisViolation,
@@ -31,6 +31,7 @@ from .subderivative import (
     SAMPLING_T_GRID,
     ToleranceAnomalyError,
     estimate_from_trace,
+    require_multiplier,
     second_subderivative,
     subderivative_sampling_trace,
 )
@@ -154,6 +155,10 @@ _NUMERICAL_ANOMALIES = (ToleranceAnomalyError, np.linalg.LinAlgError, FloatingPo
 # Parsed arguments that are not options of the run.
 _NOT_OPTIONS = {"command", "func", "json", "problem", "triple"}
 
+# An eigenvalue whose modulus lies within this share of the largest modulus
+# of the rank tolerance falls into pi or omega by rounding.
+_RANK_ROUNDING = 1e-14
+
 
 def _json_safe(value):
     """Recursively convert report payloads to JSON-clean types: infinities
@@ -220,6 +225,21 @@ def _split_line(d) -> str:
     return f"pi: {list(d.pi)}  omega: {list(d.omega)}  (rank_tol {d.rank_tol:.3e})"
 
 
+def _warn_rank_rounding(d) -> None:
+    """One stderr warning when some |eigenvalue| of d lies within
+    _RANK_ROUNDING of the rank tolerance, relative to the largest one (to 1
+    when all are 0): rounding, not the matrix, decides its side."""
+    moduli = np.abs(d.eigenvalues)
+    gap = float(np.abs(moduli - d.rank_tol).min(initial=math.inf))
+    top = float(moduli.max(initial=0.0))
+    if gap <= _RANK_ROUNDING * (top if top > 0 else 1.0):
+        print(
+            f"warning: an eigenvalue lies within {gap:.3e} of rank_tol = {d.rank_tol:.3e}; "
+            "rounding decides whether it counts as zero",
+            file=sys.stderr,
+        )
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -233,6 +253,7 @@ def cmd_check_sosc(args) -> int:
     )
     report = sosc.check_sosc(problem, xbar, opts)
     d = report.decomposition
+    _warn_rank_rounding(d)
     lines = [
         _problem_line(problem, xbar),
         f"F(xbar) eigenvalues: {_fmt_vec(d.eigenvalues)}",
@@ -307,7 +328,11 @@ def cmd_subderivative(args) -> int:
         raise ValueError("Y, Ystar, V must share one dimension")
     try:
         d = eigen_decompose(y, args.rank_tol)
-        closed = second_subderivative(d, ystar, v, args.tol)
+        _warn_rank_rounding(d)
+        require_multiplier(d, ystar, args.tol)
+        # at the multiplier the trace samples at: a ystar that the tolerance
+        # admits outside the normal cone could read below 0
+        closed = second_subderivative(d, project_normal_cone(d, ystar), v, args.tol)
         trace = subderivative_sampling_trace(
             y,
             ystar,

@@ -329,7 +329,7 @@ def _null_space(a: np.ndarray) -> np.ndarray:
 class _SearchOutcome:
     candidate: MultiplierCandidate | None
     margin: float | None
-    best_interiority: float  # phase I's s, at most the largest interiority s*
+    best_interiority: float  # phase I's s or its start's, at most the largest interiority s*
     hit_cap: bool  # stopped at the Newton-step cap or on a numerical breakdown
 
 
@@ -358,12 +358,13 @@ def _barrier_max(f0, fs, b, x, scale: float, budget: int, reach=math.inf, floor=
     if not b.any():  # a constant objective: the start is optimal
         return x, 0, False
     size = f0.shape[0]
+    flat = fs.reshape(len(fs), size * size)
     t, steps = size / scale, 0
     try:
         while True:
             prev = math.inf
             while True:
-                root = np.linalg.inv(np.linalg.cholesky(f0 + np.tensordot(x, fs, 1)))
+                root = np.linalg.inv(np.linalg.cholesky(f0 + (x @ flat).reshape(size, size)))
                 a = (root @ fs @ root.T).reshape(len(fs), size * size)
                 grad = t * b + a[:, :: size + 1].sum(axis=1)
                 step = np.linalg.solve(a @ a.T, grad)
@@ -405,7 +406,11 @@ def _multiplier_search(
     their scale.  Phase I maximizes s with G(z) - s I PSD (s* < -_CERT_TOL:
     no multiplier), phase II the margin, linear in z, with G(z) +
     (_CERT_TOL / 2) I PSD.  Both run _barrier_max in the free variables y of
-    z = z0 + free @ y and share the _MAX_NEWTON_STEPS Newton steps."""
+    z = z0 + free @ y and share the _MAX_NEWTON_STEPS Newton steps.  Phase I
+    stops at its first point with s > -_CERT_TOL / 2, so where its start
+    y = 0 already has lambda_min(G0) above that, phase I takes no step:
+    lambda_min(G0) is the lower bound of s*, and phase II starts at y = 0
+    with every Newton step."""
     xbar = np.asarray(xbar, dtype=float)
     u = np.asarray(u, dtype=float)
     k = len(d.omega)
@@ -424,17 +429,20 @@ def _multiplier_search(
     g0, g_free = blocks[0], blocks[1:]
     size, delta = k + 1, 0.5 * _CERT_TOL
 
-    # Phase I in (y, s) from y = 0 and s below lambda_min(G0); s <= 1 / size.
-    s0 = float(np.linalg.eigvalsh(g0)[0]) - 1.0
-    lmi_s = np.concatenate((g_free, -np.eye(size)[None]))
-    x, used, hit_cap = _barrier_max(
-        g0, lmi_s, np.eye(len(lmi_s))[-1], np.append(np.zeros(len(g_free)), s0),
-        1.0 / size - s0, _MAX_NEWTON_STEPS, reach=-delta, floor=-_CERT_TOL,
-    )
-    y, best_interiority = x[:-1], float(x[-1])
+    lam0 = float(np.linalg.eigvalsh(g0)[0])
+    if lam0 > -delta:  # phase I's stopping rule holds at its start, y = 0
+        y, used, hit_cap, best_interiority = np.zeros(len(g_free)), 0, False, lam0
+    else:  # phase I in (y, s) from y = 0 and s below lambda_min(G0); s <= 1 / size
+        s0 = lam0 - 1.0
+        lmi_s = np.concatenate((g_free, -np.eye(size)[None]))
+        x, used, hit_cap = _barrier_max(
+            g0, lmi_s, np.eye(len(lmi_s))[-1], np.append(np.zeros(len(g_free)), s0),
+            1.0 / size - s0, _MAX_NEWTON_STEPS, reach=-delta, floor=-_CERT_TOL,
+        )
+        y, best_interiority = x[:-1], float(x[-1])
     if best_interiority < -_CERT_TOL:
         return _SearchOutcome(None, None, best_interiority, hit_cap)
-    if best_interiority > -delta:  # phase I's point is inside phase II's set
+    if best_interiority > -delta:  # the point is inside phase II's set
         # The margin is linear in (alpha, svec W): its coefficient row.
         margin_row = np.concatenate(([u @ p.f.h @ u], np.einsum("a,b,abl->l", u, u, coeffs)))
         gain = (basis @ free).T @ margin_row

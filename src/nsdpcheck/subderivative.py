@@ -58,6 +58,15 @@ class ToleranceAnomalyError(RuntimeError):
     signals tolerance drift rather than a regular outcome."""
 
 
+def require_multiplier(d: OrderedEigenDecomposition, ystar: SymMat, tol: float = DEFAULT_TOL):
+    """Raise HypothesisViolation unless d.source is PSD at d.rank_tol and
+    ystar lies in its normal cone within tol."""
+    if not d.psd:
+        raise HypothesisViolation("base point is not PSD within rank_tol")
+    if not normal_cone_contains(d, ystar, tol):
+        raise HypothesisViolation("ystar is not in the normal cone at the base point")
+
+
 def second_subderivative(
     d: OrderedEigenDecomposition,
     ystar: SymMat,
@@ -73,12 +82,9 @@ def second_subderivative(
     tolerance; otherwise the finite value -2 <ystar, v pinv v>.  Raises
     FloatingPointError where that value overflows.
     """
-    if not d.psd:
-        raise HypothesisViolation("base point is not PSD within rank_tol")
     if ystar.m != d.m or v.m != d.m:
         raise ValueError("dimension mismatch")
-    if not normal_cone_contains(d, ystar, tol):
-        raise HypothesisViolation("ystar is not in the normal cone at the base point")
+    require_multiplier(d, ystar, tol)
     if not tangent_cone_contains(d, v, tol):
         return math.inf
     y_norm, v_norm = ystar.norm(), v.norm()
@@ -304,10 +310,7 @@ def subderivative_sampling_trace(
         raise ValueError(f"n_samples must be nonnegative, got {n_samples!r}")
     if d is None:
         d = eigen_decompose(y, rank_tol)
-    if not d.psd:
-        raise HypothesisViolation("base point is not PSD within rank_tol")
-    if not normal_cone_contains(d, ystar, tol):
-        raise HypothesisViolation("ystar is not in the normal cone at the base point")
+    require_multiplier(d, ystar, tol)
     # the quotients of a ystar that the tolerance admits outside the cone
     # would grow like 1/t down the grid
     ystar = project_normal_cone(d, ystar)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsdpcheck import SymMat, eigen_decompose, eval_F, problem_from_json, sosc
+from nsdpcheck import SymMat, cli, eigen_decompose, eval_F, problem_from_json, sosc
 from nsdpcheck.cli import ERROR_SCHEMA, REPORT_SCHEMA, main
 
 from conftest import linalg_calls
@@ -320,21 +320,54 @@ def test_zero_closed_form_reads_0_not_minus_0(tmp_path, capsys):
 def test_admitted_normal_cone_slack_is_no_anomaly(tmp_path, capsys):
     # the normal-cone test admits a pi-pi block of Ystar of norm 5e-9 < tol,
     # which against V_pp = 1e4 makes <Ystar, V> = 5e-5; the polarity test
-    # allows for that slack instead of exiting 4
-    path = tmp_path / "slack.json"
-    path.write_text(json.dumps({
-        "Y": {"m": 2, "lower": [1, 0, 0]},
-        "Ystar": {"m": 2, "lower": [5e-9, 0, -1e-3]},
-        "V": {"m": 2, "lower": [1e4, 0, 0]},
-    }))
+    # allows for that slack instead of exiting 4.  The closed form is taken
+    # at the nearest normal-cone point, where the trace samples: at Ystar as
+    # given it read -2 * 5e-9 * 1e8 = -1, below the range [0, inf]
+    path = DATA / "triple_admitted_slack.json"
     assert run_cli("subderivative", str(path)) == 0
-    assert "closed form: -1\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "closed form: 0\n" in out and "sampling estimate: 0\n" in out
     report_path = tmp_path / "report.json"
     assert run_cli("subderivative", str(path), "--json", str(report_path)) == 0
     report = json.loads(report_path.read_text())
     jsonschema.validate(report, REPORT_SCHEMA)
-    # -2 <Ystar, V pinv(Y) V> = -2 * 5e-9 * 1e8
-    assert report["result"]["closed_form"] == {"tag": "finite", "value": -1.0}
+    assert report["result"]["closed_form"] == {"tag": "finite", "value": 0.0}
+
+
+def test_closed_form_checks_ystar_as_given(tmp_path, capsys):
+    # a pi-pi block of 2e-8 > tol: the projection onto the normal cone would
+    # pass, Ystar as given does not
+    obj = json.loads((DATA / "triple_admitted_slack.json").read_text())
+    obj["Ystar"]["lower"][0] = 2e-8
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("subderivative", str(path)) == 3
+    out = capsys.readouterr().out
+    assert out == "hypothesis violation: ystar is not in the normal cone at the base point\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-sosc", str(DATA / "p1.json"), "--dirs", "8"],
+        ["subderivative", str(DATA / "triple_basic.json"), "--samples", "8"],
+    ],
+)
+def test_rank_decision_by_rounding_warns(argv, monkeypatch, tmp_path, capsys):
+    # F(xbar) and Y have the eigenvalues 1 and 0; rank_tol = 1 + 1e-15
+    # splits them by rounding, rank_tol = 1 + 1e-13 and the default do not
+    def run(*flags):
+        report = tmp_path / "report.json"
+        code = run_cli(*argv, *flags, "--json", str(report))
+        return code, report.read_text(), capsys.readouterr().err
+
+    assert run()[2] == ""
+    assert run("--rank-tol", repr(1.0 + 1e-13))[2] == ""
+    code, report, err = run("--rank-tol", repr(1.0 + 1e-15))
+    assert err.count("\n") == 1 and err.startswith("warning: ")
+    # the warning is the only change: the same run without it
+    monkeypatch.setattr(cli, "_RANK_ROUNDING", -1.0)
+    assert run("--rank-tol", repr(1.0 + 1e-15)) == (code, report, "")
 
 
 def _p1_with_hessian(tmp_path, lower):

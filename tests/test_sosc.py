@@ -466,16 +466,30 @@ def test_check_sosc_trivial_cone():
 
 
 def test_check_sosc_inconclusive_on_exhausted_search(monkeypatch):
+    # F(x) = x1 [[0, 1], [1, 0]] + x2 diag(1, 2) at 0 forces W = w diag(2, -1):
+    # the one multiplier ray is alpha > 0, W = 0, while the search's start,
+    # the least-norm point of trace 1, has W = -diag(1, -1/2) / 3 and so
+    # lambda_min(G0) = -1/6, so phase I must run and the cap stops it
+    f = QuadraticScalar(c=0.0, g=np.zeros(2), h=np.eye(2))
+    swap = SymMat.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    cap = QuadraticMatrixMap(a0=SymMat.zeros(2), a=[swap.lower, SymMat.diagonal([1.0, 2.0]).lower])
+    p = NlsdpProblem(n=2, m=2, f=f, F=cap)
+    with monkeypatch.context() as patch:
+        patch.setattr(sosc, "_MAX_NEWTON_STEPS", 0)
+        report = check_sosc(p, np.zeros(2), SoscOptions(n_dirs=4, seed=5))
+    assert report.verdict == INCONCLUSIVE
+
+    # F(x) = x diag(1, 0) at 0 starts inside phase II's set, so the cap
+    # stops nothing; with a real search budget it fails honestly as well:
+    # every feasible point is optimal but none strictly, the margin is 0
     f = QuadraticScalar(c=0.0, g=np.zeros(1), h=np.zeros((1, 1)))
     cap = QuadraticMatrixMap(a0=SymMat.zeros(2), a=[SymMat.diagonal([1.0, 0.0]).lower])
     p = NlsdpProblem(n=1, m=2, f=f, F=cap)
     with monkeypatch.context() as patch:
         patch.setattr(sosc, "_MAX_NEWTON_STEPS", 0)
         report = check_sosc(p, np.zeros(1), SoscOptions(n_dirs=4, seed=5))
-    assert report.verdict == INCONCLUSIVE
+    assert report.verdict == FAILED_AT_DIRECTION
 
-    # with a real search budget the same problem fails honestly: every
-    # feasible point is optimal but none strictly, the margin is exactly 0
     report = check_sosc(p, np.zeros(1), SoscOptions(n_dirs=4))
     assert report.verdict == FAILED_AT_DIRECTION
     assert report.min_margin == pytest.approx(0.0, abs=1e-12)
@@ -1250,8 +1264,8 @@ def test_multiplier_search_optimum_bounds_every_multiplier(data):
 
 
 def test_multiplier_search_linalg_calls_are_bounded(monkeypatch):
-    # 46 Newton steps make 56 solves, 66 calls in all; the coordinate ascent
-    # made 133 stacked eigvalsh calls, 139 in all
+    # 15 Newton steps of phase II make 21 solves, 31 calls in all; with
+    # phase I, 46 steps made 66 calls, and the coordinate ascent 139
     p = multiplier_workload_problem(np.random.default_rng(41))
     xbar, u = np.zeros(1), np.ones(1)
     opts = SoscOptions()
@@ -1260,7 +1274,48 @@ def test_multiplier_search_linalg_calls_are_bounded(monkeypatch):
     calls = linalg_calls(
         monkeypatch, lambda: sosc._multiplier_search(p, xbar, u, d, rows, coeffs, opts)
     )
-    assert 0 < sum(calls.values()) < 120
+    assert 0 < sum(calls.values()) < 40
+
+
+def newton_steps(monkeypatch, run):
+    """(run(), the _barrier_max calls that run() makes): each call's
+    positional and keyword arguments and its returned (steps, stopped short)."""
+    calls = []
+
+    def counted(*args, _orig=sosc._barrier_max, **kwargs):
+        x, steps, short = _orig(*args, **kwargs)
+        calls.append((args, kwargs, steps, short))
+        return x, steps, short
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sosc, "_barrier_max", counted)
+        return run(), calls
+
+
+def test_check_sosc_on_p1_takes_no_newton_step(monkeypatch):
+    # P1's one multiplier, alpha = 1 and W = 0, is the search's start, and
+    # it lies inside phase II's set, where no variable is free
+    p, xbar = problem_from_json(json.loads((Path(__file__).parent / "data" / "p1.json").read_text()))
+    report, calls = newton_steps(monkeypatch, lambda: check_sosc(p, xbar))
+    assert report.verdict == VERIFIED_SAMPLED
+    assert sum(steps for _, _, steps, _ in calls) == 0
+
+
+def test_start_inside_phase_two_skips_phase_one(monkeypatch):
+    # W is forced to 0, so s* = 0 sits on the boundary; the start's
+    # lambda_min(G0) is already above -cert_tol / 2
+    p = multiplier_workload_problem(np.random.default_rng(41))
+    xbar, u = np.zeros(1), np.ones(1)
+    d = eigen_decompose(eval_F(p, xbar))
+    outcome, calls = newton_steps(monkeypatch, lambda: search(p, xbar, u, d, SoscOptions()))
+    # phase I alone stops at a reach; phase II takes the whole step budget
+    assert [kwargs for _, kwargs, _, _ in calls] == [{}]
+    (args, _, steps, short), = calls
+    assert args[5] == sosc._MAX_NEWTON_STEPS
+    assert 0 < steps < sosc._MAX_NEWTON_STEPS and not short
+    assert not outcome.hit_cap
+    assert outcome.best_interiority > -0.5 * sosc._CERT_TOL
+    assert outcome.margin == pytest.approx(p.f.h[0, 0], abs=sosc._CERT_TOL)
 
 
 def test_global_minimiser_is_not_refuted():
