@@ -37,7 +37,6 @@ from .sosc import (
     GrowthReport,
     InfeasiblePointError,
     MultiplierCandidate,
-    SoscOptions,
     SoscReport,
     check_sosc,
     critical_cone_contains,

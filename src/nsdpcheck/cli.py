@@ -28,10 +28,8 @@ from .subderivative import (
     NoFeasibleSampleError,
     SAMPLING_N,
     SAMPLING_RADIUS,
-    SAMPLING_T_GRID,
     ToleranceAnomalyError,
     estimate_from_trace,
-    require_multiplier,
     second_subderivative,
     subderivative_sampling_trace,
 )
@@ -245,13 +243,9 @@ def _warn_rank_rounding(d) -> None:
 
 def cmd_check_sosc(args) -> int:
     problem, xbar = problem_from_json(_load_json_file(args.problem))
-    opts = sosc.SoscOptions(
-        tol=args.tol,
-        rank_tol=args.rank_tol,
-        n_dirs=args.dirs,
-        seed=args.seed,
+    report = sosc.check_sosc(
+        problem, xbar, tol=args.tol, rank_tol=args.rank_tol, n_dirs=args.dirs, seed=args.seed
     )
-    report = sosc.check_sosc(problem, xbar, opts)
     d = report.decomposition
     _warn_rank_rounding(d)
     lines = [
@@ -329,21 +323,15 @@ def cmd_subderivative(args) -> int:
     try:
         d = eigen_decompose(y, args.rank_tol)
         _warn_rank_rounding(d)
-        require_multiplier(d, ystar, args.tol)
         # at the multiplier the trace samples at: a ystar that the tolerance
-        # admits outside the normal cone could read below 0
-        closed = second_subderivative(d, project_normal_cone(d, ystar), v, args.tol)
+        # admits outside the normal cone could read below 0.  The trace tests
+        # ystar as given; a Y that is not PSD has no normal cone to project
+        # onto and fails the closed form's test.
+        closed = second_subderivative(
+            d, project_normal_cone(d, ystar) if d.psd else ystar, v, args.tol
+        )
         trace = subderivative_sampling_trace(
-            y,
-            ystar,
-            v,
-            t_grid=SAMPLING_T_GRID,
-            radius=args.radius,
-            n_samples=args.samples,
-            seed=args.seed,
-            rank_tol=args.rank_tol,
-            tol=args.tol,
-            d=d,
+            d, ystar, v, radius=args.radius, n_samples=args.samples, seed=args.seed, tol=args.tol
         )
     except HypothesisViolation as exc:
         _emit(args, _error("hypothesis_violation", exc), [f"hypothesis violation: {exc}"])
@@ -425,9 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-sosc", help="verify the sufficient condition at xbar")
     sp.add_argument("problem", help="problem JSON file with xbar")
     common(sp)
-    sp.add_argument(
-        "--dirs", type=int, default=sosc.SoscOptions.n_dirs, help="random direction samples"
-    )
+    sp.add_argument("--dirs", type=int, default=sosc.N_DIRS, help="random direction samples")
     sp.set_defaults(func=cmd_check_sosc)
 
     sp = sub.add_parser("subderivative", help="closed form vs sampling oracle")

@@ -65,6 +65,7 @@ _ALPHA_NORMALIZE = 1e-6
 # Angular resolution of the deterministic direction grids.
 _GRID_STEP_DEG = {2: 2.0, 3: 10.0}
 
+N_DIRS = 512  # check_sosc's default number of random direction draws
 GROWTH_SAMPLES = 10_000  # verify_growth's default number of ball samples
 # Growth samples whose constraint values are eigen-solved together; bounds the
 # (block, m, m) work buffer.
@@ -100,21 +101,6 @@ class InfeasiblePointError(ValueError):
     def __init__(self, message: str, distance: float):
         super().__init__(message)
         self.distance = distance
-
-
-@dataclass(frozen=True)
-class SoscOptions:
-    tol: float = DEFAULT_TOL
-    rank_tol: float | None = None
-    n_dirs: int = 512
-    seed: int = 0
-
-    def __post_init__(self):
-        # a NaN tolerance fails every comparison and so empties the critical cone
-        rank_tol = 1.0 if self.rank_tol is None else self.rank_tol
-        for name, value in (("tol", self.tol), ("rank_tol", rank_tol)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +261,7 @@ def critical_cone_contains(
 def sample_critical_directions(
     p: NlsdpProblem,
     xbar,
-    n_dirs: int = 512,
+    n_dirs: int = N_DIRS,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     d: OrderedEigenDecomposition | None = None,
@@ -327,8 +313,7 @@ def _null_space(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SearchOutcome:
-    candidate: MultiplierCandidate | None
-    margin: float | None
+    certificate: DirectionCertificate | None
     best_interiority: float  # phase I's s or its start's, at most the largest interiority s*
     hit_cap: bool  # stopped at the Newton-step cap or on a numerical breakdown
 
@@ -393,7 +378,7 @@ def _multiplier_search(
     d: OrderedEigenDecomposition,
     rows: np.ndarray,
     coeffs: np.ndarray,
-    opts: SoscOptions,
+    tol: float,
 ) -> _SearchOutcome:
     """Search a multiplier for direction u.  ``rows`` is the matrix of the
     linearized map (``_linearized_rows``): its rows are the stationarity rows
@@ -423,7 +408,7 @@ def _multiplier_search(
     # G PSD gives tr G >= |G| = |z|, so a null space without trace holds no
     # multiplier but 0
     if not norm2 > 1e-24:
-        return _SearchOutcome(None, None, -math.inf, False)
+        return _SearchOutcome(None, -math.inf, False)
     z0, free = trace / norm2, _null_space(trace[None, :])
     blocks = _lmi_blocks(k, (basis @ np.column_stack((z0, free))).T)
     g0, g_free = blocks[0], blocks[1:]
@@ -441,7 +426,7 @@ def _multiplier_search(
         )
         y, best_interiority = x[:-1], float(x[-1])
     if best_interiority < -_CERT_TOL:
-        return _SearchOutcome(None, None, best_interiority, hit_cap)
+        return _SearchOutcome(None, best_interiority, hit_cap)
     if best_interiority > -delta:  # the point is inside phase II's set
         # The margin is linear in (alpha, svec W): its coefficient row.
         margin_row = np.concatenate(([u @ p.f.h @ u], np.einsum("a,b,abl->l", u, u, coeffs)))
@@ -471,15 +456,17 @@ def _multiplier_search(
             abs(frobenius_inner(ystar, dF(p, xbar, u))), normal_cone_residual(d, ystar)
         ),
     )
-    margin = sosc_margin(p, xbar, u, cand, tol=opts.tol, d=d)
-    return _SearchOutcome(cand, margin, best_interiority, hit_cap)
+    margin = sosc_margin(p, xbar, u, cand, tol=tol, d=d)
+    return _SearchOutcome(DirectionCertificate(u, cand, margin), best_interiority, hit_cap)
 
 
 def find_multiplier(
     p: NlsdpProblem,
     xbar,
     u,
-    search_opts: SoscOptions | None = None,
+    *,
+    tol: float = DEFAULT_TOL,
+    rank_tol: float | None = None,
     d: OrderedEigenDecomposition | None = None,
 ) -> MultiplierCandidate | None:
     """Search the directional multiplier set at (xbar, u).
@@ -488,12 +475,12 @@ def find_multiplier(
     from zero, otherwise unit Frobenius norm) or None when the feasible set
     reduces to the origin.  A u outside the critical cone raises ValueError.
     """
-    opts = search_opts or SoscOptions()
-    d = d or require_feasible(p, xbar, opts.tol, opts.rank_tol)
-    if not critical_cone_contains(p, xbar, u, opts.tol, d):
+    d = d or require_feasible(p, xbar, tol, rank_tol)
+    if not critical_cone_contains(p, xbar, u, tol, d):
         raise ValueError("direction is not in the critical cone")
     rows, coeffs = _linearized_rows(p, xbar, d), _margin_coefficients(p, xbar, d)
-    return _multiplier_search(p, xbar, u, d, rows, coeffs, opts).candidate
+    cert = _multiplier_search(p, xbar, u, d, rows, coeffs, tol).certificate
+    return None if cert is None else cert.candidate
 
 
 def sosc_margin(
@@ -519,33 +506,41 @@ def sosc_margin(
     return hess + sub
 
 
-def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscReport:
+def check_sosc(
+    p: NlsdpProblem,
+    xbar,
+    *,
+    tol: float = DEFAULT_TOL,
+    rank_tol: float | None = None,
+    n_dirs: int = N_DIRS,
+    seed: int = 0,
+) -> SoscReport:
     """Sampled verification of the second-order sufficient condition at xbar."""
-    opts = opts or SoscOptions()
+    # a NaN tolerance fails every comparison and so empties the critical cone
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     xbar = np.asarray(xbar, dtype=float)
-    d = require_feasible(p, xbar, opts.tol, opts.rank_tol)
-    dirs = sample_critical_directions(p, xbar, opts.n_dirs, opts.seed, opts.tol, d)
+    d = require_feasible(p, xbar, tol, rank_tol)
+    dirs = sample_critical_directions(p, xbar, n_dirs, seed, tol, d)
     rows, coeffs = _linearized_rows(p, xbar, d), _margin_coefficients(p, xbar, d)
     certificates: list[DirectionCertificate] = []
-    failures = []  # (rank_key, slope, direction, reason)
+    failures = []  # ((rank key, slope), direction, reason)
     inconclusive = []
-    margins = []
     gf = grad_f(p, xbar)
     for u in dirs:
-        outcome = _multiplier_search(p, xbar, u, d, rows, coeffs, opts)
-        slope = float(gf @ u)
-        if outcome.candidate is not None:
-            certificates.append(DirectionCertificate(u, outcome.candidate, outcome.margin))
-            margins.append((outcome.margin, u))
-            if outcome.margin <= _MARGIN_TOL:
+        outcome = _multiplier_search(p, xbar, u, d, rows, coeffs, tol)
+        cert, slope = outcome.certificate, float(gf @ u)
+        if cert is not None:
+            certificates.append(cert)
+            if cert.margin <= _MARGIN_TOL:
                 if outcome.hit_cap:
                     inconclusive.append(u)
                 else:
-                    failures.append((outcome.margin, slope, u, "non-positive margin"))
+                    failures.append(((cert.margin, slope), u, "non-positive margin"))
         elif outcome.hit_cap:
             inconclusive.append(u)
         else:
-            failures.append((outcome.best_interiority, slope, u, "no multiplier"))
+            failures.append(((outcome.best_interiority, slope), u, "no multiplier"))
 
     notes = [
         f"F(xbar) eigenvalues: {np.array2string(np.asarray(d.eigenvalues), precision=6)}; "
@@ -558,8 +553,8 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
     if not dirs:
         verdict, worst, no_margin = CRITICAL_CONE_TRIVIAL, None, math.inf
     elif failures:
-        failures.sort(key=lambda rec: (rec[0], rec[1]))
-        _, slope, worst, reason = failures[0]
+        # min keeps the first of equal keys
+        (_, slope), worst, reason = min(failures, key=lambda rec: rec[0])
         verdict, no_margin = FAILED_AT_DIRECTION, -math.inf
         notes.append(
             f"direction {np.array2string(worst, precision=6)} fails: {reason} "
@@ -573,11 +568,11 @@ def check_sosc(p: NlsdpProblem, xbar, opts: SoscOptions | None = None) -> SoscRe
         )
     else:  # every direction carries a margin
         verdict, no_margin = VERIFIED_SAMPLED, None
-        worst = min(margins, key=lambda rec: rec[0])[1]
+        worst = min(certificates, key=lambda cert: cert.margin).direction
     return SoscReport(
         verdict=verdict,
         directions_checked=len(dirs),
-        min_margin=min((m for m, _ in margins), default=no_margin),
+        min_margin=min((cert.margin for cert in certificates), default=no_margin),
         worst_direction=worst,
         certificates=certificates,
         diagnostics="\n".join(notes),

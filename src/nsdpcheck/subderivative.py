@@ -22,7 +22,7 @@ import numpy as np
 
 from .cone import DEFAULT_TOL, normal_cone_contains, project_normal_cone, tangent_cone_contains
 from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, _tril_weights
-from .symmat import eigen_decompose, frobenius_inner, lower_to_dense, pseudoinverse, split_blocks
+from .symmat import frobenius_inner, lower_to_dense, pseudoinverse, split_blocks
 
 # Sampling-oracle defaults.
 SAMPLING_T_GRID = tuple(np.logspace(-1, -5, 8))
@@ -278,39 +278,36 @@ def _quotients(ystar: SymMat, lowers: np.ndarray, t: float) -> np.ndarray:
 
 
 def subderivative_sampling_trace(
-    y: SymMat,
+    d: OrderedEigenDecomposition,
     ystar: SymMat,
     v: SymMat,
+    *,
     t_grid=SAMPLING_T_GRID,
     radius: float = SAMPLING_RADIUS,
     n_samples: int = SAMPLING_N,
     seed: int = 0,
-    rank_tol: float | None = None,
     tol: float = DEFAULT_TOL,
-    d: OrderedEigenDecomposition | None = None,
 ) -> list[dict]:
-    """Per-step record of the sampled difference quotients -2<ystar, v'>/t,
-    with ystar replaced by the nearest point of the normal cone at y.
+    """Per-step record of the sampled difference quotients -2<ystar, v'>/t
+    at y = d.source, with ystar replaced by the nearest point of the normal
+    cone at y.
 
     At each t the candidate set is v itself, the recovery-sequence point and
     n_samples random symmetric perturbations of v within radius*t, every one
     kept only if y + t*v' stays PSD.  The recovery point is feasible by
     construction and enters unfiltered whenever the omega-omega block of v is
-    PSD (tangent directions).  ``d``, when given, is y's decomposition at
-    rank_tol and is not recomputed.
+    PSD (tangent directions).
 
     The perturbations are drawn from a seeded stream in blocks, and the
     feasibility and quotients of a block are evaluated at once.
     Raises FloatingPointError when the radius is so large that a sample's
     norm overflows, which would make the feasibility slack infinite.
     """
+    require_multiplier(d, ystar, tol)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples!r}")
-    if d is None:
-        d = eigen_decompose(y, rank_tol)
-    require_multiplier(d, ystar, tol)
     # the quotients of a ystar that the tolerance admits outside the cone
     # would grow like 1/t down the grid
     ystar = project_normal_cone(d, ystar)
@@ -352,14 +349,14 @@ def subderivative_sampling_trace(
 
 
 def estimate_subderivative_sampling(
-    y: SymMat,
+    d: OrderedEigenDecomposition,
     ystar: SymMat,
     v: SymMat,
+    *,
     t_grid=SAMPLING_T_GRID,
     radius: float = SAMPLING_RADIUS,
     n_samples: int = SAMPLING_N,
     seed: int = 0,
-    rank_tol: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> float:
     """Sampled estimate of the lim inf defining the second subderivative.
@@ -369,7 +366,7 @@ def estimate_subderivative_sampling(
     estimate converges to the closed-form value as the grid refines.
     """
     trace = subderivative_sampling_trace(
-        y, ystar, v, t_grid, radius, n_samples, seed, rank_tol, tol
+        d, ystar, v, t_grid=t_grid, radius=radius, n_samples=n_samples, seed=seed, tol=tol
     )
     return estimate_from_trace(trace)
 

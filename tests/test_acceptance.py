@@ -16,7 +16,6 @@ import pytest
 
 from nsdpcheck import (
     MultiplierCandidate,
-    SoscOptions,
     SymMat,
     check_sosc,
     eigen_decompose,
@@ -71,14 +70,14 @@ def test_criterion_1_closed_form_vs_sampling_oracle():
         closed = second_subderivative(d, ystar, v)
         assert math.isfinite(closed)
         trace = subderivative_sampling_trace(
-            y, ystar, v, t_grid=DEEP_T_GRID, n_samples=8, seed=trial
+            d, ystar, v, t_grid=DEEP_T_GRID, n_samples=8, seed=trial
         )
         recovery_limit = trace[-1]["recovery_quotient"]
         assert recovery_limit is not None
         gap = abs(closed - recovery_limit)
         assert gap <= 1e-6
         estimate = estimate_subderivative_sampling(
-            y, ystar, v, t_grid=DEEP_T_GRID, n_samples=8, seed=trial
+            d, ystar, v, t_grid=DEEP_T_GRID, n_samples=8, seed=trial
         )
         assert estimate >= closed - 1e-6
         worst_gap = max(worst_gap, gap)
@@ -156,7 +155,7 @@ def test_criterion_3_cone_formulas_vs_definitions():
 def test_criterion_4_worked_fixture_p1():
     p1 = build_p1()
     xbar = np.zeros(2)
-    report = check_sosc(p1, xbar, SoscOptions())
+    report = check_sosc(p1, xbar)
     assert report.verdict == VERIFIED_SAMPLED
     assert 1.99 <= report.min_margin <= 2.01
     growth = verify_growth(p1, xbar, epsilon=0.1, beta=0.25, n_samples=10_000, seed=0)
@@ -171,7 +170,7 @@ def test_criterion_4_worked_fixture_p1():
 def test_criterion_5_negative_fixture():
     neg = build_p1(-1.0)
     xbar = np.zeros(2)
-    report = check_sosc(neg, xbar, SoscOptions())
+    report = check_sosc(neg, xbar)
     assert report.verdict == FAILED_AT_DIRECTION
     witness = report.worst_direction / np.linalg.norm(report.worst_direction)
     angle = math.acos(min(1.0, max(-1.0, float(witness @ np.array([0.0, 1.0])))))
@@ -188,7 +187,7 @@ def test_criterion_5_negative_fixture():
 
 
 def test_criterion_6_trivial_cone_fixture():
-    report = check_sosc(build_trivial_cone(), np.zeros(1), SoscOptions())
+    report = check_sosc(build_trivial_cone(), np.zeros(1))
     assert report.verdict == CRITICAL_CONE_TRIVIAL
     _report(6, "f=x with F=diag(x,x) at 0 reports a trivial critical cone")
 
@@ -257,14 +256,13 @@ def test_criterion_8_homogeneity():
 
 def test_criterion_9_certificate_non_triviality():
     rng = np.random.default_rng(109)
-    opts = SoscOptions(n_dirs=8, seed=9)
     problems = [(build_p1(), np.zeros(2))]
     for _ in range(8):
         n, m = int(rng.integers(1, 4)), int(rng.integers(2, 5))
         problems.append((kkt_consistent_problem(rng, n, m), np.zeros(n)))
     positive = 0
     for p, xbar in problems:
-        report = check_sosc(p, xbar, opts)
+        report = check_sosc(p, xbar, n_dirs=8, seed=9)
         for cert in report.certificates:
             if cert.margin > sosc._MARGIN_TOL:
                 positive += 1

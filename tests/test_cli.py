@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsdpcheck import SymMat, cli, eigen_decompose, eval_F, problem_from_json, sosc
+from nsdpcheck import SymMat, cli, cone, eigen_decompose, eval_F, problem_from_json, sosc
 from nsdpcheck.cli import ERROR_SCHEMA, REPORT_SCHEMA, main
 
 from conftest import linalg_calls
@@ -346,6 +346,22 @@ def test_closed_form_checks_ystar_as_given(tmp_path, capsys):
     assert out == "hypothesis violation: ystar is not in the normal cone at the base point\n"
 
 
+def test_subderivative_tests_normal_cone_membership_twice(monkeypatch, capsys):
+    # once for the projection of Ystar, in the closed form, and once for
+    # Ystar as given, in the trace; the command used to test Ystar as given
+    # a second time, ahead of both
+    calls = []
+
+    def counted(*args, _orig=cone.normal_cone_residual):
+        calls.append(args)
+        return _orig(*args)
+
+    monkeypatch.setattr(cone, "normal_cone_residual", counted)
+    assert run_cli("subderivative", str(DATA / "triple_basic.json")) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -480,7 +496,7 @@ def test_report_keys_match_their_schemas():
     # jsonschema accepts extra keys, so a key missing from the schema would
     # pass validation unnoticed
     problem, xbar = problem_from_json(json.loads((DATA / "p1.json").read_text()))
-    report = sosc.check_sosc(problem, xbar, sosc.SoscOptions(n_dirs=8))
+    report = sosc.check_sosc(problem, xbar, n_dirs=8)
     growth = sosc.verify_growth(problem, xbar, epsilon=0.1, beta=0.1, n_samples=10)
     result = REPORT_SCHEMA["check-sosc"]["properties"]["result"]
     certificate = result["properties"]["certificates"]["items"]

@@ -26,7 +26,6 @@ from nsdpcheck import (
     NlsdpProblem,
     QuadraticMatrixMap,
     QuadraticScalar,
-    SoscOptions,
     SymMat,
     check_sosc,
     dF,
@@ -39,7 +38,7 @@ from nsdpcheck import (
 )
 
 XBAR = np.zeros(2)
-OPTS = SoscOptions(n_dirs=8)
+OPTS = {"n_dirs": 8}
 HOLDS = (0.0, 0.5, 0.9)
 FAILS = (1.5, 2.0)  # c near 1 is skipped: sampling misses the boundary there
 
@@ -70,7 +69,7 @@ def _growth(c: float):
 
 @pytest.mark.parametrize("c", HOLDS)
 def test_condition_with_curvature_term_holds_below_c_1(c):
-    report = check_sosc(p1_c(c), XBAR, OPTS)
+    report = check_sosc(p1_c(c), XBAR, **OPTS)
     assert report.verdict == VERIFIED_SAMPLED
     assert report.min_margin == pytest.approx(2.0 * (1.0 - c), abs=1e-9)
     assert _growth(c).feasible_min_ratio > 0
@@ -78,7 +77,7 @@ def test_condition_with_curvature_term_holds_below_c_1(c):
 
 @pytest.mark.parametrize("c", FAILS)
 def test_condition_and_growth_fail_above_c_1(c):
-    report = check_sosc(p1_c(c), XBAR, OPTS)
+    report = check_sosc(p1_c(c), XBAR, **OPTS)
     assert report.verdict == FAILED_AT_DIRECTION
     assert report.min_margin == pytest.approx(2.0 * (1.0 - c), abs=1e-9)
     assert _growth(c).feasible_min_ratio < 0
@@ -86,7 +85,7 @@ def test_condition_and_growth_fail_above_c_1(c):
 
 @pytest.mark.parametrize("c", (0.25, 0.5, 0.9))
 def test_margin_without_curvature_term_refutes_a_point_with_growth(c):
-    report = check_sosc(p1_c(c), XBAR, OPTS)
+    report = check_sosc(p1_c(c), XBAR, **OPTS)
     assert report.verdict == VERIFIED_SAMPLED
     assert _growth(c).feasible_min_ratio > 0
     for cert in report.certificates:
@@ -99,13 +98,14 @@ def test_margin_without_curvature_term_refutes_a_point_with_growth(c):
 @pytest.mark.parametrize("c", HOLDS + FAILS)
 def test_closed_form_matches_sampling_oracle_on_the_family(c):
     p = p1_c(c)
-    report = check_sosc(p, XBAR, OPTS)
+    report = check_sosc(p, XBAR, **OPTS)
     for cert in report.certificates:
         y, ystar, v = eval_F(p, XBAR), cert.candidate.ystar, dF(p, XBAR, cert.direction)
-        closed = second_subderivative(eigen_decompose(y), ystar, v)
+        d = eigen_decompose(y)
+        closed = second_subderivative(d, ystar, v)
         assert math.isfinite(closed)
         assert closed == pytest.approx(2.0, abs=1e-9)
-        assert estimate_subderivative_sampling(y, ystar, v) == pytest.approx(
+        assert estimate_subderivative_sampling(d, ystar, v) == pytest.approx(
             closed, abs=1e-6
         )
 
@@ -113,6 +113,6 @@ def test_closed_form_matches_sampling_oracle_on_the_family(c):
 @pytest.mark.parametrize("c, b, margin", [(0.2, 0.3, 1.0), (0.2, 0.9, -0.2)])
 def test_quadratic_constraint_term_enters_the_margin(c, b, margin):
     # <Y*, B[u, u]> = -2b joins the Hessian term: margin 2(1 - c - b)
-    report = check_sosc(p1_c(c, b), XBAR, OPTS)
+    report = check_sosc(p1_c(c, b), XBAR, **OPTS)
     assert report.min_margin == pytest.approx(margin, abs=1e-9)
     assert report.verdict == (VERIFIED_SAMPLED if margin > 0 else FAILED_AT_DIRECTION)

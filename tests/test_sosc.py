@@ -22,7 +22,6 @@ from nsdpcheck import (
     NlsdpProblem,
     QuadraticMatrixMap,
     QuadraticScalar,
-    SoscOptions,
     GrowthReport,
     SymMat,
     check_sosc,
@@ -52,7 +51,7 @@ from conftest import build_p1, build_trivial_cone, kkt_consistent_problem, linal
 from conftest import random_orthogonal, random_psd, random_symmat
 
 XBAR = np.zeros(2)
-FAST = SoscOptions(n_dirs=64)
+FAST = {"n_dirs": 64}
 
 
 def test_critical_cone_p1_examples(p1):
@@ -325,7 +324,7 @@ def test_margin_is_hessian_form_plus_subderivative(rank):
     for _ in range(5):
         n, m = int(rng.integers(2, 6)), 4
         p, xbar = _kkt_at_rank(rng, n, m, rank), np.zeros(n)
-        report = check_sosc(p, xbar, SoscOptions(n_dirs=32))
+        report = check_sosc(p, xbar, n_dirs=32)
         d = report.decomposition
         assert (len(d.pi), len(d.omega)) == (rank, m - rank)
         for cert in report.certificates:
@@ -350,7 +349,7 @@ def test_check_sosc_samples_through_the_public_sampler(monkeypatch, p1):
         return sampler(*args, **kwargs)
 
     monkeypatch.setattr(sosc, "sample_critical_directions", counted)
-    report = check_sosc(p1, XBAR, FAST)
+    report = check_sosc(p1, XBAR, **FAST)
     assert len(calls) == 1
     assert report.directions_checked == 2
 
@@ -367,7 +366,7 @@ def test_sample_directions_eigvalsh_calls_do_not_grow_with_candidates(monkeypatc
 
 
 def test_find_multiplier_p1(p1):
-    cand = find_multiplier(p1, XBAR, np.array([1.0, 0.0]), FAST)
+    cand = find_multiplier(p1, XBAR, np.array([1.0, 0.0]))
     assert cand is not None
     assert cand.alpha == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(cand.ystar.dense(), np.diag([0.0, -1.0]), atol=1e-9)
@@ -387,8 +386,8 @@ def test_find_multiplier_rejects_non_critical_direction():
 
 
 def test_find_multiplier_absent_for_descent_direction(p1_negated):
-    assert find_multiplier(p1_negated, XBAR, np.array([0.0, 1.0]), FAST) is None
-    assert find_multiplier(p1_negated, XBAR, np.array([1.0, 0.0]), FAST) is None
+    assert find_multiplier(p1_negated, XBAR, np.array([0.0, 1.0])) is None
+    assert find_multiplier(p1_negated, XBAR, np.array([1.0, 0.0])) is None
 
 
 def test_find_multiplier_interior_point():
@@ -397,14 +396,14 @@ def test_find_multiplier_interior_point():
     stationary = NlsdpProblem(
         n=2, m=2, f=QuadraticScalar(c=0.0, g=np.zeros(2), h=np.eye(2)), F=cap
     )
-    cand = find_multiplier(stationary, XBAR, np.array([1.0, 0.0]), FAST)
+    cand = find_multiplier(stationary, XBAR, np.array([1.0, 0.0]))
     assert cand is not None and cand.alpha == pytest.approx(1.0)
     assert cand.ystar.norm() <= 1e-12
 
     sloped = NlsdpProblem(
         n=2, m=2, f=QuadraticScalar(c=0.0, g=np.array([1.0, 0.0]), h=np.eye(2)), F=cap
     )
-    assert find_multiplier(sloped, XBAR, np.array([0.0, 1.0]), FAST) is None
+    assert find_multiplier(sloped, XBAR, np.array([0.0, 1.0])) is None
 
 
 def test_sosc_margin_p1(p1):
@@ -441,7 +440,7 @@ def test_sosc_margin_quadratic_in_direction(p1):
 
 
 def test_check_sosc_verified(p1):
-    report = check_sosc(p1, XBAR, FAST)
+    report = check_sosc(p1, XBAR, **FAST)
     assert report.verdict == VERIFIED_SAMPLED
     assert report.decomposition.omega == (1,)
     assert np.array_equal(report.decomposition.source.lower, eval_F(p1, XBAR).lower)
@@ -454,13 +453,25 @@ def test_check_sosc_verified(p1):
 
 
 def test_check_sosc_failed(p1_negated):
-    report = check_sosc(p1_negated, XBAR, FAST)
+    report = check_sosc(p1_negated, XBAR, **FAST)
     assert report.verdict == FAILED_AT_DIRECTION
     assert np.linalg.norm(report.worst_direction - np.array([0.0, 1.0])) < 0.05
 
 
+@pytest.mark.parametrize("h, verdict", [(-1.0, FAILED_AT_DIRECTION), (1.0, VERIFIED_SAMPLED)])
+def test_worst_direction_is_the_first_of_equal_keys(h, verdict):
+    # F = [1] leaves omega empty: both axes carry the multiplier alpha = 1
+    # with margin h and slope 0, so their keys tie and the first axis wins
+    f = QuadraticScalar(c=0.0, g=np.zeros(1), h=np.array([[h]]))
+    p = NlsdpProblem(n=1, m=1, f=f, F=QuadraticMatrixMap(a0=SymMat.identity(1), a=[[0.0]]))
+    report = check_sosc(p, np.zeros(1), n_dirs=8)
+    assert report.verdict == verdict
+    assert [cert.margin for cert in report.certificates] == [h, h]
+    assert report.worst_direction.tolist() == [1.0]
+
+
 def test_check_sosc_trivial_cone():
-    report = check_sosc(build_trivial_cone(), np.zeros(1), FAST)
+    report = check_sosc(build_trivial_cone(), np.zeros(1), **FAST)
     assert report.verdict == CRITICAL_CONE_TRIVIAL
     assert report.directions_checked == 0
 
@@ -476,7 +487,7 @@ def test_check_sosc_inconclusive_on_exhausted_search(monkeypatch):
     p = NlsdpProblem(n=2, m=2, f=f, F=cap)
     with monkeypatch.context() as patch:
         patch.setattr(sosc, "_MAX_NEWTON_STEPS", 0)
-        report = check_sosc(p, np.zeros(2), SoscOptions(n_dirs=4, seed=5))
+        report = check_sosc(p, np.zeros(2), n_dirs=4, seed=5)
     assert report.verdict == INCONCLUSIVE
 
     # F(x) = x diag(1, 0) at 0 starts inside phase II's set, so the cap
@@ -487,31 +498,30 @@ def test_check_sosc_inconclusive_on_exhausted_search(monkeypatch):
     p = NlsdpProblem(n=1, m=2, f=f, F=cap)
     with monkeypatch.context() as patch:
         patch.setattr(sosc, "_MAX_NEWTON_STEPS", 0)
-        report = check_sosc(p, np.zeros(1), SoscOptions(n_dirs=4, seed=5))
+        report = check_sosc(p, np.zeros(1), n_dirs=4, seed=5)
     assert report.verdict == FAILED_AT_DIRECTION
 
-    report = check_sosc(p, np.zeros(1), SoscOptions(n_dirs=4))
+    report = check_sosc(p, np.zeros(1), n_dirs=4)
     assert report.verdict == FAILED_AT_DIRECTION
     assert report.min_margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_check_sosc_rejects_infeasible_point(p1):
     with pytest.raises(InfeasiblePointError) as err:
-        check_sosc(p1, np.array([0.0, -0.5]), FAST)
+        check_sosc(p1, np.array([0.0, -0.5]), **FAST)
     assert err.value.distance > 0.1
 
 
 def test_certificate_soundness_on_random_problems(p1):
     rng = np.random.default_rng(7)
-    opts = SoscOptions(n_dirs=8, seed=3)
     problems = [(p1, np.zeros(2))]
     for _ in range(10):
         n, m = int(rng.integers(1, 4)), int(rng.integers(2, 5))
         problems.append((kkt_consistent_problem(rng, n, m), np.zeros(n)))
     found = 0
     for p, xbar in problems:
-        d = eigen_decompose(eval_F(p, xbar), opts.rank_tol)
-        report = check_sosc(p, xbar, opts)
+        d = eigen_decompose(eval_F(p, xbar))
+        report = check_sosc(p, xbar, n_dirs=8, seed=3)
         for cert in report.certificates:
             cand = cert.candidate
             found += 1
@@ -528,9 +538,8 @@ def test_certificate_soundness_on_random_problems(p1):
 
 
 def test_check_sosc_deterministic(p1_negated):
-    opts = SoscOptions(n_dirs=32, seed=11)
-    r1 = check_sosc(p1_negated, XBAR, opts)
-    r2 = check_sosc(p1_negated, XBAR, opts)
+    r1 = check_sosc(p1_negated, XBAR, n_dirs=32, seed=11)
+    r2 = check_sosc(p1_negated, XBAR, n_dirs=32, seed=11)
     assert r1.verdict == r2.verdict
     assert r1.directions_checked == r2.directions_checked
     assert np.array_equal(r1.worst_direction, r2.worst_direction)
@@ -587,7 +596,7 @@ def test_verify_growth_consistency_with_report_fields(p1):
 def test_direction_slope_breaks_ties_for_worst_direction(p1_negated):
     # every direction in the upper half plane fails; the steepest descent
     # direction (0, 1) must be reported as the witness
-    report = check_sosc(p1_negated, XBAR, SoscOptions(n_dirs=256, seed=3))
+    report = check_sosc(p1_negated, XBAR, n_dirs=256, seed=3)
     slope = float(grad_f(p1_negated, XBAR) @ report.worst_direction)
     assert slope == pytest.approx(-1.0, abs=1e-9)
 
@@ -1160,19 +1169,19 @@ def multiplier_slice(p, xbar, u):
     return blocks, traces, margins, coords
 
 
-def search(p, xbar, u, d, opts):
+def search(p, xbar, u, d):
     """sosc._multiplier_search with the two matrices check_sosc builds once
     per check."""
     rows, coeffs = sosc._linearized_rows(p, xbar, d), sosc._margin_coefficients(p, xbar, d)
-    return sosc._multiplier_search(p, xbar, u, d, rows, coeffs, opts)
+    return sosc._multiplier_search(p, xbar, u, d, rows, coeffs, DEFAULT_TOL)
 
 
-def reference_multiplier_search(p, xbar, u, d, opts):
+def reference_multiplier_search(p, xbar, u, d):
     """The outcome each of the first five multiplier_search_cases() is built
     to have, one scalar at a time: where grad f(xbar) = 0 the one multiplier
     is alpha = 1, Ystar = 0, with margin u.h.u; elsewhere there is none."""
     if np.any(grad_f(p, xbar)):
-        return sosc._SearchOutcome(None, None, -math.inf, False)
+        return sosc._SearchOutcome(None, -math.inf, False)
     ystar = SymMat.zeros(p.m)
     cand = MultiplierCandidate(
         alpha=1.0,
@@ -1180,25 +1189,25 @@ def reference_multiplier_search(p, xbar, u, d, opts):
         stationarity_residual=float(np.linalg.norm(lagrangian_grad(p, 1.0, xbar, ystar))),
         normal_cone_slack=0.0,
     )
-    return sosc._SearchOutcome(cand, sosc_margin(p, xbar, u, cand, tol=opts.tol, d=d), 0.0, False)
+    margin = sosc_margin(p, xbar, u, cand, d=d)
+    return sosc._SearchOutcome(sosc.DirectionCertificate(u, cand, margin), 0.0, False)
 
 
 @pytest.mark.parametrize("case", range(5))
 def test_multiplier_search_matches_scalar_reference(case):
     p, xbar, u = multiplier_search_cases()[case]
-    opts = SoscOptions(seed=4)
-    d = eigen_decompose(eval_F(p, xbar), opts.rank_tol)
-    new = search(p, xbar, u, d, opts)
-    ref = reference_multiplier_search(p, xbar, u, d, opts)
-    assert (new.candidate is None) == (ref.candidate is None) == (case in (2, 3))
+    d = eigen_decompose(eval_F(p, xbar))
+    new = search(p, xbar, u, d)
+    ref = reference_multiplier_search(p, xbar, u, d)
+    assert (new.certificate is None) == (ref.certificate is None) == (case in (2, 3))
     assert not new.hit_cap
-    if ref.candidate is None:
-        assert new.margin is None
+    if ref.certificate is None:
         assert new.best_interiority < -sosc._CERT_TOL
         return
     # phase I reaches -cert_tol / 2, phase II's set reaches cert_tol / 2 past
     # the PSD cone: the certificate is the reference one up to cert_tol
     assert new.best_interiority >= -0.5 * sosc._CERT_TOL
+    new, ref = new.certificate, ref.certificate
     assert new.candidate.alpha == pytest.approx(ref.candidate.alpha, abs=sosc._CERT_TOL)
     assert np.abs(new.candidate.ystar.dense()).max() <= sosc._CERT_TOL
     assert new.candidate.stationarity_residual <= sosc._CERT_TOL
@@ -1231,16 +1240,16 @@ def test_multiplier_search_optimum_bounds_every_multiplier(data):
     # may beat it; a "no multiplier" outcome must admit none with interiority
     # lambda_min(G) / trace above -cert_tol
     p, xbar, u = search_case(data)
-    opts = SoscOptions()
-    d = eigen_decompose(eval_F(p, xbar), opts.rank_tol)
-    outcome = search(p, xbar, u, d, opts)
+    d = eigen_decompose(eval_F(p, xbar))
+    outcome = search(p, xbar, u, d)
     blocks, traces, margins, coords = multiplier_slice(p, xbar, u)
     r = len(traces)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="draw seed"))
     anchors = [np.zeros(r)]
     if r and abs(blocks[:, 0, 0] @ blocks[:, 0, 0] - 1.0) < 1e-12:
         anchors.append(blocks[:, 0, 0])  # alpha = 1, W = 0 is in the span
-    cand = outcome.candidate
+    cert = outcome.certificate
+    cand = None if cert is None else cert.candidate
     if cand is not None:
         anchors.append(coords(cand.alpha, cand.ystar.dense()))
     zs = [anchor + scale * rng.standard_normal((16, r))
@@ -1256,7 +1265,7 @@ def test_multiplier_search_optimum_bounds_every_multiplier(data):
         assert not np.any((trace > 0) & (least >= -sosc._CERT_TOL * trace))
         return
     ystar_trace = float(np.trace(cand.ystar.dense()))
-    optimum = outcome.margin / (cand.alpha - ystar_trace)
+    optimum = cert.margin / (cand.alpha - ystar_trace)
     feasible = (trace > 0) & (least >= -1e-12 * trace)  # PSD up to rounding
     scale = max(1.0, float(np.linalg.norm(margins)))
     values = zs[feasible] @ margins / trace[feasible]
@@ -1268,11 +1277,10 @@ def test_multiplier_search_linalg_calls_are_bounded(monkeypatch):
     # phase I, 46 steps made 66 calls, and the coordinate ascent 139
     p = multiplier_workload_problem(np.random.default_rng(41))
     xbar, u = np.zeros(1), np.ones(1)
-    opts = SoscOptions()
-    d = eigen_decompose(eval_F(p, xbar), opts.rank_tol)
+    d = eigen_decompose(eval_F(p, xbar))
     rows, coeffs = sosc._linearized_rows(p, xbar, d), sosc._margin_coefficients(p, xbar, d)
     calls = linalg_calls(
-        monkeypatch, lambda: sosc._multiplier_search(p, xbar, u, d, rows, coeffs, opts)
+        monkeypatch, lambda: sosc._multiplier_search(p, xbar, u, d, rows, coeffs, DEFAULT_TOL)
     )
     assert 0 < sum(calls.values()) < 40
 
@@ -1307,7 +1315,7 @@ def test_start_inside_phase_two_skips_phase_one(monkeypatch):
     p = multiplier_workload_problem(np.random.default_rng(41))
     xbar, u = np.zeros(1), np.ones(1)
     d = eigen_decompose(eval_F(p, xbar))
-    outcome, calls = newton_steps(monkeypatch, lambda: search(p, xbar, u, d, SoscOptions()))
+    outcome, calls = newton_steps(monkeypatch, lambda: search(p, xbar, u, d))
     # phase I alone stops at a reach; phase II takes the whole step budget
     assert [kwargs for _, kwargs, _, _ in calls] == [{}]
     (args, _, steps, short), = calls
@@ -1315,25 +1323,25 @@ def test_start_inside_phase_two_skips_phase_one(monkeypatch):
     assert 0 < steps < sosc._MAX_NEWTON_STEPS and not short
     assert not outcome.hit_cap
     assert outcome.best_interiority > -0.5 * sosc._CERT_TOL
-    assert outcome.margin == pytest.approx(p.f.h[0, 0], abs=sosc._CERT_TOL)
+    assert outcome.certificate.margin == pytest.approx(p.f.h[0, 0], abs=sosc._CERT_TOL)
 
 
 def test_global_minimiser_is_not_refuted():
     p, xbar = problem_from_json(FALSE_REFUTATION)
-    report = check_sosc(p, xbar, SoscOptions(n_dirs=16))
+    report = check_sosc(p, xbar, n_dirs=16)
     assert report.verdict == VERIFIED_SAMPLED
     assert report.min_margin == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("field", ["tol", "rank_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-8])
-def test_sosc_options_reject_bad_tolerances(field, value):
+def test_sosc_options_reject_bad_tolerances(p1, field, value):
     # a NaN tol makes every tangency test false and so empties the cone
     with pytest.raises(ValueError, match=field):
-        SoscOptions(**{field: value})
+        check_sosc(p1, XBAR, **{field: value})
 
 
-def test_sosc_options_zero_tolerances():
+def test_sosc_options_zero_tolerances(p1):
     for field in ("tol", "rank_tol"):
         with pytest.raises(ValueError, match=field):
-            SoscOptions(**{field: 0.0})
+            check_sosc(p1, XBAR, **{field: 0.0})

@@ -47,6 +47,7 @@ DATA = Path(__file__).parent / "data"
 Y_CORNER = SymMat.diagonal([1.0, 0.0])
 YS_CORNER = SymMat.diagonal([0.0, -1.0])
 V_CROSS = SymMat.from_dense([[0.0, 1.0], [1.0, 0.0]])
+D_CORNER = eigen_decompose(Y_CORNER)
 
 # Deep grid for quantitative comparisons: quotient errors scale like
 # C*t + eps/t, both below 1e-6 near t ~ 3e-8 for O(1)-scaled triples.
@@ -160,7 +161,7 @@ def test_closed_form_and_quotients_read_zero_not_negative_zero():
     zero = SymMat.zeros(2)
     value = second_subderivative(eigen_decompose(Y_CORNER), zero, V_CROSS)
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
-    trace = subderivative_sampling_trace(Y_CORNER, zero, V_CROSS, n_samples=8)
+    trace = subderivative_sampling_trace(D_CORNER, zero, V_CROSS, n_samples=8)
     quotients = [lv[key] for lv in trace for key in ("min_quotient", "recovery_quotient")]
     assert all(q == 0.0 and math.copysign(1.0, q) == 1.0 for q in quotients)
 
@@ -240,16 +241,16 @@ def test_recovery_sequence_feasibility_property():
 
 
 def test_estimate_examples():
-    est = estimate_subderivative_sampling(Y_CORNER, YS_CORNER, V_CROSS, seed=2)
+    est = estimate_subderivative_sampling(D_CORNER, YS_CORNER, V_CROSS, seed=2)
     assert est == pytest.approx(2.0, abs=1e-3)
 
     zero_mult = estimate_subderivative_sampling(
-        Y_CORNER, SymMat.zeros(2), V_CROSS, seed=2
+        D_CORNER, SymMat.zeros(2), V_CROSS, seed=2
     )
     assert zero_mult == 0.0
 
     zero_dir = estimate_subderivative_sampling(
-        Y_CORNER, YS_CORNER, SymMat.zeros(2), seed=2
+        D_CORNER, YS_CORNER, SymMat.zeros(2), seed=2
     )
     assert zero_dir == pytest.approx(0.0, abs=1e-9)
 
@@ -264,21 +265,21 @@ def test_estimate_from_trace_takes_finest_feasible_step():
     with pytest.raises(NoFeasibleSampleError):
         estimate_from_trace(trace[2:])
 
-    full = subderivative_sampling_trace(Y_CORNER, YS_CORNER, V_CROSS, seed=2)
+    full = subderivative_sampling_trace(D_CORNER, YS_CORNER, V_CROSS, seed=2)
     assert estimate_from_trace(full) == estimate_subderivative_sampling(
-        Y_CORNER, YS_CORNER, V_CROSS, seed=2
+        D_CORNER, YS_CORNER, V_CROSS, seed=2
     )
 
 
 def test_estimate_requires_hypotheses():
     with pytest.raises(HypothesisViolation):
-        estimate_subderivative_sampling(Y_CORNER, SymMat.identity(2), V_CROSS)
+        estimate_subderivative_sampling(D_CORNER, SymMat.identity(2), V_CROSS)
 
 
 def test_estimate_signals_non_tangent_direction():
     with pytest.raises(NoFeasibleSampleError):
         estimate_subderivative_sampling(
-            Y_CORNER, YS_CORNER, SymMat.diagonal([0.0, -1.0]), seed=4
+            D_CORNER, YS_CORNER, SymMat.diagonal([0.0, -1.0]), seed=4
         )
 
 
@@ -292,10 +293,10 @@ def test_closed_form_vs_sampling_two_sided():
         y, ystar, v, d = valid_triple(rng, m, rank=int(rng.integers(1, m)))
         closed = closed_form_value(d, ystar, v)
         trace = subderivative_sampling_trace(
-            y, ystar, v, t_grid=DEEP_T_GRID, n_samples=8, seed=trial
+            d, ystar, v, t_grid=DEEP_T_GRID, n_samples=8, seed=trial
         )
         est = estimate_subderivative_sampling(
-            y, ystar, v, t_grid=DEEP_T_GRID, n_samples=8, seed=trial
+            d, ystar, v, t_grid=DEEP_T_GRID, n_samples=8, seed=trial
         )
         assert est >= closed - 1e-6
         assert trace[-1]["recovery_quotient"] == pytest.approx(closed, abs=1e-6)
@@ -326,7 +327,7 @@ def test_estimate_does_not_undercut_closed_form_at_an_admitted_multiplier(m, ran
     assert normal_cone_contains(d, tilted)
     closed = closed_form_value(d, tilted, v)
     est = estimate_subderivative_sampling(
-        y, tilted, v, t_grid=DEEP_T_GRID, n_samples=8, seed=seed
+        d, tilted, v, t_grid=DEEP_T_GRID, n_samples=8, seed=seed
     )
     assert est >= closed - 1e-6
 
@@ -365,7 +366,7 @@ def test_closed_form_matches_eigenbasis_evaluation():
 
 def test_trace_reports_levels():
     trace = subderivative_sampling_trace(
-        Y_CORNER, YS_CORNER, V_CROSS, t_grid=(1e-1, 1e-3), n_samples=4, seed=0
+        D_CORNER, YS_CORNER, V_CROSS, t_grid=(1e-1, 1e-3), n_samples=4, seed=0
     )
     assert [lvl["t"] for lvl in trace] == [1e-1, 1e-3]
     for lvl in trace:
@@ -373,11 +374,14 @@ def test_trace_reports_levels():
         assert lvl["recovery_quotient"] == pytest.approx(2.0, abs=1e-9)
 
 
-def test_trace_reuses_a_given_decomposition():
-    d = eigen_decompose(Y_CORNER)
-    assert subderivative_sampling_trace(
-        Y_CORNER, YS_CORNER, V_CROSS, n_samples=8, seed=3, d=d
-    ) == subderivative_sampling_trace(Y_CORNER, YS_CORNER, V_CROSS, n_samples=8, seed=3)
+def test_trace_reuses_a_given_decomposition(monkeypatch):
+    # the trace samples at d.source and never decomposes it again
+    calls = linalg_calls(
+        monkeypatch,
+        lambda: subderivative_sampling_trace(D_CORNER, YS_CORNER, V_CROSS, n_samples=8, seed=3),
+        of=Y_CORNER.dense(),
+    )
+    assert not any(calls.values())
 
 
 # -- the stacked trace against the per-sample reference ----------------------------
@@ -527,7 +531,10 @@ def reference_cases():
 
 
 def assert_same_trace(triple, kwargs, stats=None):
-    got = subderivative_sampling_trace(*triple, **kwargs)
+    y, ystar, v = triple
+    d = eigen_decompose(y, kwargs.get("rank_tol"))
+    options = {key: value for key, value in kwargs.items() if key != "rank_tol"}
+    got = subderivative_sampling_trace(d, ystar, v, **options)
     assert got == reference_trace(*triple, **kwargs, stats=stats)
     return got
 
@@ -574,12 +581,12 @@ def test_trace_matches_reference_on_random_triples(
 
 def test_trace_linalg_calls_do_not_grow_with_samples(monkeypatch):
     # the kernels run once per block of samples, never once per sample
-    y, ystar, v, _ = valid_triple(np.random.default_rng(31), 6, rank=3)
+    _, ystar, v, d = valid_triple(np.random.default_rng(31), 6, rank=3)
 
     def calls(n_samples):
         return linalg_calls(
             monkeypatch,
-            lambda: subderivative_sampling_trace(y, ystar, v, n_samples=n_samples, seed=1),
+            lambda: subderivative_sampling_trace(d, ystar, v, n_samples=n_samples, seed=1),
         )
 
     base = calls(64)
@@ -608,10 +615,10 @@ def test_trace_perturbations_lie_within_radius_t():
 def test_trace_memory_does_not_grow_with_samples():
     # one draw of all 50k 12 x 12 noise matrices would allocate 57.6 MB; the
     # blocks of _TRACE_BLOCK draws peak at about 1.4 MB
-    y, ystar, v, _ = valid_triple(np.random.default_rng(33), 12, rank=6)
+    _, ystar, v, d = valid_triple(np.random.default_rng(33), 12, rank=6)
     tracemalloc.start()
     try:
-        trace = subderivative_sampling_trace(y, ystar, v, t_grid=(0.1,), n_samples=50_000)
+        trace = subderivative_sampling_trace(d, ystar, v, t_grid=(0.1,), n_samples=50_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
