@@ -11,7 +11,13 @@ accompanied by two constructions used both internally and as test oracles:
   difference quotients attain the closed-form value.
 
 ``estimate_subderivative_sampling`` estimates the defining lim inf by
-sampling feasible directions at shrinking step sizes.
+sampling feasible directions at shrinking step sizes.  A sample is kept by
+the Schur-complement test, after an infeasibility screen
+(``_infeasibility_screen``): a Rayleigh-quotient bound of the complement
+along the eigenvectors of v's omega-omega block, linear in the sample, that
+rejects most infeasible samples with two matrix products per block.  Only the
+samples it cannot decide get the exact test, so every trace keeps the bits
+of the full computation.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import numpy as np
 
 from .cone import DEFAULT_TOL, normal_cone_contains, project_normal_cone, tangent_cone_contains
-from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, _tril_weights
+from .symmat import ORTH_TOL, OrderedEigenDecomposition, SymMat, _tril_indices, _tril_weights
 from .symmat import frobenius_inner, lower_to_dense, pseudoinverse, split_blocks
 
 # Sampling-oracle defaults.
@@ -38,6 +44,13 @@ _TRACE_BLOCK = 256
 # accuracy, which perturbs quotients by O(slack / t); keeping the slack at a
 # few ulps keeps that perturbation below 1e-6 down to t ~ 3e-8.
 _FEAS_SLACK = 8.0 * np.finfo(float).eps
+
+# The infeasibility screen rejects a row only where its bound lies below the
+# feasibility threshold by more than _SCREEN_ROUNDING * m^2 * eps times a
+# bound of the entries that the exact test forms: more than its conjugation,
+# pivot eigenvalue, solve and complement eigenvalue, and the screen's own
+# products, can round apart.
+_SCREEN_ROUNDING = 16.0
 
 
 class HypothesisViolation(ValueError):
@@ -195,29 +208,117 @@ def recovery_sequence(d: OrderedEigenDecomposition, v: SymMat, t: float) -> SymM
     """Feasible correction of v at step t: adds
     ``t * V_op @ inv(M_pp + t V_pp) @ V_po`` to the omega-omega block in the
     eigenbasis.  For tangent v this keeps y + t * result PSD and the
-    correction vanishes like O(t)."""
+    correction vanishes like O(t).  Raises FloatingPointError where the
+    arithmetic overflows or meets a NaN."""
     if t <= 0:
         raise ValueError("t must be positive")
     if v.m != d.m:
         raise ValueError("dimension mismatch")
-    conj, ok, coupling = _schur_terms(d, v.lower[None], t)
-    _require_pivot(ok, t)
-    corrected = conj[0]
-    if coupling is not None:
-        delta = coupling[0]
-        corrected[np.ix_(d.omega, d.omega)] += 0.5 * (delta + delta.T)
-    p = d.p_matrix
-    return SymMat.from_dense(p.T @ corrected @ p, check_symmetry=False)
+    with np.errstate(over="raise", invalid="raise"):
+        conj, ok, coupling = _schur_terms(d, v.lower[None], t)
+        _require_pivot(ok, t)
+        corrected = conj[0]
+        if coupling is not None:
+            delta = coupling[0]
+            corrected[np.ix_(d.omega, d.omega)] += 0.5 * (delta + delta.T)
+        p = d.p_matrix
+        return SymMat.from_dense(p.T @ corrected @ p, check_symmetry=False)
 
 
-def _samples_feasible(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float) -> np.ndarray:
+def _infeasibility_screen(d: OrderedEigenDecomposition, v: SymMat):
+    """A function ``(lowers, t, norms, slack) -> rejected`` that flags rows
+    which the exact test of ``_samples_feasible`` provably rejects, or None
+    when pi or omega is empty.
+
+    In d's eigenbasis a row v' has the pivot Pv = M_pp + t V'_pp and the
+    complement S = V'_oo - t V'_op inv(Pv) V'_po.  Take a unit eigenvector z
+    of v's own omega-omega block, w = P_omega^T z and c = P_pi v' w, so that
+    z^T S z = w^T v' w - t c^T inv(Pv) c.  With s = ||P_pi||^2 ||v'||_F,
+    Pv <= M_pp + t s I, and where lambda_min(M_pp) > t s also
+    inv(Pv) >= inv(M_pp + t s I), so
+
+        lambda_min(S) <= z^T S z / |z|^2
+                      <= (w^T v' w - t sum_i c_i^2 / (lambda_i + t s)) / |z|^2.
+
+    w^T v' w and c are linear in the lower triangle of v': products of a
+    block's rows with an (m(m+1)/2) x k and an (m(m+1)/2) x k|pi| matrix,
+    built here once, give them for every z, the second only for the rows
+    that the first leaves open.  A row is rejected only where the exact test
+    finds its pivot positive definite, lambda_min(M_pp) - t s above rank_tol
+    by the rounding of lambda_max(M_pp) + t s, and where the smallest bound
+    lies below -slack by the rounding of ||v'|| + t ||v'||^2 (lambda_max +
+    t s) / (lambda_min - t s)^2, which bounds the entries of S and how far
+    the computed S strays from it; both are scaled by max |z|^2, z's
+    orthonormality defect.  A row on which any of this overflows or reads
+    NaN is never rejected.
+    """
+    if not (d.pi and d.omega):
+        return None
+    m, p = d.m, d.p_matrix
+    pi = list(d.pi)
+    p_pi, basis = p[pi], p[list(d.omega)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_oo = basis @ v.dense() @ basis.T
+    if not np.isfinite(v_oo).all():
+        return None
+    z = np.linalg.eigh(v_oo)[1]
+    k = len(z)
+    zeta = max(1.0, float(np.max(np.sum(z * z, axis=0))))
+    # the decomposition keeps ||P P^T - I||_F within ORTH_TOL as computed, so
+    # this bounds ||P_pi||^2 and ||P_omega||^2
+    stretch = 1.0 + 2.0 * ORTH_TOL
+    lam = d.eigenvalues[pi]
+    lam_hi, lam_lo = float(lam[0]), float(lam[-1])
+    unit = _SCREEN_ROUNDING * m * m * np.finfo(float).eps
+
+    # column j of quad_forms and column (j, a) of cross_forms hold the
+    # coefficients of v''s lower triangle in w_j^T v' w_j and (P_pi v' w_j)_a:
+    # (x_i y_j + x_j y_i) / 2 at entry (i, j), times _tril_weights
+    i, j = _tril_indices(m)
+    weights = _tril_weights(m, 2.0)
+    w = z.T @ basis
+    w_i, w_j, p_i, p_j = w[:, i].T, w[:, j].T, p_pi[:, i].T, p_pi[:, j].T
+    quad_forms = weights[:, None] * w_i * w_j
+    cross_forms = (0.5 * weights[:, None, None]) * (
+        w_j[:, :, None] * p_i[:, None] + w_i[:, :, None] * p_j[:, None]
+    )
+    cross_forms = cross_forms.reshape(len(i), -1)
+
+    def rejected(lowers: np.ndarray, t: float, norms: np.ndarray, slack: np.ndarray):
+        out = np.zeros(len(lowers), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            quad = lowers @ quad_forms
+            # |c|^2 <= ||P_pi||^2 ||v'||^2 |w|^2, so a row whose w^T v' w all
+            # exceed t ||P_pi||^2 ||v'||^2 |w|^2 / lambda_lo has no negative
+            # bound: its coupling terms are not formed
+            open_pairs = quad < ((t * stretch**2 * zeta / lam_lo) * norms**2)[:, None]
+            if not open_pairs.any():
+                return out
+            rows = np.flatnonzero(open_pairs.any(axis=1))
+            quad, norms, slack = quad[rows], norms[rows], slack[rows]
+            shift = t * stretch * norms
+            top, low = lam_hi + shift, lam_lo - shift
+            size = norms + t * norms**2 * top / low**2
+            cross = (lowers[rows] @ cross_forms).reshape(len(rows), k, len(pi))
+            coupling = (cross**2 @ (1.0 / (lam + shift[:, None]))[..., None])[..., 0]
+            bound = np.min(quad - t * coupling, axis=1)
+            sure = (low - unit * top > d.rank_tol) & np.isfinite(m * m * size) & np.isfinite(bound)
+            out[rows] = sure & (bound < -zeta * (slack + unit * size))
+        return out
+
+    return rejected
+
+
+def _samples_feasible(d: OrderedEigenDecomposition, screen, lowers: np.ndarray, t: float):
     """Tight feasibility filter for sampled directions, one flag per row of
     ``lowers``.
 
     Uses the Schur complement, whose entries stay O(||vprime||) as t shrinks,
     so violations of order t remain detectable where the absolute eigenvalues
     of y + t*vprime would drown in rounding.  Rows whose pivot fails, where t
-    is too large for the reduction, fall back to a direct PSD test.
+    is too large for the reduction, fall back to a direct PSD test.  The rows
+    that ``screen`` (from ``_infeasibility_screen``, or None) rejects skip
+    both tests; every other row gets the bits of the full computation.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.sum(_tril_weights(d.m, 2.0) * lowers**2, axis=-1))
@@ -227,6 +328,13 @@ def _samples_feasible(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float
             "a sampled direction has a norm that is not finite; the radius is too large"
         )
     slack = _FEAS_SLACK * np.maximum(1.0, norms)
+    if screen is not None:
+        tested = ~screen(lowers, t, norms, slack)
+        if not tested.all():
+            feasible = np.zeros(len(lowers), dtype=bool)
+            if tested.any():
+                feasible[tested] = _samples_feasible(d, None, lowers[tested], t)
+            return feasible
     ok, lam = _schur_min_eigenvalues(d, lowers, t)
     feasible = lam >= -slack
     direct = ~ok
@@ -299,9 +407,18 @@ def subderivative_sampling_trace(
     PSD (tangent directions).
 
     The perturbations are drawn from a seeded stream in blocks, and the
-    feasibility and quotients of a block are evaluated at once.
+    feasibility and quotients of a block are evaluated at once.  The
+    infeasibility screen, built once per trace, bounds the complement's
+    smallest eigenvalue of every sample from above by
+    ``w^T v' w - t sum_i c_i^2 / (lambda_i + t ||v'||)`` along each
+    eigenvector z of v's omega-omega block (w = P_omega^T z, c = P_pi v' w),
+    and rejects the samples whose bound lies below the feasibility slack by
+    more than its rounding term; only the undecided samples get the exact
+    Schur-complement test, so the counts, minima and quotients are those of
+    the full computation.
     Raises FloatingPointError when the radius is so large that a sample's
-    norm overflows, which would make the feasibility slack infinite.
+    norm overflows, which would make the feasibility slack infinite, or
+    where the recovery point's arithmetic overflows.
     """
     require_multiplier(d, ystar, tol)
     if not (math.isfinite(radius) and radius > 0):
@@ -316,6 +433,7 @@ def subderivative_sampling_trace(
         raise ValueError("t_grid must contain positive step sizes")
     rng = np.random.default_rng(seed)
     tangent = tangent_cone_contains(d, v, tol)
+    screen = _infeasibility_screen(d, v)
 
     trace = []
     for t in t_values:
@@ -328,7 +446,7 @@ def subderivative_sampling_trace(
             except PivotNotPositiveDefinite:
                 pass
         for rows in _candidate_blocks(rng, v, t, radius, n_samples):
-            kept = rows[_samples_feasible(d, rows, t)]
+            kept = rows[_samples_feasible(d, screen, rows, t)]
             if not len(kept):
                 continue
             quotients = _quotients(ystar, kept, t)

@@ -579,21 +579,129 @@ def test_trace_matches_reference_on_random_triples(
     )
 
 
+def trace_calls(monkeypatch, d, ystar, v, n_samples):
+    return linalg_calls(
+        monkeypatch,
+        lambda: subderivative_sampling_trace(d, ystar, v, n_samples=n_samples, seed=1),
+    )
+
+
 def test_trace_linalg_calls_do_not_grow_with_samples(monkeypatch):
-    # the kernels run once per block of samples, never once per sample
+    # the kernels run once per block of samples, never once per sample.  The
+    # identity added to v's omega-omega block keeps every sample's screen
+    # bound positive, so no block is screened and each makes the same calls.
     _, ystar, v, d = valid_triple(np.random.default_rng(31), 6, rank=3)
-
-    def calls(n_samples):
-        return linalg_calls(
-            monkeypatch,
-            lambda: subderivative_sampling_trace(d, ystar, v, n_samples=n_samples, seed=1),
-        )
-
-    base = calls(64)
+    basis = d.p_matrix[list(d.omega)]
+    v = v + SymMat.from_dense(basis.T @ basis, check_symmetry=False)
+    base = trace_calls(monkeypatch, d, ystar, v, 64)
     assert base["eigvalsh"] > 0 and base["solve"] > 0
-    assert calls(200) == base
+    assert trace_calls(monkeypatch, d, ystar, v, 200) == base
     monkeypatch.setattr(subderivative, "_TRACE_BLOCK", 1024)
-    assert calls(512) == base
+    assert trace_calls(monkeypatch, d, ystar, v, 512) == base
+
+
+def test_trace_linalg_calls_stay_within_a_per_block_bound_when_screened(monkeypatch):
+    # where the screen decides a whole block, that block makes no call; any
+    # block makes at most a pivot, a complement and a direct eigvalsh and one
+    # solve.  n_samples = 0 still tests v, one block per step.
+    _, ystar, v, d = valid_triple(np.random.default_rng(31), 6, rank=3)
+    steps = len(SAMPLING_T_GRID)
+    calls = {n: trace_calls(monkeypatch, d, ystar, v, n) for n in (0, 64, 200, 1000)}
+    base = calls[0]
+    for n_samples in (64, 200, 1000):
+        blocks = steps * math.ceil(n_samples / subderivative._TRACE_BLOCK)
+        got = calls[n_samples]
+        assert got["eigvalsh"] <= base["eigvalsh"] + 3 * blocks
+        assert got["solve"] <= base["solve"] + blocks
+        assert got["eigh"] == base["eigh"] and got["norm"] == base["norm"]
+    # the screen decides whole blocks on this triple: at 64 samples, one
+    # block a step, the sampled blocks add fewer solves than one a block
+    assert calls[64]["solve"] < base["solve"] + steps
+
+
+# -- the infeasibility screen ---------------------------------------------------------
+
+
+def threshold_rows(d, v, count=256):
+    """Directions whose omega-omega complement has its smallest eigenvalue at
+    the filter's threshold -slack, give or take a few ulps: v in d's
+    eigenbasis with its pi-omega block zeroed and the smallest eigenvalue of
+    its omega-omega block moved there.  Without a coupling term the screen's
+    bound along that eigenvector is exact, so only the screen's rounding
+    term keeps it from rejecting the rows that the exact test accepts."""
+    p, pi, omega = d.p_matrix, list(d.pi), list(d.omega)
+    x = p @ v.dense() @ p.T
+    x[np.ix_(pi, omega)] = 0.0
+    x[np.ix_(omega, pi)] = 0.0
+    lam, z = np.linalg.eigh(x[np.ix_(omega, omega)])
+    size = max(1.0, SymMat.from_dense(x, check_symmetry=False).norm())
+    slack = subderivative._FEAS_SLACK * size
+    ulp = np.finfo(float).eps * size
+    rows = []
+    for step in range(-count // 2, count // 2):
+        moved = x.copy()
+        shift = step * ulp / 16 - slack - lam[0]
+        moved[np.ix_(omega, omega)] += shift * np.outer(z[:, 0], z[:, 0])
+        rows.append(SymMat.from_dense(p.T @ moved @ p, check_symmetry=False).lower)
+    return np.array(rows)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    m=st.integers(2, 6),
+    rank_share=st.floats(0.0, 1.0),
+    triple_seed=st.integers(0, 2**32 - 1),
+    tilt=st.sampled_from([0.0, 0.3]),
+    scale=st.sampled_from([1.0, 12.0, 1e75, 1e150]),
+    n_samples=st.integers(0, 40),
+    radius=st.sampled_from([0.1, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screen_rejects_no_row_that_the_exact_filter_accepts(
+    m, rank_share, triple_seed, tilt, scale, n_samples, radius, seed
+):
+    # the strategies of test_trace_matches_reference_on_random_triples, with
+    # large scales, a rank that leaves pi and omega nonempty, and rows placed
+    # at the feasibility threshold
+    rng = np.random.default_rng(triple_seed)
+    _, _, v, d = valid_triple(rng, m, rank=1 + round(rank_share * (m - 2)))
+    if tilt:
+        v = v + random_symmat(rng, m, tilt)
+    v = scale * v
+    screen = subderivative._infeasibility_screen(d, v)
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(screen(*args))
+        return verdicts[-1]
+
+    draws = np.random.default_rng(seed)
+    for t in SAMPLING_T_GRID:
+        blocks = subderivative._candidate_blocks(draws, v, t, radius, n_samples)
+        rows = np.concatenate([*blocks, threshold_rows(d, v)])
+        exact = subderivative._samples_feasible(d, None, rows, t)
+        screened = subderivative._samples_feasible(d, spy, rows, t)
+        assert not (verdicts.pop() & exact).any()
+        assert (screened == exact).all()
+
+
+def test_screen_rejects_most_candidates_of_a_rank_deficient_triple(monkeypatch):
+    # v's omega-omega block is singular, so most samples leave the cone; at
+    # least 80% of the candidates must never reach the exact test, and the
+    # samples that it accepts still count beside the recovery points
+    _, ystar, v, d = valid_triple(np.random.default_rng(1), 12, rank=6)
+    tested = []
+    exact = subderivative._schur_min_eigenvalues
+
+    def counted(d, lowers, t):
+        tested.append(len(lowers))
+        return exact(d, lowers, t)
+
+    monkeypatch.setattr(subderivative, "_schur_min_eigenvalues", counted)
+    trace = subderivative_sampling_trace(d, ystar, v, seed=0)
+    candidates = len(SAMPLING_T_GRID) * (1 + subderivative.SAMPLING_N)
+    assert sum(level["feasible_samples"] for level in trace) > len(SAMPLING_T_GRID)
+    assert sum(tested) <= 0.2 * candidates
 
 
 def test_trace_perturbations_lie_within_radius_t():
@@ -624,6 +732,16 @@ def test_trace_memory_does_not_grow_with_samples():
         tracemalloc.stop()
     assert len(trace) == 1
     assert peak < 57.6e6 / 10
+
+
+def test_recovery_overflow_raises_floating_point_error():
+    # the correction t V_op inv(pivot) V_po = t 1e400 overflows: a numerical
+    # anomaly, not the input error of the infinite entry reaching SymMat
+    v = SymMat.from_dense([[0.0, 1e200], [1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            estimate_subderivative_sampling(D_CORNER, YS_CORNER, v)
 
 
 @pytest.mark.parametrize("entry", [1e154, 1e200])
