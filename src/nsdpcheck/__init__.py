@@ -4,13 +4,10 @@ nonlinear semidefinite optimization."""
 from .cone import (
     dist_psd,
     dist_psd_batch,
-    is_psd,
     normal_cone_contains,
     normal_cone_residual,
     project_normal_cone,
-    project_psd,
     tangent_cone_contains,
-    tangent_cone_contains_oracle,
 )
 from .nlsdp import (
     NlsdpProblem,
@@ -24,7 +21,6 @@ from .nlsdp import (
     eval_f,
     eval_f_batch,
     grad_f,
-    hess_f,
     lagrangian_grad,
     lagrangian_hess_form,
     problem_from_json,
@@ -54,7 +50,6 @@ from .subderivative import (
     estimate_from_trace,
     estimate_subderivative_sampling,
     recovery_sequence,
-    schur_feasibility,
     second_subderivative,
     subderivative_sampling_trace,
 )

@@ -1,13 +1,11 @@
 """Variational geometry of the positive semidefinite cone.
 
-Membership, projection and distance are eigenvalue based (numpy's LAPACK
-eigensolver; these are plumbing).  The tangent/normal cone tests evaluate the
-closed-form block criteria on the blocks of one conjugation into the
-eigenbasis of the base point; ``normal_cone_residual`` is the one measure
-behind the normal-cone test and the multiplier certificates' slack, and
-``project_normal_cone`` the nearest point of that cone.
-``tangent_cone_contains_oracle`` checks the defining difference quotient
-directly so the two routes stay independent.
+Distance to the cone is eigenvalue based (numpy's LAPACK eigensolver; this
+is plumbing).  The tangent/normal cone tests evaluate the closed-form block
+criteria on the blocks of one conjugation into the eigenbasis of the base
+point; ``normal_cone_residual`` is the one measure behind the normal-cone
+test and the multiplier certificates' slack, and ``project_normal_cone`` the
+nearest point of that cone.
 """
 
 from __future__ import annotations
@@ -17,24 +15,6 @@ import numpy as np
 from .symmat import OrderedEigenDecomposition, SymMat, lower_to_dense, split_blocks
 
 DEFAULT_TOL = 1e-8
-
-# Oracle default: decreasing step sizes for the difference quotient.
-ORACLE_T_GRID = tuple(10.0**-k for k in range(1, 7))
-
-
-def is_psd(a: SymMat, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    lam_min = float(np.linalg.eigvalsh(a.dense())[0])
-    return lam_min >= -tol
-
-
-def project_psd(a: SymMat) -> SymMat:
-    """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero."""
-    lam, q = np.linalg.eigh(a.dense())
-    clipped = np.maximum(lam, 0.0)
-    return SymMat.from_dense((q * clipped) @ q.T, check_symmetry=False)
 
 
 def dist_psd_from_eigenvalues(lam: np.ndarray) -> np.ndarray:
@@ -115,27 +95,3 @@ def normal_cone_contains(
     semidefinite, all within tol."""
     return normal_cone_residual(d, ystar) <= tol
 
-
-def tangent_cone_contains_oracle(
-    y: SymMat,
-    v: SymMat,
-    t_grid=ORACLE_T_GRID,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """Definition-based tangent test: dist(y + t*v) / t must fall below
-    max(tol, 10 * t_min) at the two smallest grid steps.
-
-    This distinguishes the O(t) decay of a tangent direction from the
-    constant quotient of a non-tangent one without claiming a limit.  Used
-    as an independent test oracle for tangent_cone_contains.
-    """
-    t_grid = sorted(float(t) for t in t_grid)
-    if not t_grid or t_grid[0] <= 0:
-        raise ValueError("t_grid must contain positive step sizes")
-    if not is_psd(y, tol):
-        raise ValueError("oracle base point must be PSD within tol")
-    slack = max(tol, 10.0 * t_grid[0])
-    for t in t_grid[: min(2, len(t_grid))]:
-        if dist_psd(y + t * v) / t > slack:
-            return False
-    return True

@@ -139,11 +139,6 @@ def grad_f(p: NlsdpProblem, x) -> np.ndarray:
     return p.f.g + p.f.h @ x
 
 
-def hess_f(p: NlsdpProblem, x=None) -> np.ndarray:
-    """Constant Hessian of the quadratic objective."""
-    return p.f.h.copy()
-
-
 def _quadratic_rows(a0: np.ndarray, a: np.ndarray, b: np.ndarray | None, xs: np.ndarray):
     """a0 + sum_i x_i a[i] + 0.5 sum_ij x_i x_j b[i, j] for every row x of the
     (k, n) array xs, as a (k, t) array: a0 has shape (t,), a (n, t) and b

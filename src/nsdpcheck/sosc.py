@@ -276,7 +276,7 @@ def sample_critical_directions(
         raise ValueError("n_dirs must be positive")
     n = p.n
     eye = np.eye(n)
-    candidates = [np.stack((eye, -eye), axis=1).reshape(2 * n, n)]
+    candidates = [np.stack((eye, 0.0 - eye), axis=1).reshape(2 * n, n)]  # 0, not -0
     if n == 2:
         deg = np.arange(0.0, 360.0, _GRID_STEP_DEG[2])
         a = np.radians(deg[deg % 90.0 != 0.0])
@@ -543,8 +543,6 @@ def check_sosc(
             failures.append(((outcome.best_interiority, slope), u, "no multiplier"))
 
     notes = [
-        f"F(xbar) eigenvalues: {np.array2string(np.asarray(d.eigenvalues), precision=6)}; "
-        f"pi = {list(d.pi)}, omega = {list(d.omega)} at rank_tol = {d.rank_tol:.3e}",
         f"sampled verification over {len(dirs)} unit directions; "
         "not a proof over all of the critical cone"
         if dirs

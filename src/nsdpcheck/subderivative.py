@@ -1,11 +1,11 @@
 """Second subderivative of the PSD-cone indicator function.
 
 The finite branch has the closed form ``-2 <ystar, v @ pinv(y) @ v>``.  It is
-accompanied by two constructions used both internally and as test oracles:
+accompanied by two constructions:
 
-* ``schur_feasibility``: for small t > 0, membership of ``y + t*v'`` in the
-  PSD cone reduces to positive semidefiniteness of a Schur complement taken
-  in the eigenbasis of ``y``.
+* the Schur-complement criterion (``_schur_min_eigenvalues``): for small
+  t > 0, membership of ``y + t*v'`` in the PSD cone reduces to positive
+  semidefiniteness of a Schur complement taken in the eigenbasis of ``y``.
 * ``recovery_sequence``: an explicit correction of the omega-omega block that
   makes ``y + t*v_t`` feasible while ``v_t -> v``, along which the
   difference quotients attain the closed-form value.
@@ -186,22 +186,6 @@ def _schur_min_eigenvalues(d: OrderedEigenDecomposition, lowers: np.ndarray, t: 
 def _require_pivot(ok: np.ndarray, t: float) -> None:
     if not ok[0]:
         raise PivotNotPositiveDefinite(f"pi-pi block not positive definite at t = {t:g}")
-
-
-def schur_feasibility(
-    d: OrderedEigenDecomposition, vprime: SymMat, t: float, tol: float = DEFAULT_TOL
-) -> bool:
-    """Feasibility of y + t*vprime via the omega-block Schur complement.
-
-    Raises PivotNotPositiveDefinite when t is too large for the reduction.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if vprime.m != d.m:
-        raise ValueError("dimension mismatch")
-    ok, lam = _schur_min_eigenvalues(d, vprime.lower[None], t)
-    _require_pivot(ok, t)
-    return bool(lam[0] >= -tol)
 
 
 def recovery_sequence(d: OrderedEigenDecomposition, v: SymMat, t: float) -> SymMat:

@@ -1,0 +1,71 @@
+"""Definition-based references that the tests check the package against.
+
+None of the package's commands runs these: the direct PSD test and
+projection, the difference-quotient tangent test, and the one-sample Schur
+feasibility criterion.
+"""
+
+import numpy as np
+
+from nsdpcheck.cone import DEFAULT_TOL, dist_psd
+from nsdpcheck.subderivative import _require_pivot, _schur_min_eigenvalues
+from nsdpcheck.symmat import OrderedEigenDecomposition, SymMat
+
+# Oracle default: decreasing step sizes for the difference quotient.
+ORACLE_T_GRID = tuple(10.0**-k for k in range(1, 7))
+
+
+def is_psd(a: SymMat, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the smallest eigenvalue is >= -tol."""
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    lam_min = float(np.linalg.eigvalsh(a.dense())[0])
+    return lam_min >= -tol
+
+
+def project_psd(a: SymMat) -> SymMat:
+    """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero."""
+    lam, q = np.linalg.eigh(a.dense())
+    clipped = np.maximum(lam, 0.0)
+    return SymMat.from_dense((q * clipped) @ q.T, check_symmetry=False)
+
+
+def tangent_cone_contains_oracle(
+    y: SymMat,
+    v: SymMat,
+    t_grid=ORACLE_T_GRID,
+    tol: float = DEFAULT_TOL,
+) -> bool:
+    """Definition-based tangent test: dist(y + t*v) / t must fall below
+    max(tol, 10 * t_min) at the two smallest grid steps.
+
+    This distinguishes the O(t) decay of a tangent direction from the
+    constant quotient of a non-tangent one without claiming a limit.  Used
+    as an independent test oracle for tangent_cone_contains.
+    """
+    t_grid = sorted(float(t) for t in t_grid)
+    if not t_grid or t_grid[0] <= 0:
+        raise ValueError("t_grid must contain positive step sizes")
+    if not is_psd(y, tol):
+        raise ValueError("oracle base point must be PSD within tol")
+    slack = max(tol, 10.0 * t_grid[0])
+    for t in t_grid[: min(2, len(t_grid))]:
+        if dist_psd(y + t * v) / t > slack:
+            return False
+    return True
+
+
+def schur_feasibility(
+    d: OrderedEigenDecomposition, vprime: SymMat, t: float, tol: float = DEFAULT_TOL
+) -> bool:
+    """Feasibility of y + t*vprime via the omega-block Schur complement.
+
+    Raises PivotNotPositiveDefinite when t is too large for the reduction.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if vprime.m != d.m:
+        raise ValueError("dimension mismatch")
+    ok, lam = _schur_min_eigenvalues(d, vprime.lower[None], t)
+    _require_pivot(ok, t)
+    return bool(lam[0] >= -tol)

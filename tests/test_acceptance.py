@@ -23,17 +23,13 @@ from nsdpcheck import (
     eval_F,
     eval_f,
     frobenius_inner,
-    is_psd,
     lagrangian_grad,
     lagrangian_hess_form,
     normal_cone_contains,
-    project_psd,
-    schur_feasibility,
     second_subderivative,
     sosc_margin,
     subderivative_sampling_trace,
     tangent_cone_contains,
-    tangent_cone_contains_oracle,
     verify_growth,
 )
 from nsdpcheck import sosc
@@ -50,6 +46,7 @@ from conftest import (
     random_symmat,
     valid_triple,
 )
+from oracles import is_psd, project_psd, schur_feasibility, tangent_cone_contains_oracle
 
 DATA = Path(__file__).parent / "data"
 DEEP_T_GRID = tuple(np.logspace(-2, -7.5, 8))

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -37,6 +38,26 @@ def test_check_sosc_verified(capsys):
     assert "VERIFIED_SAMPLED" in out
     assert "min margin: 2" in out
     assert "omega: [1]" in out  # rank decision is auditable
+
+
+def test_check_sosc_states_f_xbar_eigenvalues_once(capsys):
+    assert run_cli("check-sosc", str(DATA / "p1.json")) == 0
+    out = capsys.readouterr().out
+    assert out.count("eigenvalues") == 1
+    assert "F(xbar) eigenvalues: [1, 0]\n" in out
+
+
+def test_axis_directions_read_0_not_minus_0(tmp_path, capsys):
+    # a negated axis is 0 - e_i, whose zeros read 0; -e_i read -0 and -0.0
+    assert run_cli("check-sosc", str(DATA / "p1.json"), "--dirs", "16") == 0
+    out = capsys.readouterr().out
+    assert "direction [-1, 0]:" in out
+    assert not re.findall(r"-0(?![.\deE])", out)  # "-0.5" and "e-05" are no -0 token
+    report_path = tmp_path / "report.json"
+    assert run_cli("check-sosc", str(DATA / "p1.json"), "--dirs", "16", "--json",
+                   str(report_path)) == 0
+    capsys.readouterr()
+    assert "-0.0" not in report_path.read_text()
 
 
 def test_check_sosc_failed_with_witness(capsys):

@@ -6,13 +6,10 @@ import pytest
 from nsdpcheck.cone import (
     dist_psd,
     dist_psd_batch,
-    is_psd,
     normal_cone_contains,
     normal_cone_residual,
     project_normal_cone,
-    project_psd,
     tangent_cone_contains,
-    tangent_cone_contains_oracle,
 )
 from nsdpcheck.symmat import (
     OrderedEigenDecomposition,
@@ -24,6 +21,7 @@ from nsdpcheck.symmat import (
 )
 
 from conftest import random_orthogonal, random_psd, random_symmat, valid_triple
+from oracles import is_psd, project_psd, tangent_cone_contains_oracle
 
 
 def test_is_psd_examples():

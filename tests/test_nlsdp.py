@@ -18,7 +18,6 @@ from nsdpcheck import (
     eval_f,
     frobenius_inner,
     grad_f,
-    hess_f,
     lagrangian_grad,
     lagrangian_hess_form,
     problem_from_json,
@@ -45,7 +44,7 @@ def test_objective_examples():
     x = np.array([3.0, 5.0])
     assert eval_f(p, x) == 5.0
     assert np.array_equal(grad_f(p, x), [0.0, 1.0])
-    assert np.array_equal(hess_f(p), np.zeros((2, 2)))
+    assert np.array_equal(p.f.h, np.zeros((2, 2)))
 
     sq = NlsdpProblem(
         n=2,
@@ -98,7 +97,7 @@ def test_taylor_expansion_is_exact():
         p = random_problem(rng, n, m)
         x = rng.uniform(-1, 1, n)
         u = rng.uniform(-1, 1, n)
-        pred_f = eval_f(p, x) + grad_f(p, x) @ u + 0.5 * u @ hess_f(p) @ u
+        pred_f = eval_f(p, x) + grad_f(p, x) @ u + 0.5 * u @ p.f.h @ u
         assert eval_f(p, x + u) == pytest.approx(pred_f, abs=1e-12)
         pred_F = eval_F(p, x) + dF(p, x, u) + 0.5 * d2F(p, x, u)
         assert (eval_F(p, x + u) - pred_F).norm() <= 1e-12

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsdpcheck import cli, subderivative
-from nsdpcheck.cone import DEFAULT_TOL, is_psd, normal_cone_contains, project_normal_cone
+from nsdpcheck.cone import DEFAULT_TOL, normal_cone_contains, project_normal_cone
 from nsdpcheck.cone import tangent_cone_contains
 from nsdpcheck.subderivative import (
     SAMPLING_T_GRID,
@@ -26,7 +26,6 @@ from nsdpcheck.subderivative import (
     estimate_from_trace,
     estimate_subderivative_sampling,
     recovery_sequence,
-    schur_feasibility,
     second_subderivative,
     subderivative_sampling_trace,
 )
@@ -41,6 +40,7 @@ from nsdpcheck.symmat import (
 )
 
 from conftest import linalg_calls, random_psd, random_symmat, valid_triple
+from oracles import is_psd, schur_feasibility
 
 DATA = Path(__file__).parent / "data"
 
@@ -556,9 +556,20 @@ def test_trace_matches_per_sample_reference(name):
                 assert schur_feasibility(d, v, t, tol=v.norm() * subderivative._FEAS_SLACK)
 
 
+def assert_trace_matches_reference(m, rank, triple_seed, tilt, scale, n_samples, radius, seed):
+    rng = np.random.default_rng(triple_seed)
+    y, ystar, v, d = valid_triple(rng, m, rank=rank)
+    if tilt:  # a tilted direction may leave the tangent cone
+        v = v + random_symmat(rng, m, tilt)
+    assert_same_trace(
+        (y, ystar, scale * v), {"n_samples": n_samples, "radius": radius, "seed": seed}
+    )
+    return d
+
+
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(
-    m=st.integers(1, 6),
+    m=st.integers(2, 6),
     rank_share=st.floats(0.0, 1.0),
     triple_seed=st.integers(0, 2**32 - 1),
     tilt=st.sampled_from([0.0, 0.3]),
@@ -570,12 +581,20 @@ def test_trace_matches_per_sample_reference(name):
 def test_trace_matches_reference_on_random_triples(
     m, rank_share, triple_seed, tilt, scale, n_samples, radius, seed
 ):
-    rng = np.random.default_rng(triple_seed)
-    y, ystar, v, _ = valid_triple(rng, m, rank=round(rank_share * m))
-    if tilt:  # a tilted direction may leave the tangent cone
-        v = v + random_symmat(rng, m, tilt)
-    assert_same_trace(
-        (y, ystar, scale * v), {"n_samples": n_samples, "radius": radius, "seed": seed}
+    # a rank in 1..m-1 leaves pi and omega nonempty, so every example forms a
+    # pivot and a complement; the empty cases are the explicit examples below
+    rank = 1 + round(rank_share * (m - 2))
+    d = assert_trace_matches_reference(
+        m, rank, triple_seed, tilt, scale, n_samples, radius, seed
+    )
+    assert d.pi and d.omega
+
+
+@pytest.mark.parametrize("m, rank", [(1, 0), (1, 1), (4, 0), (4, 4)])
+@pytest.mark.parametrize("tilt", [0.0, 0.3])
+def test_trace_matches_reference_where_pi_or_omega_is_empty(m, rank, tilt):
+    assert_trace_matches_reference(
+        m, rank, triple_seed=m + rank, tilt=tilt, scale=12.0, n_samples=40, radius=1.0, seed=7
     )
 
 
