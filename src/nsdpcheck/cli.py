@@ -7,13 +7,14 @@ growth).  Reports go to stdout as text, or to a file as JSON with
 ``--json PATH``.
 
 Exit codes: 0 success / condition verified, 1 condition refuted,
-2 inconclusive search, 3 input, usage or hypothesis error, 4 numerical
-anomaly.
+2 inconclusive search, 3 input, usage, allocation or hypothesis error,
+4 numerical anomaly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -389,7 +390,20 @@ def tolerance(text: str) -> float:
     return value
 
 
+def seed(text: str) -> int:
+    """A --seed flag: an integer >= 0, as numpy's generators take.  argparse
+    names the flag in the usage error that either check raises."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and cached for the process.
+    parse_args starts each call from a fresh namespace, and the help
+    formatter reads the terminal width when it formats."""
     parser = _Parser(
         prog="nsdpcheck",
         description="Second-order sufficient condition checks for nonlinear "
@@ -407,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="eigenvalue rank tolerance (default: scaled automatic)",
             )
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=seed, default=0)
         sp.add_argument("--json", metavar="PATH", default=None, help="write JSON report")
 
     sp = sub.add_parser("check-sosc", help="verify the sufficient condition at xbar")
@@ -446,6 +460,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         # includes an unwritable --json path, met after the run
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # an oversized --dirs or --samples: exit 1 would read as a refutation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

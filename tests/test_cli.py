@@ -712,6 +712,195 @@ def test_help_exits_0(argv, capsys):
     assert "usage: nsdpcheck" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-sosc", "p1.json"),
+        ("subderivative", "triple_basic.json"),
+        ("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.1"),
+    ],
+)
+def test_negative_seed_is_a_usage_error_naming_the_flag(argv, capsys):
+    # argparse names the flag; numpy's own message for a negative seed does not
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv[0], str(DATA / argv[1]), *argv[2:], "--seed", "-1")
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"nsdpcheck {argv[0]}: error: argument --seed: must be an integer >= 0, got '-1'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name",
+    [
+        (("check-sosc", "p1.json", "--dirs", "1000000000"), sosc, "check_sosc"),
+        (
+            ("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.1",
+             "--samples", "1000000000"),
+            sosc,
+            "verify_growth",
+        ),
+        (
+            ("subderivative", "triple_basic.json", "--samples", "1000000000"),
+            cli,
+            "subderivative_sampling_trace",
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "message, shown",
+    [
+        ("Unable to allocate 14.9 GiB for an array", "Unable to allocate 14.9 GiB for an array"),
+        ("", "out of memory"),
+    ],
+)
+def test_allocation_failure_exits_3(argv, owner, name, message, shown, tmp_path, monkeypatch,
+                                    capsys):
+    # raised by a stub, never by a real request: under memory overcommit a
+    # real one can be killed instead of raising.  Exit 1 would be a refutation.
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(owner, name, fail)
+    report_path = tmp_path / "report.json"
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert run_cli(*argv, "--json", str(report_path)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {shown}\n"
+    assert not report_path.exists()
+
+
+def _run_captured(argv, json_path=None):
+    """Exit code, stdout, stderr and --json bytes of one in-process run."""
+    if json_path is not None:
+        json_path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    report = json_path.read_bytes() if json_path is not None and json_path.exists() else None
+    return code, out.getvalue(), err.getvalue(), report
+
+
+# Varied flags first, then the same commands at their defaults: the cached
+# parser must not carry a value from one call into the next.
+_MIXED_CALLS = [
+    ("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.1", "--samples", "500",
+     "--seed", "7", "--tol", "1e-6", "--json"),
+    ("subderivative", "triple_basic.json", "--json"),
+    ("check-sosc", "p1.json", "--json"),
+    ("check-sosc", "p1_negated.json", "--dirs", "16", "--seed", "3", "--rank-tol", "1e-6"),
+    ("subderivative", "triple_basic.json", "--samples", "8", "--radius", "0.5", "--seed", "2",
+     "--json"),
+    ("check-sosc", "p1.json", "--seed", "-1"),
+    ("growth", "p1.json", "--epsilon", "0.1"),
+    ("check-sosc", "p1.json", "--dirs", "abc"),
+    ("subderivative", "triple_basic.json"),
+    ("check-sosc", "p1.json", "--json"),
+    ("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.25", "--samples", "200", "--json"),
+]
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path):
+    report_path = tmp_path / "report.json"
+
+    def argv_of(call):
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in call]
+        return argv + [str(report_path)] if argv[-1] == "--json" else argv
+
+    cached = [_run_captured(argv_of(call), report_path) for call in _MIXED_CALLS]
+    fresh = []
+    for call in _MIXED_CALLS:
+        cli._build_parser.cache_clear()
+        fresh.append(_run_captured(argv_of(call), report_path))
+    assert cached == fresh
+    assert [run[0] for run in cached] == [0, 0, 0, 1, 0, 3, 3, 3, 0, 0, 0]
+
+    subderivative = json.loads(cached[1][3])["options"]
+    assert (subderivative["samples"], subderivative["seed"], subderivative["tol"]) == (
+        cli.SAMPLING_N, 0, cli.DEFAULT_TOL
+    )
+    assert subderivative["rank_tol"] is None
+    check = json.loads(cached[2][3])["options"]
+    assert (check["dirs"], check["seed"], check["tol"]) == (sosc.N_DIRS, 0, cli.DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+@pytest.mark.parametrize("argv", [("--help",), ("check-sosc", "--help")])
+def test_cached_parser_formats_help_at_the_current_width(argv, columns, monkeypatch):
+    # argparse reads the terminal width when it formats, not when it builds
+    other = "200" if columns == "60" else "60"
+    cli._build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", other)
+    assert _run_captured(("check-sosc", str(DATA / "p1.json"), "--dirs", "16"))[0] == 0
+    at_other_width = _run_captured(argv)
+    monkeypatch.setenv("COLUMNS", columns)
+    cached = _run_captured(argv)
+    cli._build_parser.cache_clear()
+    fresh = _run_captured(argv)
+    assert cached == fresh
+    assert cached[0] == 0
+    assert cached[1] != at_other_width[1]
+
+
+_COUNT_BUILDS = """
+import argparse
+import contextlib
+import io
+import json
+import sys
+
+builds = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting_init(self, *args, **kwargs):
+    if type(self).__name__ == "_Parser" and kwargs.get("prog") == "nsdpcheck":
+        builds.append(kwargs["prog"])
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting_init
+import nsdpcheck.cli
+
+after_import = len(builds)
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            nsdpcheck.cli.main(json.loads(argv))
+        except SystemExit:
+            pass
+print(after_import, len(builds))
+"""
+
+
+def test_parser_is_built_on_the_first_call_only():
+    # not at import, which the benchmark times as set-up, and once per process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    calls = [
+        ["check-sosc", str(DATA / "p1.json"), "--dirs", "16"],
+        ["subderivative", str(DATA / "triple_basic.json"), "--samples", "8"],
+        ["growth", str(DATA / "p1.json"), "--epsilon", "0.1", "--beta", "0.25", "--samples", "50"],
+        ["check-sosc", str(DATA / "p1.json"), "--seed", "-1"],
+        ["--help"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_BUILDS, *map(json.dumps, calls)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
 def _subtree_paths(doc, prefix=()):
     """Key/index paths of every subtree of a JSON document, the root first."""
     yield prefix
