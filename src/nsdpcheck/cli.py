@@ -382,21 +382,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def tolerance(text: str) -> float:
-    """A finite, positive tolerance flag; NaN would fail every comparison.
-    argparse names the flag in the usage error that either check raises."""
+    """A finite, positive flag value (a tolerance or the sampling radius);
+    NaN would fail every comparison.  argparse names the flag in the usage
+    error that either check raises."""
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 
-def seed(text: str) -> int:
-    """A --seed flag: an integer >= 0, as numpy's generators take.  argparse
-    names the flag in the usage error that either check raises."""
+def _integer_at_least(text: str, low: int) -> int:
+    """An integer flag value >= low.  argparse names the flag in the usage
+    error that either check raises."""
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
     return value
+
+
+def seed(text: str) -> int:
+    """A --seed flag: an integer >= 0, as numpy's generators take."""
+    return _integer_at_least(text, 0)
+
+
+def count(text: str) -> int:
+    """A --dirs or growth --samples flag: an integer >= 1."""
+    return _integer_at_least(text, 1)
+
+
+def samples(text: str) -> int:
+    """A subderivative --samples flag: an integer >= 0; v and its recovery
+    points are candidates without any sample."""
+    return _integer_at_least(text, 0)
 
 
 @functools.cache
@@ -427,14 +444,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-sosc", help="verify the sufficient condition at xbar")
     sp.add_argument("problem", help="problem JSON file with xbar")
     common(sp)
-    sp.add_argument("--dirs", type=int, default=sosc.N_DIRS, help="random direction samples")
+    sp.add_argument("--dirs", type=count, default=sosc.N_DIRS, help="random direction samples")
     sp.set_defaults(func=cmd_check_sosc)
 
     sp = sub.add_parser("subderivative", help="closed form vs sampling oracle")
     sp.add_argument("triple", help='JSON file with "Y", "Ystar", "V"')
     common(sp)
-    sp.add_argument("--samples", type=int, default=SAMPLING_N, help="samples per step")
-    sp.add_argument("--radius", type=float, default=SAMPLING_RADIUS)
+    sp.add_argument("--samples", type=samples, default=SAMPLING_N, help="samples per step")
+    sp.add_argument("--radius", type=tolerance, default=SAMPLING_RADIUS)
     sp.set_defaults(func=cmd_subderivative)
 
     sp = sub.add_parser("growth", help="sampled quadratic growth around xbar")
@@ -442,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, rank_tol=False)
     sp.add_argument("--epsilon", type=float, required=True, help="ball radius")
     sp.add_argument("--beta", type=float, required=True, help="growth constant")
-    sp.add_argument("--samples", type=int, default=sosc.GROWTH_SAMPLES)
+    sp.add_argument("--samples", type=count, default=sosc.GROWTH_SAMPLES)
     sp.set_defaults(func=cmd_growth)
     return parser
 

@@ -11,13 +11,15 @@ accompanied by two constructions:
   difference quotients attain the closed-form value.
 
 ``estimate_subderivative_sampling`` estimates the defining lim inf by
-sampling feasible directions at shrinking step sizes.  A sample is kept by
-the Schur-complement test, after an infeasibility screen
-(``_infeasibility_screen``): a Rayleigh-quotient bound of the complement
-along the eigenvectors of v's omega-omega block, linear in the sample, that
-rejects most infeasible samples with two matrix products per block.  Only the
-samples it cannot decide get the exact test, so every trace keeps the bits
-of the full computation.
+sampling feasible directions at shrinking step sizes.  The samples of every
+step are drawn first, in blocks of ``_TRACE_BLOCK``, and then judged and
+scored together, one step size per row, in batches of at most one block a
+step.  A sample is kept by the Schur-complement test, after an infeasibility
+screen (``_infeasibility_screen``): a Rayleigh-quotient bound of the
+complement along the eigenvectors of v's omega-omega block, linear in the
+sample, that rejects most infeasible samples with two matrix products per
+batch.  Only the samples it cannot decide get the exact test, so every trace
+keeps the bits of the full computation.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ SAMPLING_T_GRID = tuple(np.logspace(-1, -5, 8))
 SAMPLING_RADIUS = 1.0
 SAMPLING_N = 64
 
-# Sampled directions evaluated per stacked eigenvalue call of the trace; bounds
-# its working memory independently of n_samples.
+# Sampled directions drawn per block of the trace.  The candidates of every
+# step go into one buffer of at most len(t_grid) blocks (each with v), which is
+# judged and scored at once when the next block would not fit; so the trace's
+# working memory does not grow with n_samples.
 _TRACE_BLOCK = 256
 
 # Feasibility slack of the sampler, relative to machine precision.  Accepted
@@ -139,9 +143,15 @@ def second_subderivative(
     return value + 0.0  # a zero reads 0, not -0
 
 
-def _schur_terms(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float):
+def _per_row(t, rows: int) -> np.ndarray:
+    """A step size ``t``, a scalar or one value per row, as one value per row."""
+    return np.broadcast_to(np.asarray(t, dtype=float), (rows,))
+
+
+def _schur_terms(d: OrderedEigenDecomposition, lowers: np.ndarray, t):
     """Eigenbasis terms of y + t*v' for the directions v' whose lower
-    triangles are the rows of ``lowers``, evaluated for all rows at once.
+    triangles are the rows of ``lowers``, evaluated for all rows at once;
+    ``t`` is a scalar or one step size per row.
 
     Returns ``(conj, ok, coupling)``.  ``conj`` stacks P v' P.T, symmetrised
     as ``SymMat.from_dense`` does.  ``ok`` flags the rows whose pi-pi pivot
@@ -157,15 +167,16 @@ def _schur_terms(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float):
     ok = np.ones(len(conj), dtype=bool)
     coupling = None
     if len(pi):
+        t = _per_row(t, len(conj))[:, None, None]
         pivot = np.diag(d.eigenvalues[pi]) + t * conj[:, pi[:, None], pi]
         ok = np.linalg.eigvalsh(pivot)[:, 0] > d.rank_tol
         if len(omega):
             cross = conj[ok][:, pi[:, None], omega]
-            coupling = (t * cross.swapaxes(-1, -2)) @ np.linalg.solve(pivot[ok], cross)
+            coupling = (t[ok] * cross.swapaxes(-1, -2)) @ np.linalg.solve(pivot[ok], cross)
     return conj, ok, coupling
 
 
-def _schur_min_eigenvalues(d: OrderedEigenDecomposition, lowers: np.ndarray, t: float):
+def _schur_min_eigenvalues(d: OrderedEigenDecomposition, lowers: np.ndarray, t):
     """``(ok, lam)`` per row of ``lowers``: ``ok`` as in ``_schur_terms``, and
     ``lam`` the smallest eigenvalue of the omega-omega Schur complement, whose
     PSD-ness is equivalent to y + t*v' being PSD.  ``lam`` is +inf for an
@@ -188,6 +199,27 @@ def _require_pivot(ok: np.ndarray, t: float) -> None:
         raise PivotNotPositiveDefinite(f"pi-pi block not positive definite at t = {t:g}")
 
 
+def _recovery_points(d: OrderedEigenDecomposition, v: SymMat, t: np.ndarray):
+    """``recovery_sequence`` at every step size of ``t`` in one stacked
+    computation: ``(ok, lowers)``, with ``ok`` flagging the steps whose pivot
+    stays positive definite and the rows of ``lowers`` the lower triangles of
+    those steps' points, C-contiguous as ``SymMat.lower`` is, so that sums
+    over a row keep its bits.  Raises FloatingPointError where the arithmetic
+    overflows or meets a NaN."""
+    with np.errstate(over="raise", invalid="raise"):
+        conj, ok, coupling = _schur_terms(d, np.broadcast_to(v.lower, (len(t), len(v.lower))), t)
+        corrected = conj[ok]
+        if coupling is not None:
+            omega = np.array(d.omega, dtype=np.intp)
+            corrected[:, omega[:, None], omega] += 0.5 * (coupling + coupling.swapaxes(-1, -2))
+        p = d.p_matrix
+        dense = p.T @ corrected @ p
+        # as SymMat.from_dense symmetrizes
+        sym = 0.5 * dense + 0.5 * dense.swapaxes(-1, -2)
+        i, j = _tril_indices(d.m)
+        return ok, np.ascontiguousarray(sym[:, i, j])
+
+
 def recovery_sequence(d: OrderedEigenDecomposition, v: SymMat, t: float) -> SymMat:
     """Feasible correction of v at step t: adds
     ``t * V_op @ inv(M_pp + t V_pp) @ V_po`` to the omega-omega block in the
@@ -198,21 +230,31 @@ def recovery_sequence(d: OrderedEigenDecomposition, v: SymMat, t: float) -> SymM
         raise ValueError("t must be positive")
     if v.m != d.m:
         raise ValueError("dimension mismatch")
-    with np.errstate(over="raise", invalid="raise"):
-        conj, ok, coupling = _schur_terms(d, v.lower[None], t)
-        _require_pivot(ok, t)
-        corrected = conj[0]
-        if coupling is not None:
-            delta = coupling[0]
-            corrected[np.ix_(d.omega, d.omega)] += 0.5 * (delta + delta.T)
-        p = d.p_matrix
-        return SymMat.from_dense(p.T @ corrected @ p, check_symmetry=False)
+    ok, lowers = _recovery_points(d, v, np.array([t], dtype=float))
+    _require_pivot(ok, t)
+    return SymMat(d.m, lowers[0])
+
+
+def _grid_recovery(d: OrderedEigenDecomposition, v: SymMat, grid: np.ndarray):
+    """``(ok, lowers, failure)``: ``_recovery_points`` over the steps of
+    ``grid`` before the first whose recovery overflows, and that step's
+    FloatingPointError, or None when no step overflows."""
+    try:
+        return (*_recovery_points(d, v, grid), None)
+    except FloatingPointError as error:
+        failure = error
+    for stop in range(len(grid)):
+        try:
+            _recovery_points(d, v, grid[stop : stop + 1])
+        except FloatingPointError as error:
+            return (*_recovery_points(d, v, grid[:stop]), error)
+    raise failure
 
 
 def _infeasibility_screen(d: OrderedEigenDecomposition, v: SymMat):
     """A function ``(lowers, t, norms, slack) -> rejected`` that flags rows
     which the exact test of ``_samples_feasible`` provably rejects, or None
-    when pi or omega is empty.
+    when pi or omega is empty; ``t`` is a scalar or one step size per row.
 
     In d's eigenbasis a row v' has the pivot Pv = M_pp + t V'_pp and the
     complement S = V'_oo - t V'_op inv(Pv) V'_po.  Take a unit eigenvector z
@@ -268,8 +310,9 @@ def _infeasibility_screen(d: OrderedEigenDecomposition, v: SymMat):
     )
     cross_forms = cross_forms.reshape(len(i), -1)
 
-    def rejected(lowers: np.ndarray, t: float, norms: np.ndarray, slack: np.ndarray):
+    def rejected(lowers: np.ndarray, t, norms: np.ndarray, slack: np.ndarray):
         out = np.zeros(len(lowers), dtype=bool)
+        t = _per_row(t, len(lowers))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             quad = lowers @ quad_forms
             # |c|^2 <= ||P_pi||^2 ||v'||^2 |w|^2, so a row whose w^T v' w all
@@ -279,13 +322,13 @@ def _infeasibility_screen(d: OrderedEigenDecomposition, v: SymMat):
             if not open_pairs.any():
                 return out
             rows = np.flatnonzero(open_pairs.any(axis=1))
-            quad, norms, slack = quad[rows], norms[rows], slack[rows]
+            quad, norms, slack, t = quad[rows], norms[rows], slack[rows], t[rows]
             shift = t * stretch * norms
             top, low = lam_hi + shift, lam_lo - shift
             size = norms + t * norms**2 * top / low**2
             cross = (lowers[rows] @ cross_forms).reshape(len(rows), k, len(pi))
             coupling = (cross**2 @ (1.0 / (lam + shift[:, None]))[..., None])[..., 0]
-            bound = np.min(quad - t * coupling, axis=1)
+            bound = np.min(quad - t[:, None] * coupling, axis=1)
             sure = (low - unit * top > d.rank_tol) & np.isfinite(m * m * size) & np.isfinite(bound)
             out[rows] = sure & (bound < -zeta * (slack + unit * size))
         return out
@@ -293,9 +336,9 @@ def _infeasibility_screen(d: OrderedEigenDecomposition, v: SymMat):
     return rejected
 
 
-def _samples_feasible(d: OrderedEigenDecomposition, screen, lowers: np.ndarray, t: float):
+def _samples_feasible(d: OrderedEigenDecomposition, screen, lowers: np.ndarray, t):
     """Tight feasibility filter for sampled directions, one flag per row of
-    ``lowers``.
+    ``lowers``; ``t`` is a scalar or one step size per row.
 
     Uses the Schur complement, whose entries stay O(||vprime||) as t shrinks,
     so violations of order t remain detectable where the absolute eigenvalues
@@ -312,18 +355,19 @@ def _samples_feasible(d: OrderedEigenDecomposition, screen, lowers: np.ndarray, 
             "a sampled direction has a norm that is not finite; the radius is too large"
         )
     slack = _FEAS_SLACK * np.maximum(1.0, norms)
+    t = _per_row(t, len(lowers))
     if screen is not None:
         tested = ~screen(lowers, t, norms, slack)
         if not tested.all():
             feasible = np.zeros(len(lowers), dtype=bool)
             if tested.any():
-                feasible[tested] = _samples_feasible(d, None, lowers[tested], t)
+                feasible[tested] = _samples_feasible(d, None, lowers[tested], t[tested])
             return feasible
     ok, lam = _schur_min_eigenvalues(d, lowers, t)
     feasible = lam >= -slack
     direct = ~ok
     if direct.any():
-        shifted = lower_to_dense(d.m, d.source.lower + t * lowers[direct])
+        shifted = lower_to_dense(d.m, d.source.lower + t[direct, None] * lowers[direct])
         feasible[direct] = np.linalg.eigvalsh(shifted)[:, 0] >= -slack[direct]
     return feasible
 
@@ -348,13 +392,36 @@ def _candidate_blocks(rng, v: SymMat, t: float, radius: float, n_samples: int):
         yield v.lower[None]
 
 
-def _quotients(ystar: SymMat, lowers: np.ndarray, t: float) -> np.ndarray:
-    """-2 <ystar, v'> / t for every row v' of ``lowers``, summed as
+def _candidate_batches(rng, v: SymMat, t_values, radius: float, n_samples: int):
+    """``(rows, steps)``: the ``_candidate_blocks`` of every step size, drawn
+    step after step from one stream, gathered into one C-contiguous buffer of
+    len(t_values) blocks with the index of each row's step.  A batch is handed
+    out, as a view of the buffer, when the next block would not fit."""
+    capacity = len(t_values) * (min(n_samples, _TRACE_BLOCK) + 1)
+    buffer = np.empty((capacity, len(v.lower)))
+    steps = np.empty(capacity, dtype=np.intp)
+    fill = 0
+    for k, t in enumerate(t_values):
+        for rows in _candidate_blocks(rng, v, t, radius, n_samples):
+            if fill + len(rows) > capacity:
+                yield buffer[:fill], steps[:fill]
+                fill = 0
+            buffer[fill : fill + len(rows)] = rows
+            steps[fill : fill + len(rows)] = k
+            fill += len(rows)
+    if fill:
+        yield buffer[:fill], steps[:fill]
+
+
+def _quotients(ystar: SymMat, lowers: np.ndarray, t) -> np.ndarray:
+    """-2 <ystar, v'> / t for every row v' of ``lowers`` (``t`` a scalar or
+    one step size per row), summed as
     frobenius_inner sums.  Where that overflows or reads inf - inf, the row
     is summed again with ystar and the row scaled to a largest |entry| of 1,
     and the scales are put back as powers of two, so an overflow keeps its
     sign and nothing warns.  Every finite quotient keeps its bits."""
     weights = _tril_weights(ystar.m, 2.0)
+    t = _per_row(t, len(lowers))
     with np.errstate(over="ignore", invalid="ignore"):
         out = -2.0 * np.sum(weights * ystar.lower * lowers, axis=-1) / t
         bad = ~np.isfinite(out)
@@ -364,7 +431,8 @@ def _quotients(ystar: SymMat, lowers: np.ndarray, t: float) -> np.ndarray:
             top = np.abs(rows).max(axis=-1)
             top[top == 0.0] = 1.0
             inner = np.sum(weights * (ystar.lower / y_top) * (rows / top[:, None]), axis=-1)
-            (mi, ei), (my, ey), (mr, er), (mt, et) = map(np.frexp, (-2.0 * inner, y_top, top, t))
+            parts = (-2.0 * inner, y_top, top, t[bad])
+            (mi, ei), (my, ey), (mr, er), (mt, et) = map(np.frexp, parts)
             out[bad] = np.ldexp(mi * my * mr / mt, ei + ey + er - et)
     return out + 0.0  # a zero reads 0, not -0
 
@@ -390,8 +458,10 @@ def subderivative_sampling_trace(
     construction and enters unfiltered whenever the omega-omega block of v is
     PSD (tangent directions).
 
-    The perturbations are drawn from a seeded stream in blocks, and the
-    feasibility and quotients of a block are evaluated at once.  The
+    The recovery points of all steps come from one stacked computation.  The
+    perturbations are drawn from a seeded stream, step after step, in blocks,
+    and the candidates of every step are judged and scored together, as one
+    batch with a step size per row (``_candidate_batches``).  The
     infeasibility screen, built once per trace, bounds the complement's
     smallest eigenvalue of every sample from above by
     ``w^T v' w - t sum_i c_i^2 / (lambda_i + t ||v'||)`` along each
@@ -402,7 +472,9 @@ def subderivative_sampling_trace(
     the full computation.
     Raises FloatingPointError when the radius is so large that a sample's
     norm overflows, which would make the feasibility slack infinite, or
-    where the recovery point's arithmetic overflows.
+    where the recovery point's arithmetic overflows; of the two, the one met
+    first when the steps are walked in order, each recovery point before its
+    samples.
     """
     require_multiplier(d, ystar, tol)
     if not (math.isfinite(radius) and radius > 0):
@@ -415,39 +487,40 @@ def subderivative_sampling_trace(
     t_values = sorted((float(t) for t in t_grid), reverse=True)
     if not t_values or t_values[-1] <= 0:
         raise ValueError("t_grid must contain positive step sizes")
+    grid = np.array(t_values)
     rng = np.random.default_rng(seed)
-    tangent = tangent_cone_contains(d, v, tol)
     screen = _infeasibility_screen(d, v)
 
-    trace = []
-    for t in t_values:
-        count, lowest, recovery_q = 0, None, None
-        if tangent:
-            try:
-                v_rec = recovery_sequence(d, v, t)
-                recovery_q = float(_quotients(ystar, v_rec.lower[None, :], t)[0])
-                count, lowest = 1, recovery_q
-            except PivotNotPositiveDefinite:
-                pass
-        for rows in _candidate_blocks(rng, v, t, radius, n_samples):
-            kept = rows[_samples_feasible(d, screen, rows, t)]
-            if not len(kept):
-                continue
-            quotients = _quotients(ystar, kept, t)
-            # the first of equal minima, as min() over the candidates keeps
-            low = float(quotients[np.argmin(quotients)])
-            count += len(kept)
-            if lowest is None or low < lowest:
-                lowest = low
-        trace.append(
-            {
-                "t": t,
-                "feasible_samples": count,
-                "min_quotient": lowest,
-                "recovery_quotient": recovery_q,
-            }
-        )
-    return trace
+    counts = np.zeros(len(grid), dtype=np.intp)
+    lowest = np.full(len(grid), np.inf)
+    recovery_q = [None] * len(grid)
+    sampled, failure = len(grid), None
+    if tangent_cone_contains(d, v, tol):
+        ok, points, failure = _grid_recovery(d, v, grid)
+        # the steps from the first overflowing recovery on are never reached
+        sampled = len(ok)
+        at = np.flatnonzero(ok)
+        lowest[at] = _quotients(ystar, points, grid[at])
+        counts[at] = 1
+        for k in at:
+            recovery_q[k] = float(lowest[k])
+    for rows, at in _candidate_batches(rng, v, t_values[:sampled], radius, n_samples):
+        t = grid[at]
+        kept = _samples_feasible(d, screen, rows, t)
+        at = at[kept]
+        counts += np.bincount(at, minlength=len(grid))
+        np.minimum.at(lowest, at, _quotients(ystar, rows[kept], t[kept]))
+    if failure is not None:
+        raise failure
+    return [
+        {
+            "t": t,
+            "feasible_samples": int(count),
+            "min_quotient": float(low) if count else None,
+            "recovery_quotient": rec,
+        }
+        for t, count, low, rec in zip(t_values, counts, lowest, recovery_q)
+    ]
 
 
 def estimate_subderivative_sampling(

@@ -566,10 +566,41 @@ def test_growth_rejects_nan_parameters(option, capsys):
     ],
 )
 def test_subderivative_rejects_bad_sampling_parameters(flag, value, message, capsys):
-    assert run_cli("subderivative", str(DATA / "triple_basic.json"), flag, value) == 3
+    # the flag's type function makes a usage error that names the flag; the
+    # library, called directly, names its keyword
+    with pytest.raises(SystemExit) as exc:
+        run_cli("subderivative", str(DATA / "triple_basic.json"), flag, value)
+    assert exc.value.code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.startswith("usage: nsdpcheck subderivative")
+    assert f"nsdpcheck subderivative: error: argument {flag}: must be " in captured.err
+    y, ystar, v = (SymMat(2, np.array(lower)) for lower in ([1, 0, 0], [0, 0, -1], [0, 1, 0]))
+    keyword, number = {"--radius": ("radius", float), "--samples": ("n_samples", int)}[flag]
+    with pytest.raises(ValueError, match=message):
+        cli.subderivative_sampling_trace(eigen_decompose(y), ystar, v, **{keyword: number(value)})
+
+
+@pytest.mark.parametrize(
+    "argv, flag, low, value",
+    [
+        (("check-sosc", "p1.json"), "--dirs", 1, "-5"),
+        (("check-sosc", "p1.json"), "--dirs", 1, "0"),
+        (("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.1"), "--samples", 1, "0"),
+        (("subderivative", "triple_basic.json"), "--samples", 0, "-1"),
+    ],
+)
+def test_count_flags_are_usage_errors_naming_the_flag(argv, flag, low, value, capsys):
+    # the library's own messages name its keywords, n_dirs and n_samples
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv[0], str(DATA / argv[1]), *argv[2:], flag, value)
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"nsdpcheck {argv[0]}: error: argument {flag}: must be an integer >= {low}, "
+        f"got {value!r}\n"
+    )
 
 
 @pytest.mark.parametrize("radius", ["1e300", "1e307", "1.7e308"])

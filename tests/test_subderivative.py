@@ -527,6 +527,18 @@ def reference_cases():
             f"samples_{n}": ((y4, ystar4, v4), {"n_samples": n, "seed": 3})
             for n in (0, 1, 255, 256, 257, 1000)
         },
+        # 20 steps of 258 candidates overrun the buffer of 20 * 257 rows, so it
+        # is judged once mid-grid and once at the end
+        "grid_20_samples_257": (
+            (y4, ystar4, v4),
+            {"t_grid": tuple(np.logspace(-0.5, -6, 20)), "n_samples": 257, "seed": 4},
+        ),
+        # the pivot 1 - 300 t of the recovery point fails at the three largest
+        # steps only, and its pi-omega coupling corrects the later ones
+        "recovery_pivot_fails_at_large_steps": (
+            (Y_CORNER, YS_CORNER, SymMat.from_dense([[-300.0, 1.0], [1.0, 1.0]])),
+            {},
+        ),
     }
 
 
@@ -606,9 +618,10 @@ def trace_calls(monkeypatch, d, ystar, v, n_samples):
 
 
 def test_trace_linalg_calls_do_not_grow_with_samples(monkeypatch):
-    # the kernels run once per block of samples, never once per sample.  The
-    # identity added to v's omega-omega block keeps every sample's screen
-    # bound positive, so no block is screened and each makes the same calls.
+    # the kernels run once per buffer of candidates, which holds a block of
+    # every step, never once per sample.  The identity added to v's
+    # omega-omega block keeps every sample's screen bound positive, so no
+    # buffer is screened and each makes the same calls.
     _, ystar, v, d = valid_triple(np.random.default_rng(31), 6, rank=3)
     basis = d.p_matrix[list(d.omega)]
     v = v + SymMat.from_dense(basis.T @ basis, check_symmetry=False)
@@ -636,6 +649,57 @@ def test_trace_linalg_calls_stay_within_a_per_block_bound_when_screened(monkeypa
     # the screen decides whole blocks on this triple: at 64 samples, one
     # block a step, the sampled blocks add fewer solves than one a block
     assert calls[64]["solve"] < base["solve"] + steps
+
+
+def test_trace_judges_the_whole_grid_in_one_batch(monkeypatch):
+    # at 64 samples the candidates of all 8 steps fit one buffer: the screen
+    # runs once per trace, not once per step, and the exact test takes the
+    # rows that it leaves open in one further call
+    _, ystar, v, d = valid_triple(np.random.default_rng(1), 12, rank=6)
+    calls = Counter()
+    build, feasible = subderivative._infeasibility_screen, subderivative._samples_feasible
+
+    def counted_screen(d, v):
+        rejected = build(d, v)
+
+        def counted(*args):
+            calls["rejected"] += 1
+            return rejected(*args)
+
+        return counted
+
+    def counted_feasible(*args):
+        calls["samples_feasible"] += 1
+        return feasible(*args)
+
+    monkeypatch.setattr(subderivative, "_infeasibility_screen", counted_screen)
+    monkeypatch.setattr(subderivative, "_samples_feasible", counted_feasible)
+    trace = subderivative_sampling_trace(d, ystar, v, n_samples=64, seed=0)
+    assert len(trace) == len(SAMPLING_T_GRID)
+    assert calls["rejected"] == 1
+    assert calls["samples_feasible"] <= 2
+
+
+def test_trace_raises_the_first_overflow_of_a_walk_down_the_grid():
+    # on Y = diag(1, 0) the pivot 1 - 99.9 t fails at t = 0.1, and at t = 0.01
+    # the recovery's coupling 0.01 (5e153)^2 / 0.001 overflows.  A walk down
+    # the grid meets the overflowing sample norms of t = 0.1 first, so the
+    # recovery of a later step must not raise ahead of them
+    v = SymMat.from_dense([[-99.9, 5e153], [5e153, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="norm that is not finite"):
+            subderivative_sampling_trace(
+                D_CORNER, YS_CORNER, v, t_grid=(0.1, 0.01), radius=1e200, n_samples=8
+            )
+        # without the step t = 0.1 the recovery point overflows first
+        with pytest.raises(FloatingPointError, match="overflow encountered"):
+            subderivative_sampling_trace(
+                D_CORNER, YS_CORNER, v, t_grid=(0.01,), radius=1e200, n_samples=8
+            )
+        # and with sample norms that stay finite, after the steps before it
+        with pytest.raises(FloatingPointError, match="overflow encountered"):
+            subderivative_sampling_trace(D_CORNER, YS_CORNER, v, t_grid=(0.1, 0.01, 1e-3))
 
 
 # -- the infeasibility screen ---------------------------------------------------------
@@ -751,6 +815,22 @@ def test_trace_memory_does_not_grow_with_samples():
         tracemalloc.stop()
     assert len(trace) == 1
     assert peak < 57.6e6 / 10
+
+
+def test_trace_memory_on_the_default_grid_does_not_grow_with_samples():
+    # the buffer holds at most one block of each of the 8 steps; it is judged
+    # whenever the next block would not fit, 8 times at 2,000 samples and 196
+    # times at 50,000
+    _, ystar, v, d = valid_triple(np.random.default_rng(33), 12, rank=6)
+    peaks = {}
+    for n_samples in (2_000, 50_000):
+        tracemalloc.start()
+        try:
+            subderivative_sampling_trace(d, ystar, v, n_samples=n_samples)
+            peaks[n_samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[50_000] <= 1.1 * peaks[2_000]
 
 
 def test_recovery_overflow_raises_floating_point_error():
