@@ -382,12 +382,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def tolerance(text: str) -> float:
-    """A finite, positive flag value (a tolerance or the sampling radius);
-    NaN would fail every comparison.  argparse names the flag in the usage
-    error that either check raises."""
+    """A finite, positive flag value (a tolerance, the sampling radius or
+    the growth ball's radius); NaN would fail every comparison.  argparse
+    names the flag in the usage error that either check raises."""
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def nonnegative(text: str) -> float:
+    """A finite flag value >= 0 (the growth constant)."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -457,8 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("growth", help="sampled quadratic growth around xbar")
     sp.add_argument("problem", help="problem JSON file with xbar")
     common(sp, rank_tol=False)
-    sp.add_argument("--epsilon", type=float, required=True, help="ball radius")
-    sp.add_argument("--beta", type=float, required=True, help="growth constant")
+    sp.add_argument("--epsilon", type=tolerance, required=True, help="ball radius")
+    sp.add_argument("--beta", type=nonnegative, required=True, help="growth constant")
     sp.add_argument("--samples", type=count, default=sosc.GROWTH_SAMPLES)
     sp.set_defaults(func=cmd_growth)
     return parser

@@ -15,12 +15,16 @@ inequality that this condition guarantees.  It screens the samples with
 lower bounds of dist(F(x), PSD), taken from M, F(x) compressed onto the
 eigenvectors omega of F(xbar) (eigenvalues within the rank tolerance of 0),
 a k x k matrix: the largest distance of a 2 x 2 principal block of M, in
-closed form, and, only where that leaves a count or the minimum open, the
-distance of M from one stacked eigenvalue call; both minus a rounding
-slack.  The full m x m distance is computed only where the bounds could
-decide a count, the feasible set or the minimum ratio, so the report is the
-one that the full computation gives, bit for bit.  Once a bound leaves most of a block open,
-the remaining blocks go without it.
+closed form, and the distance of M from one stacked eigenvalue call; both
+minus a rounding slack.  Three passes run over all samples: the pair bound
+everywhere; the k x k bound on the samples with the smallest pair ratio
+bounds, the smallest of which is computed in full and bounds the minimum
+ratio from above; then the k x k bound wherever the pair bound leaves a
+count or the minimum open.  The full m x m distance is computed only where
+the bounds could decide a count, the feasible set or the minimum ratio, so
+the report is the one that the full computation gives, bit for bit.  Where
+the pair bound leaves most of the first samples undecided, nothing is
+screened.
 
 The verdicts are explicitly sampled statements: VERIFIED_SAMPLED means every
 checked direction carried a positive margin, not that all of the critical
@@ -76,9 +80,14 @@ _GROWTH_FEAS_TOL = 1e-9
 # * eps times a bound of ||F(x)||: more than both eigenvalue routes and the
 # sums that form F(x) can round apart.
 _GROWTH_ROUNDING = 16.0
-# The growth screen stops after a block whose bounds left more than this share
-# of its samples open: such a block costs more screened than computed in full.
-# Its pair bound stops likewise once it leaves that share to the k x k bound.
+# ... and by this much more: squares below 2^-1022 round to a multiple of
+# 2^-1074, off by up to 2^-1075 each however small the operands, which no
+# relative slack covers.  In both bounds and in the exact distance they move
+# the roots by at most (3 + sqrt(m)) 2^-537, below 2^-500 at any m.
+_GROWTH_UNDERFLOW = 2.0**-500
+# Nothing is screened where the pair bound leaves more than this share of the
+# first _GROWTH_BLOCK growth samples undecided: they predict a screen that
+# costs more than it saves.
 _GROWTH_SCREEN_OPEN = 0.5
 
 # The multiplier search's barrier method: a centering ends at Newton
@@ -610,21 +619,22 @@ def _principal_block_distances(k: int):
     """The function that maps stacked k x k lower triangles to the largest
     distance to the PSD cone among each matrix's principal 2 x 2 blocks (its
     1 x 1 block at k = 1), in closed form: [[a, b], [b, c]] has eigenvalues
-    h -+ hypot((a - c) / 2, b), h = (a + c) / 2.  At k <= 2 that block is
-    the matrix itself."""
+    h -+ r, h = (a + c) / 2, r = sqrt(d^2 + b^2), d = (a - c) / 2.  At k <= 2
+    that block is the matrix itself."""
     i, j = _tril_indices(k)
     diag = np.flatnonzero(i == j)
     off = np.flatnonzero(i != j)
-    first, second = diag[i[off]], diag[j[off]]
+    pick = np.stack((diag[i[off]], diag[j[off]], off))  # rows of a, c and b
 
     def distances(lower: np.ndarray) -> np.ndarray:
         if k == 1:
-            squares = np.minimum(lower, 0.0) ** 2
+            squares = np.minimum(lower.T, 0.0) ** 2
         else:
-            a, c, b = lower[:, first], lower[:, second], lower[:, off]
-            half, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+            a, c, b = lower.T[pick]
+            half, d = 0.5 * (a + c), 0.5 * (a - c)
+            radius = np.sqrt(d * d + b * b)
             squares = np.minimum(half - radius, 0.0) ** 2 + np.minimum(half + radius, 0.0) ** 2
-        return np.sqrt(squares.max(axis=1, initial=0.0))
+        return np.sqrt(squares.max(axis=0, initial=0.0))
 
     return distances
 
@@ -644,7 +654,8 @@ def _psd_distance_screen(p: NlsdpProblem, d: OrderedEigenDecomposition, rows: in
     distance of E P F(x) P^T E^T for two orthonormal rows E, so again a lower
     bound, and at k <= 2 the same distance.  Both are lowered by
     _GROWTH_ROUNDING (m + n)^2 eps ||F(x)||, where the same quadratic map, in
-    |x| and with the coefficients' Frobenius norms, bounds ||F(x)||.  A row
+    |x| and with the coefficients' Frobenius norms, bounds ||F(x)||, and by
+    _GROWTH_UNDERFLOW for squares that round in the subnormal range.  A row
     on which any of this overflows gets -inf."""
     basis = d.p_matrix[list(d.omega)]
     k = len(basis)
@@ -672,7 +683,7 @@ def _psd_distance_screen(p: NlsdpProblem, d: OrderedEigenDecomposition, rows: in
                 dist = distances(lower)
             ok &= np.isfinite(dist)
             out = np.full(len(x), -np.inf)
-            out[ok] = dist[ok] - slack * size[ok]
+            out[ok] = dist[ok] - slack * size[ok] - _GROWTH_UNDERFLOW
             return out
 
         return bounds
@@ -713,35 +724,33 @@ def verify_growth(
     restricted to (numerically) feasible samples.
 
     The samples are drawn from a seeded stream and scaled to their radii in
-    bulk (``_growth_offsets``).  A block of samples first gets lower bounds
-    of its distances from F's projection M onto the near-kernel omega of
-    ``d``, the decomposition of F(xbar), made here when None
-    (``_psd_distance_screen``), hence lower bounds of its ratios, in two
-    tiers.  The pair bound, the largest distance of a 2 x 2 principal block
-    of M, takes no eigenvalue call; the k x k bound, the distance of M,
-    takes one stacked call and replaces it where the pair bound leaves a
-    sample undecided, on the first block, and for the minimum below.  At
-    k <= 2 the two are the same and the pair bound is used alone.
+    bulk (``_growth_offsets``).  Their distances get lower bounds from F's
+    projection M onto the near-kernel omega of ``d``, the decomposition of
+    F(xbar), made here when None (``_psd_distance_screen``), hence lower
+    bounds of their ratios, in two tiers.  The pair bound, the largest
+    distance of a 2 x 2 principal block of M, takes no eigenvalue call; the
+    k x k bound, the distance of M, takes one stacked call per
+    _GROWTH_BLOCK samples.  At k <= 2 the two are the same.
 
-    The full m x m distance is computed only on the set E of samples whose
-    bound could decide the report: a bound ratio below beta, a bound distance
-    at or below the feasibility tolerance or a non-finite value; then, after
-    the k x k bound has replaced the _GROWTH_BLOCK smallest pair bounds, the
-    sample with the smallest k x k bound ratio; then, after the k x k bound
-    has replaced every pair bound that does not exceed the smallest exact
-    ratio, every sample whose bound ratio does not exceed it either.  Any
-    other sample provably has a ratio of at least beta, above the minimum,
-    and is infeasible, so the counts, the minimum and its first sample are
-    those of the full computation, whose bits the exact distances keep
-    (``_exact_psd_distances``).  Which bound decided a sample does not
-    matter: both are lower bounds.
+    The screen makes three passes over the whole sample array: the pair
+    bound of every sample; at k > 2, the k x k bound of the _GROWTH_BLOCK
+    samples with the smallest pair ratio bounds and the full m x m distance
+    of the smallest of these, whose ratio U bounds the minimum from above;
+    then the k x k bound of every other sample that is undecided (a bound
+    ratio below beta, a bound distance at or below the feasibility tolerance
+    or a non-finite value) or whose ratio bound is at most U.  The full
+    distance is then computed for every sample still undecided, for the
+    smallest bound if it does not exceed the smallest exact ratio, and then
+    for every bound that does not.  Any other sample provably has a ratio of
+    at least beta, above the minimum, and is infeasible, so the counts, the
+    minimum and its first sample are those of the full computation, whose
+    bits the exact distances keep (``_exact_psd_distances``).  Which bound
+    decided a sample does not matter: both are lower bounds.
 
-    The screen stops after a block whose bounds left more than
-    _GROWTH_SCREEN_OPEN of its samples open, and does not start where k = m;
-    a block that is not screened puts all of its samples in E.  The pair
-    bound stops, leaving the k x k bound alone, after a block where more
-    than that share is undecided or not above the smallest k x k bound
-    ratio so far: those samples would need both."""
+    Nothing is screened where k = m, where P is a rotation and its bound
+    costs as much as the distance, nor where the pair bound leaves more than
+    _GROWTH_SCREEN_OPEN of the first _GROWTH_BLOCK samples undecided: there
+    the bounds would cost more than they save."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if not (math.isfinite(beta) and beta >= 0):
@@ -763,9 +772,8 @@ def verify_growth(
     k, pair_bounds, bounds = _psd_distance_screen(p, d, min(_GROWTH_BLOCK, total))
     work = np.empty((min(_GROWTH_BLOCK, total), p.m, p.m))
     dists = np.full(total, -np.inf)  # lower bounds until settled
-    ratios = np.empty(total)  # likewise
     settled = np.zeros(total, dtype=bool)
-    coarse = np.zeros(total, dtype=bool)  # bounded by 2 x 2 blocks only, at k > 2
+    everything = slice(None)
 
     def ratio(i):  # max(gap, dist) as Python's max takes it: the gap unless dist is larger
         with np.errstate(over="ignore"):  # a ratio past the largest float is inf, above beta
@@ -774,63 +782,42 @@ def verify_growth(
     def undecided(i):  # the sample may violate or be feasible
         return ~((ratio(i) >= beta) & (dists[i] > _GROWTH_FEAS_TOL))
 
-    def settle(rows, mask):
-        _exact_psd_distances(p, xs[rows], mask, dists[rows], work)
-        settled[rows] |= mask
-        ratios[rows] = ratio(rows)
+    def settle(mask):
+        _exact_psd_distances(p, xs, mask, dists, work)
+        settled[mask] = True
 
-    def refine(rows):  # the k x k bound for these coarse rows
+    def refine(rows):  # the k x k bound for these rows
         for start in range(0, len(rows), _GROWTH_BLOCK):
             chunk = rows[start : start + _GROWTH_BLOCK]
             dists[chunk] = np.maximum(dists[chunk], bounds(xs[chunk]))
-            ratios[chunk] = ratio(chunk)
-        coarse[rows] = False
 
-    screen = k < p.m  # at k = m, P is a rotation: its bound costs as much as the distance
-    pairs = screen  # at k <= 2 the pair bound is the k x k bound
-    best = math.inf  # the smallest ratio bound from the k x k bound so far
-    for start in range(0, total, _GROWTH_BLOCK):
-        block = slice(start, start + _GROWTH_BLOCK)
-        if pairs:
-            dists[block] = pair_bounds(xs[block])
-            if k > 2:
-                # The pair bound leaves to the k x k bound its undecided rows
-                # and its candidates for the minimum, the rows whose ratio
-                # bound does not exceed the best one.  The first block takes
-                # the k x k bound everywhere, which sets the best one.
-                pair_ratios, left = ratio(block), undecided(block)
-                sharp = left if start else np.ones_like(left)
-                if sharp.any():
-                    view = dists[block]
-                    view[sharp] = np.maximum(view[sharp], bounds(xs[block][sharp]))
-                coarse[block] = ~sharp
-                best = min(best, ratio(block)[sharp].min(initial=math.inf))
-                pairs = np.mean(left | (pair_ratios <= best)) <= _GROWTH_SCREEN_OPEN
-        elif screen:
-            dists[block] = bounds(xs[block])
-        left = undecided(block)
-        settle(block, left)
-        screen = screen and left.mean() <= _GROWTH_SCREEN_OPEN
-        pairs = pairs and screen
-    if not settled.all():
-        everything = slice(None)
-        # The sample with the smallest k x k bound ratio is settled, once the
-        # _GROWTH_BLOCK smallest pair bounds are refined; then every pair
-        # bound that does not exceed the smallest exact ratio is refined, the
-        # smallest bound is settled if it does not exceed it either, and then
-        # every bound that does not: the rest lie above the minimum.
-        lowest = np.flatnonzero(coarse)
-        if len(lowest) > _GROWTH_BLOCK:
-            part = np.argpartition(ratios[lowest], _GROWTH_BLOCK - 1)
-            lowest = lowest[part[:_GROWTH_BLOCK]]
-        refine(lowest)
-        fine = ~settled & ~coarse
-        settle(everything, fine & (ratios == ratios[fine].min()))
-        refine(np.flatnonzero(coarse & ~settled & (ratios <= ratios[settled].min())))
-        smallest = ratios[~settled].min(initial=math.inf)
-        if smallest <= ratios[settled].min():
-            settle(everything, ~settled & (ratios == smallest))
-        settle(everything, ~settled & (ratios <= ratios[settled].min()))
+    # At k = m, P is a rotation: its bound costs as much as the distance.
+    head, screen = slice(_GROWTH_BLOCK), total > 0 and k < p.m
+    if screen:
+        dists[head] = pair_bounds(xs[head])
+    if screen and undecided(head).mean() <= _GROWTH_SCREEN_OPEN:
+        for start in range(_GROWTH_BLOCK, total, _GROWTH_BLOCK):
+            dists[start : start + _GROWTH_BLOCK] = pair_bounds(xs[start : start + _GROWTH_BLOCK])
+        if k > 2:  # at k <= 2 the pair bound is the k x k bound
+            # The smallest of the _GROWTH_BLOCK smallest ratio bounds, once
+            # refined, is settled: its ratio bounds the minimum from above.
+            # Then every other bound that may decide the report is refined.
+            part = np.argpartition(ratio(everything), min(_GROWTH_BLOCK, total) - 1)
+            lowest = part[:_GROWTH_BLOCK]
+            refine(lowest)
+            upper = lowest[np.argmin(ratio(lowest))]
+            settle(np.arange(total) == upper)
+            sharp = undecided(everything) | (ratio(everything) <= ratio(upper))
+            sharp[lowest] = False
+            refine(np.flatnonzero(sharp))
+    settle(~settled & undecided(everything))
+    # The smallest bound is settled if it does not exceed the smallest exact
+    # ratio, then every bound that does not: the rest lie above the minimum.
+    smallest = ratio(~settled).min(initial=math.inf)
+    if smallest <= ratio(settled).min(initial=math.inf):
+        settle(~settled & (ratio(everything) == smallest))
+    settle(~settled & (ratio(everything) <= ratio(settled).min(initial=math.inf)))
+    ratios = ratio(everything)
     feasible = dists <= _GROWTH_FEAS_TOL
     feasible_ratios = gaps[feasible] / sq[feasible]
     if total:

@@ -348,7 +348,10 @@ def _samples_feasible(d: OrderedEigenDecomposition, screen, lowers: np.ndarray, 
     both tests; every other row gets the bits of the full computation.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.sum(_tril_weights(d.m, 2.0) * lowers**2, axis=-1))
+        squares = np.square(lowers)  # weighted in place: one batch-sized temporary
+        squares *= _tril_weights(d.m, 2.0)
+        norms = np.sqrt(np.sum(squares, axis=-1))
+    del squares
     if not np.isfinite(norms).all():
         # an infinite slack would pass every test
         raise FloatingPointError(

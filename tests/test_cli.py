@@ -545,14 +545,29 @@ def test_console_script_runs():
 
 @pytest.mark.parametrize("option", ["--epsilon", "--beta"])
 def test_growth_rejects_nan_parameters(option, capsys):
-    values = {"--epsilon": "0.1", "--beta": "0.1", option: "nan"}
-    argv = ["growth", str(DATA / "p1.json")]
-    for name, value in values.items():
-        argv += [name, value]
-    assert run_cli(*argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"{option[2:]} must be finite" in captured.err
+    # the flag's type function makes a usage error that names the flag,
+    # before the problem is read (the file does not exist); the library,
+    # called directly, names its keyword
+    p1, xbar = problem_from_json(json.loads((DATA / "p1.json").read_text()))
+    bad = {"--epsilon": ["nan", "inf", "0", "-1"], "--beta": ["nan", "inf", "-1"]}[option]
+    low = {"--epsilon": "> 0", "--beta": ">= 0"}[option]
+    for value in bad:
+        values = {"--epsilon": "0.1", "--beta": "0.1", option: value}
+        argv = ["growth", str(DATA / "missing.json")]
+        for name, given in values.items():
+            argv += [name, given]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"nsdpcheck growth: error: argument {option}: must be a finite number {low}, "
+            f"got {value!r}\n"
+        )
+        keywords = {"epsilon": 0.1, "beta": 0.1, option[2:]: float(value)}
+        with pytest.raises(ValueError, match=f"{option[2:]} must be finite"):
+            sosc.verify_growth(p1, xbar, n_samples=10, **keywords)
 
 
 @pytest.mark.parametrize(
