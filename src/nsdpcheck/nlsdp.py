@@ -210,9 +210,13 @@ def lagrangian_hess_form(p: NlsdpProblem, alpha: float, x, ystar: SymMat, u) -> 
 
 def _field(obj, path: str):
     """Value at a dotted path through nested JSON objects; a missing step
-    raises KeyError(path)."""
-    for key in path.split("."):
-        if not isinstance(obj, dict) or key not in obj:
+    raises KeyError(path), a step that is not an object ValueError."""
+    keys = path.split(".")
+    for depth, key in enumerate(keys):
+        if not isinstance(obj, dict):
+            node = ".".join(keys[:depth]) or "problem JSON"
+            raise ValueError(f"{node} must be an object, got {type(obj).__name__}")
+        if key not in obj:
             raise KeyError(path)
         obj = obj[key]
     return obj

@@ -14,16 +14,21 @@ log-barrier Newton method.  ``verify_growth`` samples the quadratic-growth
 inequality that this condition guarantees.  It screens the samples with
 lower bounds of dist(F(x), PSD), taken from M, F(x) compressed onto the
 eigenvectors omega of F(xbar) (eigenvalues within the rank tolerance of 0),
-a k x k matrix: the largest distance of a 2 x 2 principal block of M, in
-closed form, and the distance of M from one stacked eigenvalue call; both
-minus a rounding slack.  Three passes run over all samples: the pair bound
-everywhere; the k x k bound on the samples with the smallest pair ratio
+a k x k matrix, and both evaluated from one monomial product: the matching
+bound and the distance of M from one stacked eigenvalue call; both minus a
+rounding slack.  The matching bound pinches M: a round-robin schedule splits
+omega's indices into rounds of disjoint 2 x 2 principal blocks (and one
+1 x 1 block at odd k), and M's block-diagonal part for a round, the average
+of M's similarities by +-1 on each block, is no farther from the cone than
+M.  The bound is the largest root-sum-square of a round's closed-form block
+distances.  Three passes run over all samples: the matching bound
+everywhere; the k x k bound on the samples with the smallest matching ratio
 bounds, the smallest of which is computed in full and bounds the minimum
-ratio from above; then the k x k bound wherever the pair bound leaves a
+ratio from above; then the k x k bound wherever the matching bound leaves a
 count or the minimum open.  The full m x m distance is computed only where
 the bounds could decide a count, the feasible set or the minimum ratio, so
 the report is the one that the full computation gives, bit for bit.  Where
-the pair bound leaves most of the first samples undecided, nothing is
+the matching bound leaves most of the first samples undecided, nothing is
 screened.
 
 The verdicts are explicitly sampled statements: VERIFIED_SAMPLED means every
@@ -43,7 +48,6 @@ from .cone import normal_cone_residual
 from .nlsdp import (
     NlsdpProblem,
     _jacobian,
-    _quadratic_rows,
     dF,
     eval_F,
     eval_F_batch,
@@ -83,10 +87,11 @@ _GROWTH_ROUNDING = 16.0
 # ... and by this much more: squares below 2^-1022 round to a multiple of
 # 2^-1074, off by up to 2^-1075 each however small the operands, which no
 # relative slack covers.  In both bounds and in the exact distance they move
-# the roots by at most (3 + sqrt(m)) 2^-537, below 2^-500 at any m.
+# the roots by at most (3 + 3 sqrt(m)) 2^-537, below 2^-500 at any m: the
+# matching bound sums the squares of at most ceil(k / 2) blocks, k <= m.
 _GROWTH_UNDERFLOW = 2.0**-500
-# Nothing is screened where the pair bound leaves more than this share of the
-# first _GROWTH_BLOCK growth samples undecided: they predict a screen that
+# Nothing is screened where the matching bound leaves more than this share of
+# the first _GROWTH_BLOCK growth samples undecided: they predict a screen that
 # costs more than it saves.
 _GROWTH_SCREEN_OPEN = 0.5
 
@@ -615,69 +620,111 @@ def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
     return xs[: 4 * n + rows]
 
 
+def _round_robin(k: int) -> list[list[tuple[int, ...]]]:
+    """A round-robin schedule of the indices 0, ..., k - 1 (the circle
+    method): rounds of disjoint blocks that hold every pair (i, j), i > j,
+    exactly once.  At even k there are k - 1 rounds of k / 2 pairs; at odd k
+    there are k rounds, each of (k - 1) / 2 pairs and one bye (i,)."""
+    size = k + k % 2  # at odd k, index k is the bye
+    rounds = []
+    for r in range(size - 1):
+        games = [(size - 1, r)]
+        games += [((r + s) % (size - 1), (r - s) % (size - 1)) for s in range(1, size // 2)]
+        rounds.append([(b,) if a == k else (max(a, b), min(a, b)) for a, b in games])
+    return rounds
+
+
 def _principal_block_distances(k: int):
-    """The function that maps stacked k x k lower triangles to the largest
-    distance to the PSD cone among each matrix's principal 2 x 2 blocks (its
-    1 x 1 block at k = 1), in closed form: [[a, b], [b, c]] has eigenvalues
-    h -+ r, h = (a + c) / 2, r = sqrt(d^2 + b^2), d = (a - c) / 2.  At k <= 2
-    that block is the matrix itself."""
+    """The function that maps stacked k x k lower triangles M to the
+    matching bound of dist(M, PSD): the largest root-sum-square, over the
+    rounds of ``_round_robin(k)``, of the distances of the round's principal
+    blocks.  A 2 x 2 block [[a, b], [b, c]] has eigenvalues h -+ r in closed
+    form, h = (a + c) / 2, r = sqrt(d^2 + b^2), d = (a - c) / 2.
+
+    By pinching, the matching bound is a lower bound.  A round's blocks
+    partition the indices, and M's block-diagonal part for them is the
+    average of D M D over the sign matrices D that are +-1 on each block.
+    dist(., PSD) is convex and invariant under those similarities, so that
+    part is no farther from the cone than M, and its distance is the
+    root-sum-square of its blocks'.  Each pair lies in one round, so the
+    bound is at least the largest 2 x 2 block distance; at k <= 2 it is
+    that block distance, the matrix's own."""
     i, j = _tril_indices(k)
     diag = np.flatnonzero(i == j)
     off = np.flatnonzero(i != j)
     pick = np.stack((diag[i[off]], diag[j[off]], off))  # rows of a, c and b
+    # Round r sums the squared distances of its blocks: pairs in the order
+    # of ``off``, then, at odd k, the byes.
+    column = {(int(i[t]), int(j[t])): c for c, t in enumerate(off)}
+    column.update({(int(t),): len(off) + int(t) for t in range(k)})
+    rounds = _round_robin(k)
+    incidence = np.zeros((len(rounds), len(off) + k % 2 * k))
+    for r, blocks in enumerate(rounds):
+        incidence[r, [column[block] for block in blocks]] = 1.0
 
     def distances(lower: np.ndarray) -> np.ndarray:
-        if k == 1:
-            squares = np.minimum(lower.T, 0.0) ** 2
-        else:
-            a, c, b = lower.T[pick]
-            half, d = 0.5 * (a + c), 0.5 * (a - c)
-            radius = np.sqrt(d * d + b * b)
-            squares = np.minimum(half - radius, 0.0) ** 2 + np.minimum(half + radius, 0.0) ** 2
-        return np.sqrt(squares.max(axis=0, initial=0.0))
+        a, c, b = lower.T[pick]
+        half, d = 0.5 * (a + c), 0.5 * (a - c)
+        radius = np.sqrt(d * d + b * b)
+        squares = np.minimum(half - radius, 0.0) ** 2 + np.minimum(half + radius, 0.0) ** 2
+        if k % 2:
+            squares = np.concatenate((squares, np.minimum(lower.T[diag], 0.0) ** 2))
+        return np.sqrt((incidence @ squares).max(axis=0, initial=0.0))
 
     return distances
 
 
 def _psd_distance_screen(p: NlsdpProblem, d: OrderedEigenDecomposition, rows: int):
-    """(k, pair_bounds, bounds): both functions map up to ``rows`` rows x at
-    a time to lower bounds of dist(F(x), PSD), rounding included; -inf where
-    none is computed.
+    """(k, matching_bounds, bounds): both functions map up to ``rows`` rows
+    x at a time to lower bounds of dist(F(x), PSD), rounding included; -inf
+    where none is computed.
 
     P = P_omega holds the eigenvector rows of omega in d, the decomposition
     of F(xbar).  For orthonormal rows, dist(P A P^T) <= dist(A): P applied
-    to A's PSD projection is PSD and no farther from P A P^T.  F's
-    coefficients are projected to k x k once.  ``bounds`` takes dist(P F(x)
-    P^T) from one stacked k x k eigvalsh per block of samples;
-    ``pair_bounds`` takes the largest distance of a principal 2 x 2 block of
-    P F(x) P^T in closed form (``_principal_block_distances``), which is a
-    distance of E P F(x) P^T E^T for two orthonormal rows E, so again a lower
-    bound, and at k <= 2 the same distance.  Both are lowered by
-    _GROWTH_ROUNDING (m + n)^2 eps ||F(x)||, where the same quadratic map, in
-    |x| and with the coefficients' Frobenius norms, bounds ||F(x)||, and by
-    _GROWTH_UNDERFLOW for squares that round in the subnormal range.  A row
-    on which any of this overflows gets -inf."""
+    to A's PSD projection is PSD and no farther from P A P^T.  F(x) is
+    linear in the monomials z(x) = (1, x_i, x_i x_j for i >= j), with the
+    coefficients A0, A_i, B_ij for i > j and B_ii / 2, which are projected
+    to k x k once.  Each call forms z(x) once, and one product with the
+    projected coefficients gives P F(x) P^T; one with their Frobenius norms,
+    taken at |z(x)|, bounds ||F(x)||.  ``bounds`` takes dist(P F(x) P^T)
+    from one stacked k x k eigvalsh per block of samples;
+    ``matching_bounds`` takes the matching bound of P F(x) P^T, a pinching
+    of it (``_principal_block_distances``), with no eigenvalue call, and at
+    k <= 2 the same distance.  Both are lowered by _GROWTH_ROUNDING
+    (m + n)^2 eps ||F(x)||.  That covers the rounding of the projected sum
+    and of the exact route, and that of the matching bound's sum of at most
+    ceil(k / 2) nonnegative squares, which moves its root by less than
+    k eps times the bound.  Both are also lowered by _GROWTH_UNDERFLOW for
+    squares that round in the subnormal range.  A row on which any of this
+    overflows gets -inf."""
     basis = d.p_matrix[list(d.omega)]
     k = len(basis)
     i, j = _tril_indices(k)
-
-    def project(lower):
-        return (basis @ lower_to_dense(p.m, lower) @ basis.T)[..., i, j]
-
-    def norms(lower):
-        return frobenius_norms(p.m, lower)[..., None]
-
+    qi, qj = _tril_indices(p.n)
     b = p.F.b
-    coeffs = (project(p.F.a0.lower), project(p.F.a), None if b is None else project(b))
-    sizes = (norms(p.F.a0.lower), norms(p.F.a), None if b is None else norms(b))
+    parts = [p.F.a0.lower[None], p.F.a]
+    if b is not None:
+        parts.append(b[qi, qj] * np.where(qi == qj, 0.5, 1.0)[:, None])
+    coeffs = np.concatenate(parts)
+    projected = (basis @ lower_to_dense(p.m, coeffs) @ basis.T)[:, i, j]
+    sizes = frobenius_norms(p.m, coeffs)
     slack = _GROWTH_ROUNDING * (p.m + p.n) ** 2 * np.finfo(float).eps
     work = np.empty((rows, k, k))
+
+    def monomials(x):
+        z = np.empty((len(x), len(coeffs)))
+        z[:, 0] = 1.0
+        z[:, 1 : 1 + p.n] = x
+        if b is not None:
+            np.multiply(x[:, qi], x[:, qj], out=z[:, 1 + p.n :])
+        return z
 
     def screen(distances):
         def bounds(x: np.ndarray) -> np.ndarray:
             with np.errstate(over="ignore", invalid="ignore"):
-                lower = _quadratic_rows(*coeffs, x)
-                size = _quadratic_rows(*sizes, np.abs(x))[:, 0]
+                z = monomials(x)
+                lower = z @ projected
+                size = np.abs(z) @ sizes
                 ok = np.isfinite(size) & np.isfinite(lower).all(axis=1)
                 lower[~ok] = 0.0
                 dist = distances(lower)
@@ -699,15 +746,14 @@ def _exact_psd_distances(p: NlsdpProblem, xs, mask, out: np.ndarray, work: np.nd
     with the bits of one blocked pass over all of xs; xs is the sample array
     or one of its _GROWTH_BLOCK blocks, out its distances.  BLAS rounds a
     row of a product differently in stacks of different heights, so F is
-    evaluated on each whole _GROWTH_BLOCK block that holds a selected row;
-    eigvalsh solves each matrix alone, so it takes the selected rows only."""
-    for start in range(0, len(xs), _GROWTH_BLOCK):
+    evaluated on each whole _GROWTH_BLOCK block that holds a selected row,
+    and on no other; eigvalsh solves each matrix alone, so it takes the
+    selected rows only."""
+    starts = np.arange(0, len(xs), _GROWTH_BLOCK)
+    for start in starts[np.logical_or.reduceat(mask, starts)].tolist():
         sel = mask[start : start + _GROWTH_BLOCK]
-        if sel.any():
-            lower = eval_F_batch(p, xs[start : start + _GROWTH_BLOCK])[sel]
-            out[start : start + _GROWTH_BLOCK][sel] = dist_psd_batch(
-                p.m, lower, work[: len(lower)]
-            )
+        lower = eval_F_batch(p, xs[start : start + _GROWTH_BLOCK])[sel]
+        out[start : start + _GROWTH_BLOCK][sel] = dist_psd_batch(p.m, lower, work[: len(lower)])
 
 
 def verify_growth(
@@ -727,30 +773,35 @@ def verify_growth(
     bulk (``_growth_offsets``).  Their distances get lower bounds from F's
     projection M onto the near-kernel omega of ``d``, the decomposition of
     F(xbar), made here when None (``_psd_distance_screen``), hence lower
-    bounds of their ratios, in two tiers.  The pair bound, the largest
-    distance of a 2 x 2 principal block of M, takes no eigenvalue call; the
+    bounds of their ratios, in two tiers.  The matching bound takes no
+    eigenvalue call: by the pinching inequality, the distance of a
+    block-diagonal part of M is at most that of M, and for the blocks of
+    one round of a round-robin schedule of omega (disjoint 2 x 2 principal
+    blocks, and one 1 x 1 block at odd k) it is the root-sum-square of
+    closed-form block distances; the bound takes the largest round.  The
     k x k bound, the distance of M, takes one stacked call per
     _GROWTH_BLOCK samples.  At k <= 2 the two are the same.
 
-    The screen makes three passes over the whole sample array: the pair
+    The screen makes three passes over the whole sample array: the matching
     bound of every sample; at k > 2, the k x k bound of the _GROWTH_BLOCK
-    samples with the smallest pair ratio bounds and the full m x m distance
-    of the smallest of these, whose ratio U bounds the minimum from above;
-    then the k x k bound of every other sample that is undecided (a bound
-    ratio below beta, a bound distance at or below the feasibility tolerance
-    or a non-finite value) or whose ratio bound is at most U.  The full
-    distance is then computed for every sample still undecided, for the
-    smallest bound if it does not exceed the smallest exact ratio, and then
-    for every bound that does not.  Any other sample provably has a ratio of
-    at least beta, above the minimum, and is infeasible, so the counts, the
-    minimum and its first sample are those of the full computation, whose
-    bits the exact distances keep (``_exact_psd_distances``).  Which bound
-    decided a sample does not matter: both are lower bounds.
+    samples with the smallest matching ratio bounds and the full m x m
+    distance of the smallest of these, whose ratio U bounds the minimum from
+    above; then the k x k bound of every other sample that is undecided (a
+    bound ratio below beta, a bound distance at or below the feasibility
+    tolerance or a non-finite value) or whose ratio bound is at most U.  The
+    full distance is then computed for every sample still undecided, for
+    the smallest bound if it does not exceed the smallest exact ratio, and
+    then for every bound that does not.  Any other sample provably has a
+    ratio of at least beta, above the minimum, and is infeasible, so the
+    counts, the minimum and its first sample are those of the full
+    computation, whose bits the exact distances keep
+    (``_exact_psd_distances``).  Which bound decided a sample does not
+    matter: both are lower bounds.
 
     Nothing is screened where k = m, where P is a rotation and its bound
-    costs as much as the distance, nor where the pair bound leaves more than
-    _GROWTH_SCREEN_OPEN of the first _GROWTH_BLOCK samples undecided: there
-    the bounds would cost more than they save."""
+    costs as much as the distance, nor where the matching bound leaves more
+    than _GROWTH_SCREEN_OPEN of the first _GROWTH_BLOCK samples undecided:
+    there the bounds would cost more than they save."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if not (math.isfinite(beta) and beta >= 0):
@@ -765,11 +816,12 @@ def verify_growth(
     sq = (xs[:, None, :] @ xs[:, :, None]).reshape(rows)
     xs += xbar
     nonzero = sq != 0.0
-    xs, sq = xs[nonzero], sq[nonzero]
+    if not nonzero.all():  # a zero offset is all but impossible
+        xs, sq = xs[nonzero], sq[nonzero]
     total = len(xs)
     gaps = eval_f_batch(p, xs) - f0
     d = d or eigen_decompose(eval_F(p, xbar))
-    k, pair_bounds, bounds = _psd_distance_screen(p, d, min(_GROWTH_BLOCK, total))
+    k, matching_bounds, bounds = _psd_distance_screen(p, d, min(_GROWTH_BLOCK, total))
     work = np.empty((min(_GROWTH_BLOCK, total), p.m, p.m))
     dists = np.full(total, -np.inf)  # lower bounds until settled
     settled = np.zeros(total, dtype=bool)
@@ -794,11 +846,13 @@ def verify_growth(
     # At k = m, P is a rotation: its bound costs as much as the distance.
     head, screen = slice(_GROWTH_BLOCK), total > 0 and k < p.m
     if screen:
-        dists[head] = pair_bounds(xs[head])
+        dists[head] = matching_bounds(xs[head])
     if screen and undecided(head).mean() <= _GROWTH_SCREEN_OPEN:
         for start in range(_GROWTH_BLOCK, total, _GROWTH_BLOCK):
-            dists[start : start + _GROWTH_BLOCK] = pair_bounds(xs[start : start + _GROWTH_BLOCK])
-        if k > 2:  # at k <= 2 the pair bound is the k x k bound
+            dists[start : start + _GROWTH_BLOCK] = matching_bounds(
+                xs[start : start + _GROWTH_BLOCK]
+            )
+        if k > 2:  # at k <= 2 the matching bound is the k x k bound
             # The smallest of the _GROWTH_BLOCK smallest ratio bounds, once
             # refined, is settled: its ratio bounds the minimum from above.
             # Then every other bound that may decide the report is refined.

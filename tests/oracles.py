@@ -1,15 +1,15 @@
 """Definition-based references that the tests check the package against.
 
 None of the package's commands runs these: the direct PSD test and
-projection, the difference-quotient tangent test, and the one-sample Schur
-feasibility criterion.
+projection, the difference-quotient tangent test, the one-sample Schur
+feasibility criterion, and the growth screen's former pair bound.
 """
 
 import numpy as np
 
 from nsdpcheck.cone import DEFAULT_TOL, dist_psd
 from nsdpcheck.subderivative import _require_pivot, _schur_min_eigenvalues
-from nsdpcheck.symmat import OrderedEigenDecomposition, SymMat
+from nsdpcheck.symmat import OrderedEigenDecomposition, SymMat, _tril_indices
 
 # Oracle default: decreasing step sizes for the difference quotient.
 ORACLE_T_GRID = tuple(10.0**-k for k in range(1, 7))
@@ -69,3 +69,28 @@ def schur_feasibility(
     ok, lam = _schur_min_eigenvalues(d, vprime.lower[None], t)
     _require_pivot(ok, t)
     return bool(lam[0] >= -tol)
+
+
+def pair_block_distances(k: int):
+    """The growth screen's former first tier, which its matching bound must
+    never fall below: the function that maps stacked k x k lower triangles
+    to the largest distance to the PSD cone among each matrix's principal
+    2 x 2 blocks (its 1 x 1 block at k = 1), in closed form:
+    [[a, b], [b, c]] has eigenvalues h -+ r, h = (a + c) / 2,
+    r = sqrt(d^2 + b^2), d = (a - c) / 2."""
+    i, j = _tril_indices(k)
+    diag = np.flatnonzero(i == j)
+    off = np.flatnonzero(i != j)
+    pick = np.stack((diag[i[off]], diag[j[off]], off))  # rows of a, c and b
+
+    def distances(lower: np.ndarray) -> np.ndarray:
+        if k == 1:
+            squares = np.minimum(lower.T, 0.0) ** 2
+        else:
+            a, c, b = lower.T[pick]
+            half, d = 0.5 * (a + c), 0.5 * (a - c)
+            radius = np.sqrt(d * d + b * b)
+            squares = np.minimum(half - radius, 0.0) ** 2 + np.minimum(half + radius, 0.0) ** 2
+        return np.sqrt(squares.max(axis=0, initial=0.0))
+
+    return distances

@@ -661,7 +661,7 @@ def test_unwritable_json_path_exits_3(argv, tmp_path, capsys):
     "edit, message",
     [
         (lambda obj: obj["f"].pop("g"), "problem JSON missing required field: f.g"),
-        (lambda obj: obj.update(F=[]), "problem JSON missing required field: F.A0"),
+        (lambda obj: obj["F"].pop("A0"), "problem JSON missing required field: F.A0"),
         (lambda obj: obj["F"].update(A=5), "malformed problem JSON: 'int' object is not iterable"),
         (lambda obj: obj["f"].update(g=None), "gradient/Hessian shapes inconsistent"),
         (lambda obj: obj.update(m=2.5), "m must be an integer, got 2.5"),
@@ -677,6 +677,17 @@ def test_malformed_problem_fields_exit_3(tmp_path, capsys, edit, message):
     path.write_text(json.dumps(obj))
     assert run_cli("check-sosc", str(path)) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("node, value", [("F", [{"m": 2, "lower": [1.0, 0.0, 0.0]}]), ("f", [1, 2])])
+def test_problem_node_of_the_wrong_type_is_named(tmp_path, capsys, node, value):
+    # a list where an object belongs used to read as a missing field below it
+    obj = json.loads((DATA / "p1.json").read_text())
+    obj[node] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("growth", str(path), "--epsilon", "0.1", "--beta", "0.01") == 3
+    assert capsys.readouterr().err == f"error: {node} must be an object, got list\n"
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import math
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from nsdpcheck.symmat import block, frobenius_norms, lower_to_dense, pseudoinver
 
 from conftest import build_p1, build_trivial_cone, kkt_consistent_problem, linalg_calls
 from conftest import random_orthogonal, random_psd, random_symmat
+from oracles import pair_block_distances
 
 XBAR = np.zeros(2)
 FAST = {"n_dirs": 64}
@@ -805,7 +807,7 @@ def growth_screen_problem(rng, n, m, kind, quadratic, shift):
     1 x 1 block near 1e150 in every coefficient, "overflow" by A0's 2 x 2
     block 1.5e308 I, whose Frobenius norm overflows.  A smaller m is raised to
     the border plus 1.  "tiny" is singular with every coefficient near
-    1e-161, where the squares of the pair bound's closed form are subnormal.
+    1e-161, where the squares of the matching bound's closed form are subnormal.
     F is centred on xbar, so F(xbar) has the chosen spectrum."""
     corner = {"huge": 1, "overflow": 2}.get(kind, 0)
     m = max(m, corner + 1)
@@ -902,7 +904,7 @@ def test_screened_growth_matches_per_sample_reference_property(
 
 
 def test_growth_distance_bounds_stay_below_exact_distances():
-    # both tiers, the closed-form pair bound and the k x k bound, are checked
+    # both tiers, the closed-form matching bound and the k x k bound, are checked
     # against distances of F evaluated one sample at a time, which rounds
     # apart from the blocked evaluation
     for case in range(30):
@@ -912,13 +914,58 @@ def test_growth_distance_bounds_stay_below_exact_distances():
         p, xbar = growth_screen_problem(rng, n, m, kind, case % 3 > 0, 0.05)
         xs = xbar + rng.uniform(-0.2, 0.2, (600, n))
         d = eigen_decompose(eval_F(p, xbar))
-        _, pair_bounds, bounds = sosc._psd_distance_screen(p, d, len(xs))
+        _, matching_bounds, bounds = sosc._psd_distance_screen(p, d, len(xs))
         exact = np.array([dist_psd(eval_F(p, x)) for x in xs])
-        for tier in (pair_bounds, bounds):
+        for tier in (matching_bounds, bounds):
             tight = tier(xs)
             assert (tight <= exact).all()
             if kind == "singular":
                 assert (tight > 0).any()  # the screen sees the kernel's negativity
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_round_robin_holds_every_pair_once(k):
+    rounds = sosc._round_robin(k)
+    assert len(rounds) == (k if k % 2 else k - 1)
+    pairs = Counter()
+    for blocks in rounds:
+        indices = [i for block in blocks for i in block]
+        assert len(indices) == len(set(indices))  # the blocks are disjoint
+        assert all(0 <= i < k for i in indices)
+        byes = [block for block in blocks if len(block) == 1]
+        assert len(byes) == k % 2
+        pairs.update(block for block in blocks if len(block) == 2)
+    assert pairs == Counter({(i, j): 1 for i in range(k) for j in range(i)})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(2, 12),
+    kind=st.sampled_from(["singular", "nonsingular", "not_psd", "huge", "overflow", "tiny"]),
+    quadratic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_growth_matching_bound_lies_between_pair_bound_and_distance(
+    n, m, kind, quadratic, seed
+):
+    # the matching bound pinches P F(x) P^T over every round of the
+    # round-robin schedule: never below the largest 2 x 2 block distance,
+    # the same at k <= 2, and never above the distance of F(x) evaluated
+    # one sample at a time
+    rng = np.random.default_rng(seed)
+    p, xbar = growth_screen_problem(rng, n, m, kind, quadratic, 0.05)
+    xs = xbar + rng.uniform(-0.2, 0.2, (300, n))
+    d = eigen_decompose(eval_F(p, xbar))
+    k, matching_bounds, _ = sosc._psd_distance_screen(p, d, len(xs))
+    new = matching_bounds(xs)
+    with mock.patch.object(sosc, "_principal_block_distances", pair_block_distances):
+        old = sosc._psd_distance_screen(p, d, len(xs))[1](xs)
+    exact = np.array([dist_psd(eval_F(p, x)) for x in xs])
+    assert (old <= new).all()
+    assert (new <= exact).all()
+    if k <= 2:
+        assert np.array_equal(old, new)
 
 
 def test_growth_pair_bound_is_the_projected_distance_at_k_up_to_2():
@@ -944,9 +991,9 @@ def test_growth_pair_bound_is_the_projected_distance_at_k_up_to_2():
                  for c in (p.F.a0.lower, p.F.a, p.F.b)]
         size = _quadratic_rows(*norms, np.abs(xs))[:, 0]
         slack = sosc._GROWTH_ROUNDING * (m + n) ** 2 * np.finfo(float).eps * size
-        screen_k, pair_bounds, _ = sosc._psd_distance_screen(p, d, len(xs))
+        screen_k, matching_bounds, _ = sosc._psd_distance_screen(p, d, len(xs))
         assert screen_k == k
-        pair = pair_bounds(xs)
+        pair = matching_bounds(xs)
         assert (pair <= dist).all()
         assert (dist - pair <= 2.0 * slack).all()
         assert (dist > slack).any()  # not every sample sits in the slack
@@ -991,8 +1038,8 @@ def test_growth_screen_solves_few_full_matrices(monkeypatch):
 
 
 def test_growth_screen_solves_few_kxk_matrices(monkeypatch):
-    # the closed-form pair bound decides most samples; the k x k eigvalsh
-    # runs on the _GROWTH_BLOCK smallest pair ratio bounds, the undecided
+    # the closed-form matching bound decides most samples; the k x k eigvalsh
+    # runs on the _GROWTH_BLOCK smallest matching ratio bounds, the undecided
     # rows and the candidates for the minimum only
     p = kkt_consistent_problem(np.random.default_rng(0), 6, 12)
     xbar = np.zeros(6)
@@ -1005,8 +1052,39 @@ def test_growth_screen_solves_few_kxk_matrices(monkeypatch):
     assert 0 < solved[k] <= 0.1 * report.samples
 
 
+def test_growth_matching_bound_solves_few_kxk_matrices_at_k_9(monkeypatch):
+    # the largest 2 x 2 block distance left about half of these samples to
+    # the k x k bound; the matching bound, a sum over a round of blocks,
+    # leaves far fewer
+    p = kkt_consistent_problem(np.random.default_rng(3), 6, 12)
+    xbar = np.zeros(6)
+    assert len(eigen_decompose(eval_F(p, xbar)).omega) == 9
+    report, solved = eigvalsh_matrices(
+        monkeypatch, lambda: verify_growth(p, xbar, 0.1, 0.01, n_samples=10_000)
+    )
+    assert report.samples == 11_024
+    assert 0 < solved[9] <= 0.25 * report.samples
+
+
+def test_growth_k6_fixture_is_the_kkt_consistent_problem():
+    # tests/data/growth_k6.json holds kkt_consistent_problem(default_rng(2),
+    # 6, 12) at xbar = 0, the growth fixture with k > 2
+    path = Path(__file__).parent / "data" / "growth_k6.json"
+    p, xbar = problem_from_json(json.loads(path.read_text()))
+    ref = kkt_consistent_problem(np.random.default_rng(2), 6, 12)
+    for got, want in ((p.f.g, ref.f.g), (p.f.h, ref.f.h), (p.F.a0.lower, ref.F.a0.lower),
+                      (p.F.a, ref.F.a), (p.F.b, ref.F.b)):
+        assert np.array_equal(got, want)
+    assert not xbar.any()
+    assert len(eigen_decompose(eval_F(p, xbar)).omega) == 6
+    report = verify_growth(p, xbar, 0.1, 0.01)
+    assert report.violations == 0
+    assert round(report.min_ratio, 1) == 9.2
+    assert_identical_growth(report, unscreened_growth(p, xbar, 0.1, 0.01, 10_000, 0))
+
+
 def test_growth_pair_bound_stops_where_it_is_weak(monkeypatch):
-    # at k = 11 of m = 12 most pair ratio bounds lie below the minimum, so
+    # at k = 11 of m = 12 most matching ratio bounds lie below the minimum, so
     # most samples also take the k x k bound, but none takes it twice and
     # the full distance stays rare
     p = kkt_consistent_problem(np.random.default_rng(5), 6, 12)
@@ -1021,7 +1099,7 @@ def test_growth_pair_bound_stops_where_it_is_weak(monkeypatch):
 
 
 def test_growth_screen_stops_where_it_does_not_pay(monkeypatch):
-    # where every sample violates, the pair bound leaves the first block
+    # where every sample violates, the matching bound leaves the first block
     # open and every sample is computed in full without a screen; where
     # F(xbar) = 0, P is a rotation and nothing is screened
     p = kkt_consistent_problem(np.random.default_rng(0), 6, 12)
