@@ -3,8 +3,9 @@
 Three subcommands: ``check-sosc`` (second-order sufficient condition at the
 candidate point of a problem file), ``subderivative`` (closed form and
 sampling oracle for a (Y, Ystar, V) triple) and ``growth`` (sampled quadratic
-growth).  Reports go to stdout as text, or to a file as JSON with
-``--json PATH``.
+growth).  Each run, a result or an error, makes one JSON report document.
+``--json PATH`` writes it to a file; without it the document goes to stdout
+as text, one ``path: value`` line per leaf (``_text_lines``).
 
 Exit codes: 0 success / condition verified, 1 condition refuted,
 2 inconclusive search, 3 input, usage, allocation or hypothesis error,
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import sosc
 from .cone import DEFAULT_TOL, project_normal_cone
-from .nlsdp import problem_from_json
+from .nlsdp import _field, problem_from_json
 from .subderivative import (
     HypothesisViolation,
     NoFeasibleSampleError,
@@ -188,9 +189,24 @@ def _load_json_file(path: str) -> dict:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _emit(args, body: dict, lines: list[str]) -> None:
-    """Write one report, result or error: the JSON document to the --json
-    path, else the text lines to stdout.  The document is built in both
+def _text_lines(node, path: str = ""):
+    """The text encoding of a JSON document: one ``path: value`` line per
+    leaf in sorted key order, the value being the leaf's JSON.  A list of
+    objects (certificates, trace steps) gives one line per element, such as
+    ``result.trace[3]: {...}``."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _text_lines(node[key], f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and node and all(isinstance(item, dict) for item in node):
+        for i, item in enumerate(node):
+            yield f"{path}[{i}]: {json.dumps(item, sort_keys=True)}"
+    else:
+        yield f"{path}: {json.dumps(node)}"
+
+
+def _emit(args, body: dict) -> None:
+    """Write one report document, result or error: as JSON to the --json
+    path, else as text lines to stdout.  The document is built in both
     modes, so a NaN is a numerical anomaly in either."""
     options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
     report = _json_safe(
@@ -203,25 +219,18 @@ def _emit(args, body: dict, lines: list[str]) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write {args.json}: {exc.strerror or exc}") from exc
         print(f"report written to {args.json}")
-    else:
-        for line in lines:
-            print(line)
+    else:  # one write: a reader that stops at a line it looks for meets no later write
+        sys.stdout.write("".join(f"{line}\n" for line in _text_lines(report)))
 
 
 def _error(kind: str, exc: Exception) -> dict:
     return {"error": {"kind": kind, "message": str(exc)}}
 
 
-def _fmt_vec(vec) -> str:
-    return "[" + ", ".join(f"{float(v):.9g}" for v in np.atleast_1d(vec)) + "]"
-
-
-def _problem_line(problem, xbar) -> str:
-    return f"problem: n={problem.n} m={problem.m} xbar={_fmt_vec(xbar)}"
-
-
-def _split_line(d) -> str:
-    return f"pi: {list(d.pi)}  omega: {list(d.omega)}  (rank_tol {d.rank_tol:.3e})"
+def _rank_split(d, eigenvalues: str) -> dict:
+    """The rank decision of the decomposition d: its eigenvalues, under the
+    given key, with pi, omega and rank_tol."""
+    return {eigenvalues: d.eigenvalues, "pi": d.pi, "omega": d.omega, "rank_tol": d.rank_tol}
 
 
 def _warn_rank_rounding(d) -> None:
@@ -249,35 +258,8 @@ def cmd_check_sosc(args) -> int:
     )
     d = report.decomposition
     _warn_rank_rounding(d)
-    lines = [
-        _problem_line(problem, xbar),
-        f"F(xbar) eigenvalues: {_fmt_vec(d.eigenvalues)}",
-        _split_line(d),
-        f"verdict: {report.verdict}",
-        f"directions checked: {report.directions_checked}",
-    ]
-    if math.isfinite(report.min_margin):
-        lines.append(f"min margin: {report.min_margin:.9g}")
-    if report.worst_direction is not None:
-        lines.append(f"worst direction: {_fmt_vec(report.worst_direction)}")
-    for cert in report.certificates:
-        lines.append(
-            f"  direction {_fmt_vec(cert.direction)}: margin {cert.margin:.9g}, "
-            f"alpha {cert.candidate.alpha:.9g}, "
-            f"stationarity {cert.candidate.stationarity_residual:.3e}, "
-            f"slack {cert.candidate.normal_cone_slack:.3e}"
-        )
-    lines.extend("note: " + ln for ln in report.diagnostics.splitlines())
-    problem_json = {
-        "n": problem.n,
-        "m": problem.m,
-        "xbar": xbar,
-        "f_eigenvalues": d.eigenvalues,
-        "pi": d.pi,
-        "omega": d.omega,
-        "rank_tol": d.rank_tol,
-    }
-    _emit(args, {"problem": problem_json, "result": report.to_json()}, lines)
+    header = {"n": problem.n, "m": problem.m, "xbar": xbar, **_rank_split(d, "f_eigenvalues")}
+    _emit(args, {"problem": header, "result": report.to_json()})
     return {
         sosc.VERIFIED_SAMPLED: 0,
         sosc.CRITICAL_CONE_TRIVIAL: 0,
@@ -297,28 +279,20 @@ def cmd_growth(args) -> int:
         seed=args.seed,
         d=sosc.require_feasible(problem, xbar, args.tol),
     )
-    lines = [
-        _problem_line(problem, xbar),
-        f"epsilon: {report.epsilon:.9g}  beta: {report.beta:.9g}",
-        f"samples: {report.samples}  violations: {report.violations}",
-        f"min ratio max(f-gap, dist)/||x-xbar||^2: {report.min_ratio:.9g}",
-        f"worst point: {_fmt_vec(report.worst_point)}",
-        f"feasible samples: {report.feasible_samples}  "
-        f"feasible violations: {report.feasible_violations}",
-    ]
-    if report.feasible_min_ratio is not None:
-        lines.append(f"feasible-restricted min ratio: {report.feasible_min_ratio:.9g}")
-    problem_json = {"n": problem.n, "m": problem.m, "xbar": xbar}
-    _emit(args, {"problem": problem_json, "result": report.to_json()}, lines)
+    header = {"n": problem.n, "m": problem.m, "xbar": xbar}
+    _emit(args, {"problem": header, "result": report.to_json()})
     return 0 if report.violations == 0 else 1
 
 
 def cmd_subderivative(args) -> int:
     obj = _load_json_file(args.triple)
-    try:
-        y, ystar, v = (SymMat.from_json(obj[key]) for key in ("Y", "Ystar", "V"))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f'triple JSON needs "Y", "Ystar" and "V": {exc}') from exc
+    try:  # m and lower are read by path, so a missing or mistyped node is named
+        y, ystar, v = (
+            SymMat.from_json({k: _field(obj, f"{key}.{k}", "triple JSON") for k in ("m", "lower")})
+            for key in ("Y", "Ystar", "V")
+        )
+    except KeyError as exc:
+        raise ValueError(f"triple JSON missing required field: {exc.args[0]}") from exc
     if not (y.m == ystar.m == v.m):
         raise ValueError("Y, Ystar, V must share one dimension")
     try:
@@ -335,42 +309,15 @@ def cmd_subderivative(args) -> int:
             d, ystar, v, radius=args.radius, n_samples=args.samples, seed=args.seed, tol=args.tol
         )
     except HypothesisViolation as exc:
-        _emit(args, _error("hypothesis_violation", exc), [f"hypothesis violation: {exc}"])
+        _emit(args, _error("hypothesis_violation", exc))
         return 3
     try:
         estimate = estimate_from_trace(trace)
     except NoFeasibleSampleError:
         estimate = None
-    tag = "finite" if math.isfinite(closed) else "plus_infinity"
-    lines = [
-        f"Y eigenvalues: {_fmt_vec(d.eigenvalues)}",
-        _split_line(d),
-        "closed form: " + (f"{closed:.12g}" if tag == "finite" else tag),
-        "sampling estimate: "
-        + (f"{estimate:.12g}" if estimate is not None else "no feasible sample"),
-        "trace (t, feasible, min quotient, recovery quotient):",
-    ]
-    for level in trace:
-        minq = "-" if level["min_quotient"] is None else f"{level['min_quotient']:.9g}"
-        recq = (
-            "-"
-            if level["recovery_quotient"] is None
-            else f"{level['recovery_quotient']:.9g}"
-        )
-        lines.append(
-            f"  t={level['t']:.3e}  n={level['feasible_samples']}  "
-            f"min={minq}  recovery={recq}"
-        )
-    triple_json = {
-        "m": y.m,
-        "y_eigenvalues": d.eigenvalues,
-        "pi": d.pi,
-        "omega": d.omega,
-        "rank_tol": d.rank_tol,
-    }
-    closed_form = {"tag": tag, "value": closed}
+    closed_form = {"tag": "finite" if math.isfinite(closed) else "plus_infinity", "value": closed}
     result = {"closed_form": closed_form, "sampling_estimate": estimate, "trace": trace}
-    _emit(args, {"triple": triple_json, "result": result}, lines)
+    _emit(args, {"triple": {"m": y.m, **_rank_split(d, "y_eigenvalues")}, "result": result})
     return 0
 
 
@@ -480,7 +427,7 @@ def main(argv=None) -> int:
         except _NUMERICAL_ANOMALIES as exc:
             # LinAlgError is a ValueError, so this clause comes first.
             print(f"error: numerical anomaly: {exc}", file=sys.stderr)
-            _emit(args, _error("numerical_anomaly", exc), [])
+            _emit(args, _error("numerical_anomaly", exc))
             return 4
     except (ValueError, KeyError) as exc:
         # includes an unwritable --json path, met after the run

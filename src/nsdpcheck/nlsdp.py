@@ -208,16 +208,17 @@ def lagrangian_hess_form(p: NlsdpProblem, alpha: float, x, ystar: SymMat, u) -> 
 # -- JSON wire format ---------------------------------------------------------
 
 
-def _field(obj, path: str):
-    """Value at a dotted path through nested JSON objects; a missing step
-    raises KeyError(path), a step that is not an object ValueError."""
+def _field(obj, path: str, root: str = "problem JSON"):
+    """Value at a dotted path through the nested JSON objects of the
+    document named root; a missing step raises KeyError of the path to it,
+    a step that is not an object ValueError."""
     keys = path.split(".")
     for depth, key in enumerate(keys):
         if not isinstance(obj, dict):
-            node = ".".join(keys[:depth]) or "problem JSON"
+            node = ".".join(keys[:depth]) or root
             raise ValueError(f"{node} must be an object, got {type(obj).__name__}")
         if key not in obj:
-            raise KeyError(path)
+            raise KeyError(".".join(keys[: depth + 1]))
         obj = obj[key]
     return obj
 

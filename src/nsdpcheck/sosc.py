@@ -615,8 +615,9 @@ def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
     rows = int(np.count_nonzero(kept))
     if rows < len(drawn):
         drawn[:rows], squares, radii = drawn[kept], squares[kept], radii[kept]
-    drawn[:rows] *= radii[:, None]
-    drawn[:rows] /= np.sqrt(squares)[:, None]
+    with np.errstate(over="ignore"):  # verify_growth rejects offsets whose squares overflow
+        drawn[:rows] *= radii[:, None]
+        drawn[:rows] /= np.sqrt(squares)[:, None]
     return xs[: 4 * n + rows]
 
 
@@ -801,7 +802,10 @@ def verify_growth(
     Nothing is screened where k = m, where P is a rotation and its bound
     costs as much as the distance, nor where the matching bound leaves more
     than _GROWTH_SCREEN_OPEN of the first _GROWTH_BLOCK samples undecided:
-    there the bounds would cost more than they save."""
+    there the bounds would cost more than they save.
+
+    An epsilon at which some ||x - xbar||^2 overflows raises
+    FloatingPointError: every ratio would read 0."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if not (math.isfinite(beta) and beta >= 0):
@@ -813,7 +817,10 @@ def verify_growth(
     xs = _growth_offsets(np.random.default_rng([seed, 2]), p.n, epsilon, n_samples)
     rows = len(xs)
     # Row-wise dot products with the rounding of a one-vector dot product.
-    sq = (xs[:, None, :] @ xs[:, :, None]).reshape(rows)
+    with np.errstate(over="ignore"):
+        sq = (xs[:, None, :] @ xs[:, :, None]).reshape(rows)
+    if not np.isfinite(sq).all():
+        raise FloatingPointError(f"||x - xbar||^2 overflows at epsilon = {epsilon!r}")
     xs += xbar
     nonzero = sq != 0.0
     if not nonzero.all():  # a zero offset is all but impossible

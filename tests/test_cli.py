@@ -31,28 +31,63 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _rendered(doc, path=""):
+    """The text report of a JSON document, written apart from the CLI: one
+    `path: value` line per leaf in sorted key order, one per element of a
+    list of objects."""
+    if isinstance(doc, dict):
+        return "".join(_rendered(doc[k], f"{path}.{k}" if path else k) for k in sorted(doc))
+    if isinstance(doc, list) and doc and all(isinstance(item, dict) for item in doc):
+        return "".join(
+            f"{path}[{i}]: {json.dumps(item, sort_keys=True)}\n" for i, item in enumerate(doc)
+        )
+    return f"{path}: {json.dumps(doc)}\n"
+
+
+def _parsed(out):
+    """The JSON document that a text report encodes, read line by line."""
+    doc = {}
+    for line in out.splitlines():
+        path, value = line.split(": ", 1)
+        match = re.fullmatch(r"(\w+(?:\.\w+)*)(?:\[(\d+)\])?", path)
+        assert match, line
+        *parents, key = match[1].split(".")
+        node = doc
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        if match[2] is None:
+            assert key not in node, line
+            node[key] = json.loads(value)
+        else:
+            items = node.setdefault(key, [])
+            assert int(match[2]) == len(items), line
+            items.append(json.loads(value))
+    return doc
+
+
 def test_check_sosc_verified(capsys):
     code = run_cli("check-sosc", str(DATA / "p1.json"), "--dirs", "64")
     out = capsys.readouterr().out
     assert code == 0
-    assert "VERIFIED_SAMPLED" in out
-    assert "min margin: 2" in out
-    assert "omega: [1]" in out  # rank decision is auditable
+    assert 'result.verdict: "VERIFIED_SAMPLED"\n' in out
+    assert "result.min_margin: 2.0\n" in out
+    assert "problem.omega: [1]\n" in out  # rank decision is auditable
 
 
 def test_check_sosc_states_f_xbar_eigenvalues_once(capsys):
     assert run_cli("check-sosc", str(DATA / "p1.json")) == 0
     out = capsys.readouterr().out
     assert out.count("eigenvalues") == 1
-    assert "F(xbar) eigenvalues: [1, 0]\n" in out
+    assert "problem.f_eigenvalues: [1.0, 0.0]\n" in out
 
 
 def test_axis_directions_read_0_not_minus_0(tmp_path, capsys):
     # a negated axis is 0 - e_i, whose zeros read 0; -e_i read -0 and -0.0
     assert run_cli("check-sosc", str(DATA / "p1.json"), "--dirs", "16") == 0
     out = capsys.readouterr().out
-    assert "direction [-1, 0]:" in out
+    assert '"direction": [-1.0, 0.0],' in out
     assert not re.findall(r"-0(?![.\deE])", out)  # "-0.5" and "e-05" are no -0 token
+    assert not re.findall(r"-0\.0(?!\d)", out)  # nor is "-0.05"
     report_path = tmp_path / "report.json"
     assert run_cli("check-sosc", str(DATA / "p1.json"), "--dirs", "16", "--json",
                    str(report_path)) == 0
@@ -60,12 +95,47 @@ def test_axis_directions_read_0_not_minus_0(tmp_path, capsys):
     assert "-0.0" not in report_path.read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("check-sosc", "p1.json", "--dirs", "16"), 0),
+        (("check-sosc", "p1_negated.json", "--dirs", "16"), 1),
+        (("check-sosc", "false_refutation.json", "--dirs", "16"), 0),
+        (("check-sosc", "trivial_cone.json"), 0),
+        (("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.25", "--samples", "50"), 0),
+        (("growth", "growth_k6.json", "--epsilon", "0.1", "--beta", "0.01", "--samples", "50"), 0),
+        (("subderivative", "triple_basic.json", "--samples", "8"), 0),
+        (("subderivative", "triple_admitted_slack.json", "--samples", "8"), 0),
+        (("subderivative", "triple_overflow.json"), 4),  # numerical_anomaly
+        (("subderivative", "bad_triple.json"), 3),  # hypothesis_violation
+    ],
+    ids=lambda value: "-".join(value[:2]) if isinstance(value, tuple) else str(value),
+)
+def test_text_report_is_the_json_document(argv, code, tmp_path, capsys):
+    # the text lines read back to exactly the --json document
+    source = DATA
+    if argv[1] == "bad_triple.json":
+        obj = json.loads((DATA / "triple_basic.json").read_text())
+        obj["Ystar"] = {"m": 2, "lower": [1.0, 0.0, 0.0]}  # pi-block mass
+        (tmp_path / "bad_triple.json").write_text(json.dumps(obj))
+        source = tmp_path
+    argv = [argv[0], str(source / argv[1]), *argv[2:]]
+    assert run_cli(*argv) == code
+    out = capsys.readouterr().out
+    report_path = tmp_path / "report.json"
+    assert run_cli(*argv, "--json", str(report_path)) == code
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    assert _parsed(out) == report
+    assert out == _rendered(report)
+
+
 def test_check_sosc_failed_with_witness(capsys):
     code = run_cli("check-sosc", str(DATA / "p1_negated.json"), "--dirs", "64")
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAILED_AT_DIRECTION" in out
-    assert "worst direction: [0, 1]" in out
+    assert 'result.verdict: "FAILED_AT_DIRECTION"\n' in out
+    assert "result.worst_direction: [0.0, 1.0]\n" in out
 
 
 def test_check_sosc_trivial(capsys):
@@ -224,9 +294,10 @@ def test_subderivative_report(capsys):
     code = run_cli("subderivative", str(DATA / "triple_basic.json"), "--samples", "8")
     out = capsys.readouterr().out
     assert code == 0
-    assert "closed form: 2" in out
-    assert "sampling estimate: 2" in out
-    assert "recovery=2" in out
+    assert 'result.closed_form.tag: "finite"\n' in out
+    assert "result.closed_form.value: 2.0\n" in out
+    assert "result.sampling_estimate: 2.0\n" in out
+    assert '"recovery_quotient": 2.0' in out
 
 
 def test_subderivative_hypothesis_violation(tmp_path, capsys):
@@ -235,7 +306,7 @@ def test_subderivative_hypothesis_violation(tmp_path, capsys):
     path = tmp_path / "bad_triple.json"
     path.write_text(json.dumps(obj))
     assert run_cli("subderivative", str(path)) == 3
-    assert "hypothesis violation" in capsys.readouterr().out
+    assert 'error.kind: "hypothesis_violation"\n' in capsys.readouterr().out
 
 
 def test_numerical_anomaly_exits_4(tmp_path, capsys):
@@ -249,7 +320,7 @@ def test_numerical_anomaly_exits_4(tmp_path, capsys):
         "V": {"m": 1, "lower": [1e4]},
     }))
     assert run_cli("subderivative", str(path)) == 0
-    assert "closed form: 0\n" in capsys.readouterr().out
+    assert "result.closed_form.value: 0.0\n" in capsys.readouterr().out
 
     # -2 <Ystar, V pinv(Y) V> = 2e400 overflows: an internal anomaly, which
     # must not read as a refutation (exit 1) or escape as a traceback
@@ -261,7 +332,6 @@ def test_numerical_anomaly_exits_4(tmp_path, capsys):
     }))
     assert run_cli("subderivative", str(path)) == 4
     captured = capsys.readouterr()
-    assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: numerical anomaly:")
 
@@ -269,6 +339,7 @@ def test_numerical_anomaly_exits_4(tmp_path, capsys):
     assert run_cli("subderivative", str(path), "--json", str(report_path)) == 4
     capsys.readouterr()
     report = json.loads(report_path.read_text())
+    assert captured.out == _rendered(report)
     jsonschema.validate(report, ERROR_SCHEMA)
     assert report["command"] == "subderivative"
     assert report["error"]["kind"] == "numerical_anomaly"
@@ -315,7 +386,7 @@ def test_sampling_estimate_agrees_with_closed_form_at_an_admitted_multiplier(tmp
     }))
     assert run_cli("subderivative", str(path)) == 0
     out = capsys.readouterr().out
-    assert "closed form: 0\n" in out and "sampling estimate: 0\n" in out
+    assert "result.closed_form.value: 0.0\n" in out and "result.sampling_estimate: 0.0\n" in out
 
 
 def test_zero_closed_form_reads_0_not_minus_0(tmp_path, capsys):
@@ -328,9 +399,13 @@ def test_zero_closed_form_reads_0_not_minus_0(tmp_path, capsys):
     }))
     assert run_cli("subderivative", str(path)) == 0
     out = capsys.readouterr().out
-    assert "closed form: 0\n" in out and "sampling estimate: 0\n" in out
-    steps = [line for line in out.splitlines() if line.startswith("  t=")]
-    assert steps and all(line.endswith("n=1  min=0  recovery=0") for line in steps)
+    assert "result.closed_form.value: 0.0\n" in out and "result.sampling_estimate: 0.0\n" in out
+    steps = [line for line in out.splitlines() if line.startswith("result.trace[")]
+    assert steps and all(
+        '{"feasible_samples": 1, "min_quotient": 0.0, "recovery_quotient": 0.0, "t": ' in line
+        for line in steps
+    )
+    assert "-0.0" not in out
     report_path = tmp_path / "report.json"
     assert run_cli("subderivative", str(path), "--json", str(report_path)) == 0
     capsys.readouterr()
@@ -347,7 +422,7 @@ def test_admitted_normal_cone_slack_is_no_anomaly(tmp_path, capsys):
     path = DATA / "triple_admitted_slack.json"
     assert run_cli("subderivative", str(path)) == 0
     out = capsys.readouterr().out
-    assert "closed form: 0\n" in out and "sampling estimate: 0\n" in out
+    assert "result.closed_form.value: 0.0\n" in out and "result.sampling_estimate: 0.0\n" in out
     report_path = tmp_path / "report.json"
     assert run_cli("subderivative", str(path), "--json", str(report_path)) == 0
     report = json.loads(report_path.read_text())
@@ -363,8 +438,17 @@ def test_closed_form_checks_ystar_as_given(tmp_path, capsys):
     path = tmp_path / "outside.json"
     path.write_text(json.dumps(obj))
     assert run_cli("subderivative", str(path)) == 3
-    out = capsys.readouterr().out
-    assert out == "hypothesis violation: ystar is not in the normal cone at the base point\n"
+    assert capsys.readouterr().out == (
+        'command: "subderivative"\n'
+        'error.kind: "hypothesis_violation"\n'
+        'error.message: "ystar is not in the normal cone at the base point"\n'
+        "options.radius: 1.0\n"
+        "options.rank_tol: null\n"
+        "options.samples: 64\n"
+        "options.seed: 0\n"
+        "options.tol: 1e-08\n"
+        'schema_version: "1"\n'
+    )
 
 
 def test_subderivative_tests_normal_cone_membership_twice(monkeypatch, capsys):
@@ -433,7 +517,6 @@ def test_nan_in_a_report_exits_4(tmp_path, capsys):
     argv = ["growth", path, "--epsilon", "10", "--beta", "0.1"]
     assert run_cli(*argv) == 4
     captured = capsys.readouterr()
-    assert captured.out == ""
     assert "error: numerical anomaly:" in captured.err
 
     report_path = tmp_path / "report.json"
@@ -442,6 +525,37 @@ def test_nan_in_a_report_exits_4(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     jsonschema.validate(report, ERROR_SCHEMA)
     assert report["error"]["kind"] == "numerical_anomaly"
+    assert captured.out == _rendered(report)
+
+
+@pytest.mark.parametrize(
+    "fixture, epsilon, code",
+    [
+        ("p1.json", "1e150", 1),  # ratios near 1e-150: finite and true
+        ("p1.json", "1e200", 4),
+        ("p1.json", "1e308", 4),
+        ("growth_k6.json", "1e160", 4),
+    ],
+)
+def test_overflowing_growth_offset_exits_4(fixture, epsilon, code, tmp_path, capsys):
+    # ||x - xbar||^2 overflowed to inf: min_ratio read 0 with exit 1 at
+    # 1e200, and 1e308 and the k6 fixture met RuntimeWarnings or a LAPACK error
+    argv = ["growth", str(DATA / fixture), "--epsilon", epsilon, "--beta", "0.25",
+            "--samples", "100"]
+    report_path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--json", str(report_path)) == code
+    err = capsys.readouterr().err
+    report = json.loads(report_path.read_text())
+    if code == 1:
+        assert err == ""
+        assert 0 < report["result"]["min_ratio"] < 1e-149
+    else:
+        assert err == (
+            f"error: numerical anomaly: ||x - xbar||^2 overflows at epsilon = {float(epsilon)!r}\n"
+        )
+        jsonschema.validate(report, ERROR_SCHEMA)
 
 
 def test_hypothesis_violation_json_report(tmp_path, capsys):
@@ -625,7 +739,6 @@ def test_overflowing_radius_exits_4(radius, tmp_path, capsys):
     argv = ("subderivative", str(DATA / "triple_basic.json"), "--radius", radius, "--samples", "4")
     assert run_cli(*argv) == 4
     captured = capsys.readouterr()
-    assert captured.out == ""
     assert captured.err.startswith("error: numerical anomaly:")
 
     report_path = tmp_path / "report.json"
@@ -635,6 +748,7 @@ def test_overflowing_radius_exits_4(radius, tmp_path, capsys):
     jsonschema.validate(report, ERROR_SCHEMA)
     assert report["error"]["kind"] == "numerical_anomaly"
     assert report["options"]["radius"] == float(radius)
+    assert captured.out == _rendered(report)
 
 
 @pytest.mark.parametrize(
@@ -688,6 +802,26 @@ def test_problem_node_of_the_wrong_type_is_named(tmp_path, capsys, node, value):
     path.write_text(json.dumps(obj))
     assert run_cli("growth", str(path), "--epsilon", "0.1", "--beta", "0.01") == 3
     assert capsys.readouterr().err == f"error: {node} must be an object, got list\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "triple JSON must be an object, got list"),
+        ('{"Y": {"m": 1, "lower": [0]}, "Ystar": {"m": 1, "lower": [0]}}',
+         "triple JSON missing required field: V"),
+        ('{"Y": [1], "Ystar": {"m": 1, "lower": [0]}, "V": {"m": 1, "lower": [0]}}',
+         "Y must be an object, got list"),
+    ],
+    ids=["list", "missing-V", "list-Y"],
+)
+def test_triple_node_of_the_wrong_shape_is_named(tmp_path, capsys, text, message):
+    # these read as Python errors: "list indices must be integers or slices,
+    # not str", "'V'", or the generic symmetric matrix message
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    assert run_cli("subderivative", str(path)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
