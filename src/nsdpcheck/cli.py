@@ -8,16 +8,18 @@ growth).  Each run, a result or an error, makes one JSON report document.
 as text, one ``path: value`` line per leaf (``_text_lines``).
 
 Exit codes: 0 success / condition verified, 1 condition refuted,
-2 inconclusive search, 3 input, usage, allocation or hypothesis error,
-4 numerical anomaly.
+2 inconclusive search, 3 input, usage, allocation, hypothesis or output
+error (the report cannot be written), 4 numerical anomaly.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -218,9 +220,10 @@ def _emit(args, body: dict) -> None:
                 fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         except OSError as exc:
             raise ValueError(f"cannot write {args.json}: {exc.strerror or exc}") from exc
-        print(f"report written to {args.json}")
+        print(f"report written to {args.json}", flush=True)
     else:  # one write: a reader that stops at a line it looks for meets no later write
         sys.stdout.write("".join(f"{line}\n" for line in _text_lines(report)))
+        sys.stdout.flush()  # a closed stdout fails here, inside main
 
 
 def _error(kind: str, exc: Exception) -> dict:
@@ -286,10 +289,9 @@ def cmd_growth(args) -> int:
 
 def cmd_subderivative(args) -> int:
     obj = _load_json_file(args.triple)
-    try:  # m and lower are read by path, so a missing or mistyped node is named
+    try:
         y, ystar, v = (
-            SymMat.from_json({k: _field(obj, f"{key}.{k}", "triple JSON") for k in ("m", "lower")})
-            for key in ("Y", "Ystar", "V")
+            SymMat.from_json(_field(obj, key, "triple JSON"), key) for key in ("Y", "Ystar", "V")
         )
     except KeyError as exc:
         raise ValueError(f"triple JSON missing required field: {exc.args[0]}") from exc
@@ -436,6 +438,13 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         # an oversized --dirs or --samples: exit 1 would read as a refutation
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # the report is lost, as with an unwritable --json path; stdout now
+        # writes to devnull, so its flush at interpreter exit fails no more
+        print("error: cannot write the report: stdout is closed", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
 
 

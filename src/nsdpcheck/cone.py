@@ -31,11 +31,10 @@ def dist_psd_from_eigenvalues(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def dist_psd_batch(m: int, lower: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def dist_psd_batch(m: int, lower: np.ndarray) -> np.ndarray:
     """Frobenius distances to the PSD cone of the m x m matrices whose lower
-    triangles are the rows of ``lower``, with one stacked eigenvalue call;
-    ``work``, if given, is a (k, m, m) scratch buffer that is overwritten."""
-    return dist_psd_from_eigenvalues(np.linalg.eigvalsh(lower_to_dense(m, lower, work)))
+    triangles are the rows of ``lower``, with one stacked eigenvalue call."""
+    return dist_psd_from_eigenvalues(np.linalg.eigvalsh(lower_to_dense(m, lower)))
 
 
 def dist_psd(a: SymMat) -> float:

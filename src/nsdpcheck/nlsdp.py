@@ -223,12 +223,14 @@ def _field(obj, path: str, root: str = "problem JSON"):
     return obj
 
 
-def _stacked_lowers(entries, m: int, zero_if_none: bool = False) -> np.ndarray:
-    """Lower triangles of m x m matrix JSON objects, one row each; with
-    zero_if_none, null reads as the zero matrix."""
-    mats = [SymMat.zeros(m) if zero_if_none and e is None else SymMat.from_json(e) for e in entries]
-    if any(mat.m != m for mat in mats):
-        raise ValueError(f"coefficient matrices must have dimension m = {m}")
+def _stacked_lowers(entries, m: int, name: str, zero_if_none: bool = False) -> np.ndarray:
+    """Lower triangles of m x m matrix JSON objects, one row each, named
+    name[i] in errors; with zero_if_none, null reads as the zero matrix."""
+    mats = [SymMat.zeros(m) if zero_if_none and e is None else SymMat.from_json(e, f"{name}[{i}]")
+            for i, e in enumerate(entries)]
+    for i, mat in enumerate(mats):
+        if mat.m != m:
+            raise ValueError(f"{name}[{i}] must have dimension m = {m}, got {mat.m}")
     return np.array([mat.lower for mat in mats]).reshape(len(mats), _tril_size(m))
 
 
@@ -243,11 +245,12 @@ def problem_from_json(obj: dict) -> tuple[NlsdpProblem, np.ndarray]:
             h=_lower_to_dense(n, _field(obj, "f.h")),
             c=float(obj["f"].get("c", 0.0)),
         )
-        a0 = SymMat.from_json(_field(obj, "F.A0"))
-        a = _stacked_lowers(_field(obj, "F.A"), a0.m)
+        a0 = SymMat.from_json(_field(obj, "F.A0"), "F.A0")
+        a = _stacked_lowers(_field(obj, "F.A"), a0.m, "F.A")
         b = obj["F"].get("B")
         if b is not None:
-            rows = [_stacked_lowers(row, a0.m, zero_if_none=True) for row in b]
+            rows = [_stacked_lowers(row, a0.m, f"F.B[{i}]", zero_if_none=True)
+                    for i, row in enumerate(b)]
             if any(len(row) != len(rows) for row in rows):
                 raise ValueError("F.B must be a square grid of matrices")
             b = np.array(rows).reshape(len(rows), len(rows), _tril_size(a0.m))

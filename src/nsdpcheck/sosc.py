@@ -58,8 +58,8 @@ from .nlsdp import (
     lagrangian_hess_form,
 )
 from .subderivative import ToleranceAnomalyError, second_subderivative
-from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, eigen_decompose
-from .symmat import frobenius_inner, frobenius_norms, lower_to_dense, svec, svec_to_dense
+from .symmat import OrderedEigenDecomposition, SymMat, _tril_indices, eigen_decompose, svec
+from .symmat import frobenius_inner, frobenius_norms, lower_to_dense, row_squares, svec_to_dense
 
 VERIFIED_SAMPLED = "VERIFIED_SAMPLED"
 FAILED_AT_DIRECTION = "FAILED_AT_DIRECTION"
@@ -75,8 +75,7 @@ _GRID_STEP_DEG = {2: 2.0, 3: 10.0}
 
 N_DIRS = 512  # check_sosc's default number of random direction draws
 GROWTH_SAMPLES = 10_000  # verify_growth's default number of ball samples
-# Growth samples whose constraint values are eigen-solved together; bounds the
-# (block, m, m) work buffer.
+# Growth samples whose constraint values are evaluated and eigen-solved together.
 _GROWTH_BLOCK = 256
 # Growth samples with dist(F(x), PSD) at most this count as feasible.
 _GROWTH_FEAS_TOL = 1e-9
@@ -233,12 +232,6 @@ def _margin_coefficients(p: NlsdpProblem, xbar, d: OrderedEigenDecomposition) ->
     return svec(coeffs)
 
 
-def _row_norms(zs: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of zs, rounded as np.linalg.norm rounds
-    one row: stacked row-times-column products sum like a vector dot."""
-    return np.sqrt((zs[:, None, :] @ zs[:, :, None]).reshape(len(zs)))
-
-
 def _critical_mask(
     rows: np.ndarray, us: np.ndarray, d: OrderedEigenDecomposition, tol: float
 ) -> np.ndarray:
@@ -246,7 +239,7 @@ def _critical_mask(
     tol * max(1, |u|), and the omega-omega block of dF(u) is PSD within tol.
     One product with the matrix of L and one stacked eigvalsh test them all."""
     images = us @ rows
-    critical = ~(images[:, 0] > tol * np.maximum(1.0, _row_norms(us)))
+    critical = ~(images[:, 0] > tol * np.maximum(1.0, np.sqrt(row_squares(us))))
     if not critical.any():
         return critical
     if not d.psd:
@@ -306,7 +299,7 @@ def sample_critical_directions(
         candidates.append(grid[~on_axis])
     if n >= 2:
         raw = np.random.default_rng([seed, 1]).standard_normal((n_dirs, n))
-        nrm = _row_norms(raw)
+        nrm = np.sqrt(row_squares(raw))
         candidates.append(raw[nrm > 0] / nrm[nrm > 0, None])
     us = np.concatenate(candidates)
     return list(us[_critical_mask(_linearized_rows(p, xbar, d), us, d, tol)])
@@ -599,9 +592,8 @@ def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
     A zero draw gives no row.
 
     One normal draw fills the sphere and ball rows in place, then one
-    uniform draw gives the ball radii epsilon u^(1/n).  A row's
-    ``row @ row`` is the square that np.linalg.norm takes the root of, and
-    each row is scaled as ``radius * raw / norm``."""
+    uniform draw gives the ball radii epsilon u^(1/n).  Each row is scaled
+    as ``radius * raw / norm``, with the norm np.linalg.norm gives."""
     n_boundary = max(1, n_samples // 10)
     xs = np.empty((4 * n + n_boundary + n_samples, n))
     axes = epsilon * np.eye(n)
@@ -610,7 +602,7 @@ def _growth_offsets(rng, n: int, epsilon: float, n_samples: int) -> np.ndarray:
     rng.standard_normal(out=drawn)
     radii = np.full(len(drawn), epsilon)
     radii[n_boundary:] = epsilon * rng.random(n_samples) ** (1.0 / max(n, 1))  # no row at n = 0
-    squares = (drawn[:, None, :] @ drawn[:, :, None]).reshape(len(drawn))
+    squares = row_squares(drawn)
     kept = squares != 0.0  # every row, unless a draw is zero
     rows = int(np.count_nonzero(kept))
     if rows < len(drawn):
@@ -675,10 +667,10 @@ def _principal_block_distances(k: int):
     return distances
 
 
-def _psd_distance_screen(p: NlsdpProblem, d: OrderedEigenDecomposition, rows: int):
-    """(k, matching_bounds, bounds): both functions map up to ``rows`` rows
-    x at a time to lower bounds of dist(F(x), PSD), rounding included; -inf
-    where none is computed.
+def _psd_distance_screen(p: NlsdpProblem, d: OrderedEigenDecomposition):
+    """(k, matching_bounds, bounds): both functions map rows x to lower
+    bounds of dist(F(x), PSD), rounding included; -inf where none is
+    computed.
 
     P = P_omega holds the eigenvector rows of omega in d, the decomposition
     of F(xbar).  For orthonormal rows, dist(P A P^T) <= dist(A): P applied
@@ -688,7 +680,7 @@ def _psd_distance_screen(p: NlsdpProblem, d: OrderedEigenDecomposition, rows: in
     to k x k once.  Each call forms z(x) once, and one product with the
     projected coefficients gives P F(x) P^T; one with their Frobenius norms,
     taken at |z(x)|, bounds ||F(x)||.  ``bounds`` takes dist(P F(x) P^T)
-    from one stacked k x k eigvalsh per block of samples;
+    from one stacked k x k eigvalsh;
     ``matching_bounds`` takes the matching bound of P F(x) P^T, a pinching
     of it (``_principal_block_distances``), with no eigenvalue call, and at
     k <= 2 the same distance.  Both are lowered by _GROWTH_ROUNDING
@@ -710,7 +702,6 @@ def _psd_distance_screen(p: NlsdpProblem, d: OrderedEigenDecomposition, rows: in
     projected = (basis @ lower_to_dense(p.m, coeffs) @ basis.T)[:, i, j]
     sizes = frobenius_norms(p.m, coeffs)
     slack = _GROWTH_ROUNDING * (p.m + p.n) ** 2 * np.finfo(float).eps
-    work = np.empty((rows, k, k))
 
     def monomials(x):
         z = np.empty((len(x), len(coeffs)))
@@ -736,13 +727,10 @@ def _psd_distance_screen(p: NlsdpProblem, d: OrderedEigenDecomposition, rows: in
 
         return bounds
 
-    def eigenvalue_distances(lower):
-        return dist_psd_batch(k, lower, work[: len(lower)])
-
-    return k, screen(_principal_block_distances(k)), screen(eigenvalue_distances)
+    return k, screen(_principal_block_distances(k)), screen(lambda lower: dist_psd_batch(k, lower))
 
 
-def _exact_psd_distances(p: NlsdpProblem, xs, mask, out: np.ndarray, work: np.ndarray):
+def _exact_psd_distances(p: NlsdpProblem, xs, mask, out: np.ndarray):
     """Set out[mask] to dist(F(x), PSD) for the rows of xs that mask selects,
     with the bits of one blocked pass over all of xs; xs is the sample array
     or one of its _GROWTH_BLOCK blocks, out its distances.  BLAS rounds a
@@ -754,7 +742,7 @@ def _exact_psd_distances(p: NlsdpProblem, xs, mask, out: np.ndarray, work: np.nd
     for start in starts[np.logical_or.reduceat(mask, starts)].tolist():
         sel = mask[start : start + _GROWTH_BLOCK]
         lower = eval_F_batch(p, xs[start : start + _GROWTH_BLOCK])[sel]
-        out[start : start + _GROWTH_BLOCK][sel] = dist_psd_batch(p.m, lower, work[: len(lower)])
+        out[start : start + _GROWTH_BLOCK][sel] = dist_psd_batch(p.m, lower)
 
 
 def verify_growth(
@@ -799,10 +787,9 @@ def verify_growth(
     (``_exact_psd_distances``).  Which bound decided a sample does not
     matter: both are lower bounds.
 
-    Nothing is screened where k = m, where P is a rotation and its bound
-    costs as much as the distance, nor where the matching bound leaves more
-    than _GROWTH_SCREEN_OPEN of the first _GROWTH_BLOCK samples undecided:
-    there the bounds would cost more than they save.
+    Nothing is screened where the matching bound leaves more than
+    _GROWTH_SCREEN_OPEN of the first _GROWTH_BLOCK samples undecided: there
+    the bounds would cost more than they save.
 
     An epsilon at which some ||x - xbar||^2 overflows raises
     FloatingPointError: every ratio would read 0."""
@@ -815,10 +802,8 @@ def verify_growth(
     xbar = np.asarray(xbar, dtype=float)
     f0 = eval_f(p, xbar)
     xs = _growth_offsets(np.random.default_rng([seed, 2]), p.n, epsilon, n_samples)
-    rows = len(xs)
-    # Row-wise dot products with the rounding of a one-vector dot product.
     with np.errstate(over="ignore"):
-        sq = (xs[:, None, :] @ xs[:, :, None]).reshape(rows)
+        sq = row_squares(xs)
     if not np.isfinite(sq).all():
         raise FloatingPointError(f"||x - xbar||^2 overflows at epsilon = {epsilon!r}")
     xs += xbar
@@ -828,8 +813,7 @@ def verify_growth(
     total = len(xs)
     gaps = eval_f_batch(p, xs) - f0
     d = d or eigen_decompose(eval_F(p, xbar))
-    k, matching_bounds, bounds = _psd_distance_screen(p, d, min(_GROWTH_BLOCK, total))
-    work = np.empty((min(_GROWTH_BLOCK, total), p.m, p.m))
+    k, matching_bounds, bounds = _psd_distance_screen(p, d)
     dists = np.full(total, -np.inf)  # lower bounds until settled
     settled = np.zeros(total, dtype=bool)
     everything = slice(None)
@@ -842,7 +826,7 @@ def verify_growth(
         return ~((ratio(i) >= beta) & (dists[i] > _GROWTH_FEAS_TOL))
 
     def settle(mask):
-        _exact_psd_distances(p, xs, mask, dists, work)
+        _exact_psd_distances(p, xs, mask, dists)
         settled[mask] = True
 
     def refine(rows):  # the k x k bound for these rows
@@ -850,11 +834,9 @@ def verify_growth(
             chunk = rows[start : start + _GROWTH_BLOCK]
             dists[chunk] = np.maximum(dists[chunk], bounds(xs[chunk]))
 
-    # At k = m, P is a rotation: its bound costs as much as the distance.
-    head, screen = slice(_GROWTH_BLOCK), total > 0 and k < p.m
-    if screen:
-        dists[head] = matching_bounds(xs[head])
-    if screen and undecided(head).mean() <= _GROWTH_SCREEN_OPEN:
+    head = slice(_GROWTH_BLOCK)
+    dists[head] = matching_bounds(xs[head])
+    if total and undecided(head).mean() <= _GROWTH_SCREEN_OPEN:
         for start in range(_GROWTH_BLOCK, total, _GROWTH_BLOCK):
             dists[start : start + _GROWTH_BLOCK] = matching_bounds(
                 xs[start : start + _GROWTH_BLOCK]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cone import DEFAULT_TOL, normal_cone_contains, project_normal_cone, tangent_cone_contains
 from .symmat import ORTH_TOL, OrderedEigenDecomposition, SymMat, _tril_indices, _tril_weights
-from .symmat import frobenius_inner, lower_to_dense, pseudoinverse, split_blocks
+from .symmat import frobenius_inner, lower_to_dense, pseudoinverse, row_squares, split_blocks
 
 # Sampling-oracle defaults.
 SAMPLING_T_GRID = tuple(np.logspace(-1, -5, 8))
@@ -386,8 +386,7 @@ def _candidate_blocks(rng, v: SymMat, t: float, radius: float, n_samples: int):
         noise = rng.standard_normal((min(_TRACE_BLOCK, n_samples - start), m, m))
         scale = radius * t * rng.random(len(noise))
         noise = 0.5 * (noise + noise.swapaxes(1, 2))
-        flat = noise.reshape(len(noise), 1, m * m)
-        norms = np.sqrt((flat @ flat.swapaxes(1, 2)).reshape(len(noise)))  # as np.linalg.norm
+        norms = np.sqrt(row_squares(noise.reshape(len(noise), m * m)))
         keep = norms != 0.0
         rows = v.lower + noise[keep][:, i, j] * (scale[keep] / norms[keep])[:, None]
         yield np.concatenate((v.lower[None], rows)) if start == 0 else rows

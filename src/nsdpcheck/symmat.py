@@ -67,14 +67,18 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def lower_to_dense(m: int, lower: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def row_squares(zs: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the rows of the 2-d array zs, rounded as
+    np.linalg.norm rounds the square of one row: stacked row-times-column
+    products sum like a vector dot."""
+    return (zs[:, None, :] @ zs[:, :, None]).reshape(len(zs))
+
+
+def lower_to_dense(m: int, lower: np.ndarray) -> np.ndarray:
     """Dense m x m matrices from lower triangles stacked along the last axis.
 
-    ``lower`` has shape (..., m(m+1)/2); the result has shape (..., m, m).
-    Every entry of ``out`` is overwritten, so a buffer can be reused.
-    """
-    if out is None:
-        out = np.empty(lower.shape[:-1] + (m, m))
+    ``lower`` has shape (..., m(m+1)/2); the result has shape (..., m, m)."""
+    out = np.empty(lower.shape[:-1] + (m, m))
     i, j = _tril_indices(m)
     out[..., i, j] = lower
     out[..., j, i] = lower
@@ -154,14 +158,17 @@ class SymMat:
         return {"m": self.m, "lower": [float(v) for v in self.lower]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SymMat":
-        if not isinstance(obj, dict) or "m" not in obj or "lower" not in obj:
-            raise ValueError('symmetric matrix JSON needs keys "m" and "lower"')
+    def from_json(cls, obj: dict, name: str = "symmetric matrix JSON") -> "SymMat":
+        """Parse the CLI encoding; an error names the JSON node ``name``."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"{name} must be an object, got {type(obj).__name__}")
+        if "m" not in obj or "lower" not in obj:
+            raise ValueError(f'{name} needs keys "m" and "lower"')
+        m = json_int(obj["m"], f"{name}.m")
         try:
-            lower = np.asarray(obj["lower"], dtype=float)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed matrix entries: {exc}") from exc
-        return cls(json_int(obj["m"], "m"), lower)
+            return cls(m, np.asarray(obj["lower"], dtype=float))
+        except (TypeError, OverflowError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from exc
 
     # -- basic arithmetic ---------------------------------------------------
 

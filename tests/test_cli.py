@@ -771,6 +771,37 @@ def test_unwritable_json_path_exits_3(argv, tmp_path, capsys):
     assert not target.exists()
 
 
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader is gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-sosc", "p1.json", "--dirs", "16"),
+        ("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.01", "--samples", "50"),
+        ("subderivative", "triple_basic.json", "--samples", "4"),
+        ("growth", "p1.json", "--epsilon", "1e200", "--beta", "0.01"),  # an error report
+    ],
+)
+def test_closed_stdout_exits_3(argv, tmp_path, monkeypatch, capsys):
+    # the report cannot be delivered, as with an unwritable --json path; a
+    # BrokenPipeError used to escape as a traceback with exit 1, "refuted"
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: cannot write the report: stdout is closed"
+    assert len(err) == 1 + ("1e200" in argv)  # the anomaly keeps its own line
+    # with --json the report is written, and the note that says so is lost
+    report_path = tmp_path / "report.json"
+    assert run_cli(*argv, "--json", str(report_path)) == 3
+    assert json.loads(report_path.read_text())["command"] == argv[0]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -782,6 +813,16 @@ def test_unwritable_json_path_exits_3(argv, tmp_path, capsys):
         (lambda obj: obj.update(xbar=[math.nan, 0.0]), "xbar must be finite"),
         (lambda obj: obj.update(xbar=[10**400, 0]),
          "malformed problem JSON: int too large to convert to float"),
+        # a matrix node is named by its path
+        (lambda obj: obj["F"].update(A0=[1]), "F.A0 must be an object, got list"),
+        (lambda obj: obj["F"]["A0"].pop("lower"), 'F.A0 needs keys "m" and "lower"'),
+        (lambda obj: obj["F"]["A0"].update(m=2.5), "F.A0.m must be an integer, got 2.5"),
+        (lambda obj: obj["F"]["A"][1].update(lower=[0.0, 1.0]),
+         "F.A[1]: lower triangle of a 2x2 matrix needs 3 entries, got shape (2,)"),
+        (lambda obj: obj["F"]["A"][1].update(m=3, lower=[0.0] * 6),
+         "F.A[1] must have dimension m = 2, got 3"),
+        (lambda obj: obj["F"].update(B=[[None, {"m": 2, "lower": [0.0]}], [None, None]]),
+         "F.B[0][1]: lower triangle of a 2x2 matrix needs 3 entries, got shape (1,)"),
     ],
 )
 def test_malformed_problem_fields_exit_3(tmp_path, capsys, edit, message):
@@ -812,8 +853,13 @@ def test_problem_node_of_the_wrong_type_is_named(tmp_path, capsys, node, value):
          "triple JSON missing required field: V"),
         ('{"Y": [1], "Ystar": {"m": 1, "lower": [0]}, "V": {"m": 1, "lower": [0]}}',
          "Y must be an object, got list"),
+        ('{"Y": {"m": 1, "lower": [0]}, "Ystar": {"m": 1, "lower": [0, 1]}, '
+         '"V": {"m": 1, "lower": [0]}}',
+         "Ystar: lower triangle of a 1x1 matrix needs 1 entries, got shape (2,)"),
+        ('{"Y": {"m": 1, "lower": [0]}, "Ystar": {"m": 1, "lower": [0]}, "V": {"m": 1}}',
+         'V needs keys "m" and "lower"'),
     ],
-    ids=["list", "missing-V", "list-Y"],
+    ids=["list", "missing-V", "list-Y", "short-Ystar", "V-without-lower"],
 )
 def test_triple_node_of_the_wrong_shape_is_named(tmp_path, capsys, text, message):
     # these read as Python errors: "list indices must be integers or slices,
@@ -861,7 +907,7 @@ def test_check_sosc_rejects_cert_and_margin_tol_flags(capsys):
     "fixture, field, message",
     [
         ("p1.json", '"n": 2', "n must be an integer, got inf"),
-        ("triple_basic.json", '"m": 2', "m must be an integer, got inf"),
+        ("triple_basic.json", '"m": 2', "Y.m must be an integer, got inf"),
     ],
 )
 def test_overflowing_integer_fields_exit_3(tmp_path, capsys, fixture, field, message):

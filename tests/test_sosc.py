@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsdpcheck import (
@@ -802,11 +802,11 @@ def test_verify_growth_norm_calls_do_not_grow_with_samples(monkeypatch, p1):
 
 def growth_screen_problem(rng, n, m, kind, quadratic, shift):
     """Random problem and xbar for the growth screen.  F(xbar) is singular
-    (rank 0 to m - 1), nonsingular or not PSD.  Two singular kinds are
-    bordered by a block that the kernel of F(xbar) does not see: "huge" by a
-    1 x 1 block near 1e150 in every coefficient, "overflow" by A0's 2 x 2
-    block 1.5e308 I, whose Frobenius norm overflows.  A smaller m is raised to
-    the border plus 1.  "tiny" is singular with every coefficient near
+    (rank 0 to m - 1), 0 ("flat", so k = m), nonsingular or not PSD.  Two
+    singular kinds are bordered by a block that the kernel of F(xbar) does
+    not see: "huge" by a 1 x 1 block near 1e150 in every coefficient,
+    "overflow" by A0's 2 x 2 block 1.5e308 I, whose Frobenius norm
+    overflows.  A smaller m is raised to the border plus 1.  "tiny" is singular with every coefficient near
     1e-161, where the squares of the matching bound's closed form are subnormal.
     F is centred on xbar, so F(xbar) has the chosen spectrum."""
     corner = {"huge": 1, "overflow": 2}.get(kind, 0)
@@ -816,7 +816,7 @@ def growth_screen_problem(rng, n, m, kind, quadratic, shift):
     if kind == "not_psd":
         lam[rng.integers(0, size) :] *= -1.0
     elif kind != "nonsingular":
-        lam[rng.integers(0, size) :] = 0.0
+        lam[0 if kind == "flat" else rng.integers(0, size) :] = 0.0
     q = random_orthogonal(rng, size)
     a0 = (q * lam) @ q.T
     a = [random_symmat(rng, size).dense() for _ in range(n)]
@@ -892,6 +892,8 @@ def assert_identical_growth(new, ref):
     n_samples=st.integers(1, 700),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n=6, m=12, kind="flat", quadratic=True, shift=0.05, epsilon=0.1, beta=0.01,
+         n_samples=700, seed=0)  # rank 0: k = m, and P is a rotation
 def test_screened_growth_matches_per_sample_reference_property(
     n, m, kind, quadratic, shift, epsilon, beta, n_samples, seed
 ):
@@ -914,7 +916,7 @@ def test_growth_distance_bounds_stay_below_exact_distances():
         p, xbar = growth_screen_problem(rng, n, m, kind, case % 3 > 0, 0.05)
         xs = xbar + rng.uniform(-0.2, 0.2, (600, n))
         d = eigen_decompose(eval_F(p, xbar))
-        _, matching_bounds, bounds = sosc._psd_distance_screen(p, d, len(xs))
+        _, matching_bounds, bounds = sosc._psd_distance_screen(p, d)
         exact = np.array([dist_psd(eval_F(p, x)) for x in xs])
         for tier in (matching_bounds, bounds):
             tight = tier(xs)
@@ -957,10 +959,10 @@ def test_growth_matching_bound_lies_between_pair_bound_and_distance(
     p, xbar = growth_screen_problem(rng, n, m, kind, quadratic, 0.05)
     xs = xbar + rng.uniform(-0.2, 0.2, (300, n))
     d = eigen_decompose(eval_F(p, xbar))
-    k, matching_bounds, _ = sosc._psd_distance_screen(p, d, len(xs))
+    k, matching_bounds, _ = sosc._psd_distance_screen(p, d)
     new = matching_bounds(xs)
     with mock.patch.object(sosc, "_principal_block_distances", pair_block_distances):
-        old = sosc._psd_distance_screen(p, d, len(xs))[1](xs)
+        old = sosc._psd_distance_screen(p, d)[1](xs)
     exact = np.array([dist_psd(eval_F(p, x)) for x in xs])
     assert (old <= new).all()
     assert (new <= exact).all()
@@ -991,7 +993,7 @@ def test_growth_pair_bound_is_the_projected_distance_at_k_up_to_2():
                  for c in (p.F.a0.lower, p.F.a, p.F.b)]
         size = _quadratic_rows(*norms, np.abs(xs))[:, 0]
         slack = sosc._GROWTH_ROUNDING * (m + n) ** 2 * np.finfo(float).eps * size
-        screen_k, matching_bounds, _ = sosc._psd_distance_screen(p, d, len(xs))
+        screen_k, matching_bounds, _ = sosc._psd_distance_screen(p, d)
         assert screen_k == k
         pair = matching_bounds(xs)
         assert (pair <= dist).all()
@@ -1066,16 +1068,22 @@ def test_growth_matching_bound_solves_few_kxk_matrices_at_k_9(monkeypatch):
     assert 0 < solved[9] <= 0.25 * report.samples
 
 
-def test_growth_k6_fixture_is_the_kkt_consistent_problem():
-    # tests/data/growth_k6.json holds kkt_consistent_problem(default_rng(2),
-    # 6, 12) at xbar = 0, the growth fixture with k > 2
-    path = Path(__file__).parent / "data" / "growth_k6.json"
+def fixture_problem(name, ref):
+    """The problem of tests/data/<name> at xbar = 0, checked to hold ref's data."""
+    path = Path(__file__).parent / "data" / name
     p, xbar = problem_from_json(json.loads(path.read_text()))
-    ref = kkt_consistent_problem(np.random.default_rng(2), 6, 12)
     for got, want in ((p.f.g, ref.f.g), (p.f.h, ref.f.h), (p.F.a0.lower, ref.F.a0.lower),
                       (p.F.a, ref.F.a), (p.F.b, ref.F.b)):
         assert np.array_equal(got, want)
     assert not xbar.any()
+    return p, xbar
+
+
+def test_growth_k6_fixture_is_the_kkt_consistent_problem():
+    # tests/data/growth_k6.json holds kkt_consistent_problem(default_rng(2),
+    # 6, 12) at xbar = 0, the growth fixture with k > 2
+    ref = kkt_consistent_problem(np.random.default_rng(2), 6, 12)
+    p, xbar = fixture_problem("growth_k6.json", ref)
     assert len(eigen_decompose(eval_F(p, xbar)).omega) == 6
     report = verify_growth(p, xbar, 0.1, 0.01)
     assert report.violations == 0
@@ -1100,8 +1108,7 @@ def test_growth_pair_bound_stops_where_it_is_weak(monkeypatch):
 
 def test_growth_screen_stops_where_it_does_not_pay(monkeypatch):
     # where every sample violates, the matching bound leaves the first block
-    # open and every sample is computed in full without a screen; where
-    # F(xbar) = 0, P is a rotation and nothing is screened
+    # open and every sample is computed in full without a screen
     p = kkt_consistent_problem(np.random.default_rng(0), 6, 12)
     xbar = np.zeros(6)
     k = len(eigen_decompose(eval_F(p, xbar)).omega)
@@ -1112,13 +1119,38 @@ def test_growth_screen_stops_where_it_does_not_pay(monkeypatch):
     assert report.violations == report.samples == 11_024
     assert solved[k] <= sosc._GROWTH_BLOCK
     assert solved[12] == report.samples
-    flat = NlsdpProblem(
+
+
+def flat_problem():
+    """kkt_consistent_problem(default_rng(0), 6, 12) with A0 = 0: at xbar =
+    0, F(xbar) = 0, so omega is every index (k = m) and P is a rotation."""
+    p = kkt_consistent_problem(np.random.default_rng(0), 6, 12)
+    return NlsdpProblem(
         n=6, m=12, f=p.f, F=QuadraticMatrixMap(a0=SymMat.zeros(12), a=p.F.a, b=p.F.b)
     )
+
+
+def test_growth_screen_runs_at_k_equal_m(monkeypatch):
+    # at k = m both tiers are m x m, but the matching bound takes no
+    # eigenvalue call and decides most samples
+    flat, xbar = flat_problem(), np.zeros(6)
+    assert len(eigen_decompose(eval_F(flat, xbar)).omega) == 12
     report, solved = eigvalsh_matrices(
         monkeypatch, lambda: verify_growth(flat, xbar, 0.1, 0.01, n_samples=10_000)
     )
-    assert solved[12] == report.samples
+    assert report.samples == 11_024
+    assert solved[12] <= 0.3 * report.samples
+    assert_identical_growth(report, unscreened_growth(flat, xbar, 0.1, 0.01, 10_000, 0))
+
+
+def test_growth_flat_fixture_is_the_flat_problem():
+    # tests/data/growth_flat.json holds flat_problem() at xbar = 0, the
+    # growth fixture with k = m
+    p, xbar = fixture_problem("growth_flat.json", flat_problem())
+    assert len(eigen_decompose(eval_F(p, xbar)).omega) == 12
+    report = verify_growth(p, xbar, 0.1, 0.01)
+    assert report.violations == 0
+    assert round(report.min_ratio, 1) == 18.9
 
 
 # -- multiplier search -------------------------------------------------------
