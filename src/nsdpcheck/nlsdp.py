@@ -223,6 +223,13 @@ def _field(obj, path: str, root: str = "problem JSON"):
     return obj
 
 
+def _json_list(value, name: str) -> list:
+    """The JSON list value, named name in the error if it is not a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _stacked_lowers(entries, m: int, name: str, zero_if_none: bool = False) -> np.ndarray:
     """Lower triangles of m x m matrix JSON objects, one row each, named
     name[i] in errors; with zero_if_none, null reads as the zero matrix."""
@@ -249,8 +256,10 @@ def problem_from_json(obj: dict) -> tuple[NlsdpProblem, np.ndarray]:
         a = _stacked_lowers(_field(obj, "F.A"), a0.m, "F.A")
         b = obj["F"].get("B")
         if b is not None:
-            rows = [_stacked_lowers(row, a0.m, f"F.B[{i}]", zero_if_none=True)
-                    for i, row in enumerate(b)]
+            rows = [
+                _stacked_lowers(_json_list(row, f"F.B[{i}]"), a0.m, f"F.B[{i}]", zero_if_none=True)
+                for i, row in enumerate(_json_list(b, "F.B"))
+            ]
             if any(len(row) != len(rows) for row in rows):
                 raise ValueError("F.B must be a square grid of matrices")
             b = np.array(rows).reshape(len(rows), len(rows), _tril_size(a0.m))

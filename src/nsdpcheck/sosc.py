@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,8 +76,19 @@ _GRID_STEP_DEG = {2: 2.0, 3: 10.0}
 
 N_DIRS = 512  # check_sosc's default number of random direction draws
 GROWTH_SAMPLES = 10_000  # verify_growth's default number of ball samples
-# Growth samples whose constraint values are evaluated and eigen-solved together.
+# Growth samples whose constraint values are evaluated and eigen-solved
+# together, and the head block whose matching bounds decide the bail-out.
 _GROWTH_BLOCK = 256
+# The growth screen's bound tiers run on chunks of samples whose largest
+# arrays (the monomials, the projected triangles and the k x k stack) stay
+# within this many bytes: glibc's default M_MMAP_THRESHOLD.  Larger
+# temporaries come back from the allocator as fresh pages, mapped anew or
+# past a trimmed heap top, and are faulted in on every call.  One matching
+# pass over 10,768 samples of a k = 6, n = 6 problem (one BLAS thread)
+# took 2.7 ms and no page fault in chunks of this size, and 6.0 ms and 2,885
+# faults in chunks of 512 KiB; with glibc's mmap and trim thresholds raised,
+# the 512 KiB chunks faulted no page and took 3.2 ms.
+_SCREEN_BYTES = 2**17
 # Growth samples with dist(F(x), PSD) at most this count as feasible.
 _GROWTH_FEAS_TOL = 1e-9
 # The growth screen lowers its distance bound by _GROWTH_ROUNDING * (m + n)^2
@@ -627,12 +639,14 @@ def _round_robin(k: int) -> list[list[tuple[int, ...]]]:
     return rounds
 
 
+@lru_cache(maxsize=64)
 def _principal_block_distances(k: int):
-    """The function that maps stacked k x k lower triangles M to the
-    matching bound of dist(M, PSD): the largest root-sum-square, over the
-    rounds of ``_round_robin(k)``, of the distances of the round's principal
-    blocks.  A 2 x 2 block [[a, b], [b, c]] has eigenvalues h -+ r in closed
-    form, h = (a + c) / 2, r = sqrt(d^2 + b^2), d = (a - c) / 2.
+    """The function that maps k x k lower triangles M, stacked as the
+    columns of its argument, to the matching bound of dist(M, PSD): the
+    largest root-sum-square, over the rounds of ``_round_robin(k)``, of the
+    distances of the round's principal blocks.  A 2 x 2 block
+    [[a, b], [b, c]] has eigenvalues h -+ r in closed form, h = (a + c) / 2,
+    r = sqrt(d^2 + b^2), d = (a - c) / 2.  It is built once per k.
 
     By pinching, the matching bound is a lower bound.  A round's blocks
     partition the indices, and M's block-diagonal part for them is the
@@ -645,7 +659,7 @@ def _principal_block_distances(k: int):
     i, j = _tril_indices(k)
     diag = np.flatnonzero(i == j)
     off = np.flatnonzero(i != j)
-    pick = np.stack((diag[i[off]], diag[j[off]], off))  # rows of a, c and b
+    pick = (diag[i[off]], diag[j[off]], off)  # rows of a, c and b
     # Round r sums the squared distances of its blocks: pairs in the order
     # of ``off``, then, at odd k, the byes.
     column = {(int(i[t]), int(j[t])): c for c, t in enumerate(off)}
@@ -656,12 +670,12 @@ def _principal_block_distances(k: int):
         incidence[r, [column[block] for block in blocks]] = 1.0
 
     def distances(lower: np.ndarray) -> np.ndarray:
-        a, c, b = lower.T[pick]
+        a, c, b = (lower[rows] for rows in pick)
         half, d = 0.5 * (a + c), 0.5 * (a - c)
         radius = np.sqrt(d * d + b * b)
         squares = np.minimum(half - radius, 0.0) ** 2 + np.minimum(half + radius, 0.0) ** 2
         if k % 2:
-            squares = np.concatenate((squares, np.minimum(lower.T[diag], 0.0) ** 2))
+            squares = np.concatenate((squares, np.minimum(lower[diag], 0.0) ** 2))
         return np.sqrt((incidence @ squares).max(axis=0, initial=0.0))
 
     return distances
@@ -677,57 +691,66 @@ def _psd_distance_screen(p: NlsdpProblem, d: OrderedEigenDecomposition):
     to A's PSD projection is PSD and no farther from P A P^T.  F(x) is
     linear in the monomials z(x) = (1, x_i, x_i x_j for i >= j), with the
     coefficients A0, A_i, B_ij for i > j and B_ii / 2, which are projected
-    to k x k once.  Each call forms z(x) once, and one product with the
-    projected coefficients gives P F(x) P^T; one with their Frobenius norms,
-    taken at |z(x)|, bounds ||F(x)||.  ``bounds`` takes dist(P F(x) P^T)
-    from one stacked k x k eigvalsh;
+    to k x k once.  Both functions work in chunks of samples, held as
+    columns: the monomials of a chunk are the rows of one array, and one
+    product with the projected coefficients gives the triangles of
+    P F(x) P^T as columns, so the matching bound reads each triangle entry
+    as one contiguous row; one product with the coefficients' Frobenius
+    norms, taken at |z(x)|, bounds ||F(x)||.  A chunk holds as many samples
+    as keep the monomials, the triangles and the k x k stack within
+    _SCREEN_BYTES, and at least one.  ``bounds`` takes dist(P F(x) P^T)
+    from one stacked k x k eigvalsh per chunk;
     ``matching_bounds`` takes the matching bound of P F(x) P^T, a pinching
     of it (``_principal_block_distances``), with no eigenvalue call, and at
     k <= 2 the same distance.  Both are lowered by _GROWTH_ROUNDING
     (m + n)^2 eps ||F(x)||.  That covers the rounding of the projected sum
-    and of the exact route, and that of the matching bound's sum of at most
-    ceil(k / 2) nonnegative squares, which moves its root by less than
-    k eps times the bound.  Both are also lowered by _GROWTH_UNDERFLOW for
-    squares that round in the subnormal range.  A row on which any of this
-    overflows gets -inf."""
+    in any order and chunk height, and of the exact route, and that of the
+    matching bound's sum of at most ceil(k / 2) nonnegative squares, which
+    moves its root by less than k eps times the bound.  Both are also
+    lowered by _GROWTH_UNDERFLOW for squares that round in the subnormal
+    range.  A row on which any of this overflows gets -inf."""
     basis = d.p_matrix[list(d.omega)]
     k = len(basis)
     i, j = _tril_indices(k)
     qi, qj = _tril_indices(p.n)
+    xi, xj = 1 + qi, 1 + qj  # the rows of x_i and x_j in z
     b = p.F.b
     parts = [p.F.a0.lower[None], p.F.a]
     if b is not None:
         parts.append(b[qi, qj] * np.where(qi == qj, 0.5, 1.0)[:, None])
     coeffs = np.concatenate(parts)
-    projected = (basis @ lower_to_dense(p.m, coeffs) @ basis.T)[:, i, j]
+    projected = np.ascontiguousarray((basis @ lower_to_dense(p.m, coeffs) @ basis.T)[:, i, j].T)
     sizes = frobenius_norms(p.m, coeffs)
     slack = _GROWTH_ROUNDING * (p.m + p.n) ** 2 * np.finfo(float).eps
+    height = max(1, _SCREEN_BYTES // (8 * max(len(coeffs), k * k)))
 
     def monomials(x):
-        z = np.empty((len(x), len(coeffs)))
-        z[:, 0] = 1.0
-        z[:, 1 : 1 + p.n] = x
+        z = np.empty((len(coeffs), len(x)))
+        z[0] = 1.0
+        z[1 : 1 + p.n] = x.T
         if b is not None:
-            np.multiply(x[:, qi], x[:, qj], out=z[:, 1 + p.n :])
+            np.multiply(z[xi], z[xj], out=z[1 + p.n :])
         return z
 
     def screen(distances):
         def bounds(x: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):
-                z = monomials(x)
-                lower = z @ projected
-                size = np.abs(z) @ sizes
-                ok = np.isfinite(size) & np.isfinite(lower).all(axis=1)
-                lower[~ok] = 0.0
-                dist = distances(lower)
-            ok &= np.isfinite(dist)
             out = np.full(len(x), -np.inf)
-            out[ok] = dist[ok] - slack * size[ok] - _GROWTH_UNDERFLOW
+            for start in range(0, len(x), height):
+                chunk = slice(start, start + height)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    z = monomials(x[chunk])
+                    lower = projected @ z
+                    size = sizes @ np.abs(z)
+                    ok = np.isfinite(size) & np.isfinite(lower).all(axis=0)
+                    lower[:, ~ok] = 0.0
+                    dist = distances(lower)
+                ok &= np.isfinite(dist)
+                out[chunk][ok] = dist[ok] - slack * size[ok] - _GROWTH_UNDERFLOW
             return out
 
         return bounds
 
-    return k, screen(_principal_block_distances(k)), screen(lambda lower: dist_psd_batch(k, lower))
+    return k, screen(_principal_block_distances(k)), screen(lambda lower: dist_psd_batch(k, lower.T))
 
 
 def _exact_psd_distances(p: NlsdpProblem, xs, mask, out: np.ndarray):
@@ -768,8 +791,12 @@ def verify_growth(
     one round of a round-robin schedule of omega (disjoint 2 x 2 principal
     blocks, and one 1 x 1 block at odd k) it is the root-sum-square of
     closed-form block distances; the bound takes the largest round.  The
-    k x k bound, the distance of M, takes one stacked call per
-    _GROWTH_BLOCK samples.  At k <= 2 the two are the same.
+    k x k bound, the distance of M, takes one stacked eigenvalue call per
+    chunk.  At k <= 2 the two are the same.  Both tiers run in chunks of
+    samples sized from k and n so that their largest arrays stay below
+    _SCREEN_BYTES, where the allocator would hand out fresh pages on every
+    call.  _GROWTH_BLOCK sizes only the bail-out's head block and the
+    blocks of the exact distances.
 
     The screen makes three passes over the whole sample array: the matching
     bound of every sample; at k > 2, the k x k bound of the _GROWTH_BLOCK
@@ -830,17 +857,12 @@ def verify_growth(
         settled[mask] = True
 
     def refine(rows):  # the k x k bound for these rows
-        for start in range(0, len(rows), _GROWTH_BLOCK):
-            chunk = rows[start : start + _GROWTH_BLOCK]
-            dists[chunk] = np.maximum(dists[chunk], bounds(xs[chunk]))
+        dists[rows] = np.maximum(dists[rows], bounds(xs[rows]))
 
     head = slice(_GROWTH_BLOCK)
     dists[head] = matching_bounds(xs[head])
     if total and undecided(head).mean() <= _GROWTH_SCREEN_OPEN:
-        for start in range(_GROWTH_BLOCK, total, _GROWTH_BLOCK):
-            dists[start : start + _GROWTH_BLOCK] = matching_bounds(
-                xs[start : start + _GROWTH_BLOCK]
-            )
+        dists[_GROWTH_BLOCK:] = matching_bounds(xs[_GROWTH_BLOCK:])
         if k > 2:  # at k <= 2 the matching bound is the k x k bound
             # The smallest of the _GROWTH_BLOCK smallest ratio bounds, once
             # refined, is settled: its ratio bounds the minimum from above.

@@ -834,15 +834,31 @@ def test_malformed_problem_fields_exit_3(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("node, value", [("F", [{"m": 2, "lower": [1.0, 0.0, 0.0]}]), ("f", [1, 2])])
-def test_problem_node_of_the_wrong_type_is_named(tmp_path, capsys, node, value):
-    # a list where an object belongs used to read as a missing field below it
+@pytest.mark.parametrize(
+    "node, value, message",
+    [
+        ("F", [{"m": 2, "lower": [1.0, 0.0, 0.0]}], "F must be an object, got list"),
+        ("f", [1, 2], "f must be an object, got list"),
+        ("F.B", {"x": 1}, "F.B must be a list, got dict"),
+        ("F.B", "ab", "F.B must be a list, got str"),
+        ("F.B", [{"m": 2, "lower": [0, 0, 0]}], "F.B[0] must be a list, got dict"),
+    ],
+    ids=["F-value0", "f-value1", "F.B-object", "F.B-string", "F.B-flat"],
+)
+def test_problem_node_of_the_wrong_type_is_named(tmp_path, capsys, node, value, message):
+    # a list where an object belongs used to read as a missing field below
+    # it, and a B that is not a grid of lists as an element of a node that
+    # does not exist ("F.B[0][0] must be an object, got str")
     obj = json.loads((DATA / "p1.json").read_text())
-    obj[node] = value
+    *parents, key = node.split(".")
+    target = obj
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(obj))
     assert run_cli("growth", str(path), "--epsilon", "0.1", "--beta", "0.01") == 3
-    assert capsys.readouterr().err == f"error: {node} must be an object, got list\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,7 @@ from nsdpcheck.symmat import block, frobenius_norms, lower_to_dense, pseudoinver
 
 from conftest import build_p1, build_trivial_cone, kkt_consistent_problem, linalg_calls
 from conftest import random_orthogonal, random_psd, random_symmat
-from oracles import pair_block_distances
+from oracles import pair_block_distances, row_block_distances, row_distance_screen
 
 XBAR = np.zeros(2)
 FAST = {"n_dirs": 64}
@@ -970,6 +970,120 @@ def test_growth_matching_bound_lies_between_pair_bound_and_distance(
         assert np.array_equal(old, new)
 
 
+def screen_slack(p, xs):
+    """The rounding slack that both growth bound tiers subtract at the rows
+    of xs: _GROWTH_ROUNDING (m + n)^2 eps times the bound of ||F(x)||, F's
+    quadratic map at |x| with the coefficients' Frobenius norms."""
+    norms = [None if c is None else frobenius_norms(p.m, c)[..., None]
+             for c in (p.F.a0.lower, p.F.a, p.F.b)]
+    size = _quadratic_rows(*norms, np.abs(xs))[:, 0]
+    return sosc._GROWTH_ROUNDING * (p.m + p.n) ** 2 * np.finfo(float).eps * size
+
+
+def screen_terms(n, quadratic):
+    """Monomials of F: 1, the x_i and, with B, the x_i x_j for i >= j."""
+    return 1 + n + quadratic * n * (n + 1) // 2
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 12),
+    kind=st.sampled_from(
+        ["singular", "nonsingular", "not_psd", "huge", "overflow", "tiny", "flat"]
+    ),
+    quadratic=st.booleans(),
+    chunks=st.integers(0, 2),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=6, m=6, kind="flat", quadratic=True, chunks=2, share=0.5, seed=0)  # even k
+@example(n=6, m=9, kind="flat", quadratic=True, chunks=2, share=0.5, seed=0)  # odd k
+def test_growth_screen_columns_match_the_row_layout_oracle(
+    n, m, kind, quadratic, chunks, share, seed
+):
+    # the bound tiers, with samples as columns and in chunks, against the
+    # former row layout over all rows at once: -inf on the same rows, and
+    # apart by no more than the slack that both subtract (a row of a BLAS
+    # product rounds with the layout and the stack height); the matching
+    # bound's closed form keeps the oracle's bits on the same triangles
+    rng = np.random.default_rng(seed)
+    p, xbar = growth_screen_problem(rng, n, m, kind, quadratic, 0.05)
+    d = eigen_decompose(eval_F(p, xbar))
+    k, matching_bounds, bounds = sosc._psd_distance_screen(p, d)
+    _, row_matching_bounds, row_bounds = row_distance_screen(p, d)
+    height = max(1, sosc._SCREEN_BYTES // (8 * max(screen_terms(n, quadratic), k * k)))
+    rows = chunks * height + 1 + int(share * max(height - 2, 0))  # a partial last chunk
+    xs = xbar + rng.uniform(-0.2, 0.2, (rows, n))
+    slack = screen_slack(p, xs)
+    for tier, row_tier in ((matching_bounds, row_matching_bounds), (bounds, row_bounds)):
+        new, old = tier(xs), row_tier(xs)
+        assert np.array_equal(np.isneginf(new), np.isneginf(old))
+        finite = ~np.isneginf(new)
+        assert (np.abs(new[finite] - old[finite]) <= slack[finite]).all()
+    triangles = rng.standard_normal((k * (k + 1) // 2, rows))
+    assert np.array_equal(
+        sosc._principal_block_distances(k)(triangles),
+        row_block_distances(k)(np.ascontiguousarray(triangles.T)),
+    )
+
+
+def screened_chunks(p, d, xs):
+    """(triangles, samples) of each chunk that the growth screen's two bound
+    tiers hand to their distance functions for the rows xs."""
+    shapes = []
+    block_distances = sosc._principal_block_distances
+
+    def recording(k):
+        distances = block_distances(k)
+
+        def recorded(lower):
+            shapes.append(lower.shape)
+            return distances(lower)
+
+        return recorded
+
+    def recorded_batch(k, lower):
+        shapes.append(lower.T.shape)
+        return dist_psd_batch(k, lower)
+
+    with mock.patch.object(sosc, "_principal_block_distances", recording), \
+            mock.patch.object(sosc, "dist_psd_batch", recorded_batch):
+        _, matching_bounds, bounds = sosc._psd_distance_screen(p, d)
+        matching_bounds(xs)
+        bounds(xs)
+    return shapes
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+def test_growth_screen_chunks_stay_below_the_mmap_threshold(quadratic):
+    # per chunk, the largest arrays of a bound tier (the monomials, the
+    # projected triangles and the k x k stack) fit in _SCREEN_BYTES, and a
+    # chunk holds at least one sample and as many as fit
+    rows = 1000
+    for n in range(1, 7):
+        terms = screen_terms(n, quadratic)
+        for k in range(1, 13):
+            rng = np.random.default_rng([n, k])
+            p, xbar = growth_screen_problem(rng, n, k, "flat", quadratic, 0.0)
+            d = eigen_decompose(eval_F(p, xbar))
+            assert len(d.omega) == k
+            xs = xbar + rng.uniform(-0.2, 0.2, (rows, n))
+            shapes = screened_chunks(p, d, xs)
+            assert sum(samples for _, samples in shapes) == 2 * rows
+            for triangles, samples in shapes:
+                assert triangles == k * (k + 1) // 2
+                assert samples >= 1
+                assert 8 * samples * max(terms, triangles, k * k) <= sosc._SCREEN_BYTES
+            fit = sosc._SCREEN_BYTES // (8 * max(terms, k * k))
+            assert max(samples for _, samples in shapes) == min(rows, fit)
+
+
+def test_principal_block_distances_are_built_once_per_k():
+    assert sosc._principal_block_distances(7) is sosc._principal_block_distances(7)
+    assert sosc._principal_block_distances(7) is not sosc._principal_block_distances(8)
+
+
 def test_growth_pair_bound_is_the_projected_distance_at_k_up_to_2():
     # at k <= 2 the closed form is the distance of P F(x) P^T itself, short
     # of the rounding slack that both tiers subtract
@@ -987,12 +1101,7 @@ def test_growth_pair_bound_is_the_projected_distance_at_k_up_to_2():
         xs = xbar + rng.uniform(-0.2, 0.2, (300, n))
         projected = np.array([basis @ eval_F(p, x).dense() @ basis.T for x in xs])
         dist = np.sqrt((np.minimum(np.linalg.eigvalsh(projected), 0.0) ** 2).sum(axis=1))
-        # the bound of ||F(x)|| that the slack scales: F's quadratic map in |x|
-        # with the coefficients' Frobenius norms
-        norms = [None if c is None else frobenius_norms(m, c)[..., None]
-                 for c in (p.F.a0.lower, p.F.a, p.F.b)]
-        size = _quadratic_rows(*norms, np.abs(xs))[:, 0]
-        slack = sosc._GROWTH_ROUNDING * (m + n) ** 2 * np.finfo(float).eps * size
+        slack = screen_slack(p, xs)
         screen_k, matching_bounds, _ = sosc._psd_distance_screen(p, d)
         assert screen_k == k
         pair = matching_bounds(xs)
@@ -1088,6 +1197,19 @@ def test_growth_k6_fixture_is_the_kkt_consistent_problem():
     report = verify_growth(p, xbar, 0.1, 0.01)
     assert report.violations == 0
     assert round(report.min_ratio, 1) == 9.2
+    assert_identical_growth(report, unscreened_growth(p, xbar, 0.1, 0.01, 10_000, 0))
+
+
+def test_growth_k9_fixture_is_the_kkt_consistent_problem():
+    # tests/data/growth_k9.json holds kkt_consistent_problem(default_rng(3),
+    # 6, 12) at xbar = 0, the growth fixture whose 45-entry triangles make
+    # the screen's chunks shorter than at k = 6
+    ref = kkt_consistent_problem(np.random.default_rng(3), 6, 12)
+    p, xbar = fixture_problem("growth_k9.json", ref)
+    assert len(eigen_decompose(eval_F(p, xbar)).omega) == 9
+    report = verify_growth(p, xbar, 0.1, 0.01)
+    assert report.violations == 0
+    assert round(report.min_ratio, 1) == 18.1
     assert_identical_growth(report, unscreened_growth(p, xbar, 0.1, 0.01, 10_000, 0))
 
 
