@@ -253,7 +253,7 @@ def problem_from_json(obj: dict) -> tuple[NlsdpProblem, np.ndarray]:
             c=float(obj["f"].get("c", 0.0)),
         )
         a0 = SymMat.from_json(_field(obj, "F.A0"), "F.A0")
-        a = _stacked_lowers(_field(obj, "F.A"), a0.m, "F.A")
+        a = _stacked_lowers(_json_list(_field(obj, "F.A"), "F.A"), a0.m, "F.A")
         b = obj["F"].get("B")
         if b is not None:
             rows = [

@@ -11,8 +11,10 @@ accompanied by two constructions:
   difference quotients attain the closed-form value.
 
 ``estimate_subderivative_sampling`` estimates the defining lim inf by
-sampling feasible directions at shrinking step sizes.  The samples of every
-step are drawn first, in blocks of ``_TRACE_BLOCK``, and then judged and
+sampling feasible directions at shrinking step sizes.  Each sample is drawn
+as the lower triangle of a symmetric perturbation, m(m+1)/2 normals, whose
+direction is uniform on the Frobenius unit sphere of S^m.  The samples of
+every step are drawn first, in blocks of ``_TRACE_BLOCK``, and then judged and
 scored together, one step size per row, in batches of at most one block a
 step.  A sample is kept by the Schur-complement test, after an infeasibility
 screen (``_infeasibility_screen``): a Rayleigh-quotient bound of the
@@ -377,18 +379,18 @@ def _samples_feasible(d: OrderedEigenDecomposition, screen, lowers: np.ndarray, 
 
 def _candidate_blocks(rng, v: SymMat, t: float, radius: float, n_samples: int):
     """Lower triangles of v and of n_samples random symmetric perturbations of
-    v within radius*t: the samples in blocks of _TRACE_BLOCK draws, v ahead
-    of the first.  A block takes one normal and then one uniform draw; a zero
-    noise gives no row."""
-    m = v.m
-    i, j = _tril_indices(m)
+    v within radius*t, in blocks of _TRACE_BLOCK draws, v ahead of the first.
+    A block draws one normal lower triangle z per sample, then one uniform u
+    per sample; a zero z gives no row.  z * _tril_weights(m, sqrt(1/2)) has
+    the law of (G + G^T) / 2 and Frobenius norm ||z||, so scaled by
+    radius*t*u/||z|| it points in a direction uniform on the sphere of S^m."""
+    weights = _tril_weights(v.m, math.sqrt(0.5))
     for start in range(0, n_samples, _TRACE_BLOCK):
-        noise = rng.standard_normal((min(_TRACE_BLOCK, n_samples - start), m, m))
-        scale = radius * t * rng.random(len(noise))
-        noise = 0.5 * (noise + noise.swapaxes(1, 2))
-        norms = np.sqrt(row_squares(noise.reshape(len(noise), m * m)))
+        z = rng.standard_normal((min(_TRACE_BLOCK, n_samples - start), len(v.lower)))
+        scale = radius * t * rng.random(len(z))
+        norms = np.sqrt(row_squares(z))
         keep = norms != 0.0
-        rows = v.lower + noise[keep][:, i, j] * (scale[keep] / norms[keep])[:, None]
+        rows = v.lower + (z[keep] * weights) * (scale[keep] / norms[keep])[:, None]
         yield np.concatenate((v.lower[None], rows)) if start == 0 else rows
     if n_samples == 0:
         yield v.lower[None]

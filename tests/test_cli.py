@@ -807,7 +807,8 @@ def test_closed_stdout_exits_3(argv, tmp_path, monkeypatch, capsys):
     [
         (lambda obj: obj["f"].pop("g"), "problem JSON missing required field: f.g"),
         (lambda obj: obj["F"].pop("A0"), "problem JSON missing required field: F.A0"),
-        (lambda obj: obj["F"].update(A=5), "malformed problem JSON: 'int' object is not iterable"),
+        (lambda obj: obj["F"].update(A=5), "F.A must be a list, got int"),
+        (lambda obj: obj["F"].update(A={"x": 1}), "F.A must be a list, got dict"),
         (lambda obj: obj["f"].update(g=None), "gradient/Hessian shapes inconsistent"),
         (lambda obj: obj.update(m=2.5), "m must be an integer, got 2.5"),
         (lambda obj: obj.update(xbar=[math.nan, 0.0]), "xbar must be finite"),

@@ -32,11 +32,12 @@ from nsdpcheck.subderivative import (
 from nsdpcheck.symmat import (
     OrderedEigenDecomposition,
     SymMat,
-    _tril_indices,
     conjugate,
     eigen_decompose,
     frobenius_inner,
+    lower_to_dense,
     pseudoinverse,
+    svec,
 )
 
 from conftest import linalg_calls, random_psd, random_symmat, valid_triple
@@ -449,7 +450,7 @@ def reference_trace(
     rng = np.random.default_rng(seed)
     m = y.m
     tangent = tangent_cone_contains(d, v, tol)
-    tril = _tril_indices(m)
+    off_diagonal_halved = np.where(np.equal(*np.tril_indices(m)), 1.0, np.sqrt(0.5))
     trace = []
     for t in sorted((float(t) for t in t_grid), reverse=True):
         quotients = []
@@ -465,14 +466,15 @@ def reference_trace(
         for start in range(0, n_samples, subderivative._TRACE_BLOCK):
             # the draws of one block, all normals first, as the trace makes them
             size = min(subderivative._TRACE_BLOCK, n_samples - start)
-            noises, uniforms = rng.standard_normal((size, m, m)), rng.random(size)
-            for noise, u in zip(noises, uniforms):
-                noise = 0.5 * (noise + noise.T)
-                nrm = np.linalg.norm(noise)
+            triangles, uniforms = rng.standard_normal((size, len(v.lower))), rng.random(size)
+            for z, u in zip(triangles, uniforms):
+                nrm = np.linalg.norm(z)
                 if nrm == 0.0:
                     continue
+                # the lower triangle of (G + G^T) / 2 in law, of Frobenius norm nrm
+                noise = z * off_diagonal_halved
                 noise *= radius * t * u / nrm
-                vprime = v + SymMat(m, noise[tril])
+                vprime = v + SymMat(m, noise)
                 if reference_feasible(d, vprime, t, stats):
                     quotients.append(-2.0 * frobenius_inner(ystar, vprime) / t)
         trace.append(
@@ -803,9 +805,71 @@ def test_trace_perturbations_lie_within_radius_t():
     assert ks < 1.95 / np.sqrt(n_samples)
 
 
+def two_sample_ks(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical distribution functions of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    points = np.concatenate((a, b))
+    return np.abs(
+        np.searchsorted(a, points, side="right") / len(a)
+        - np.searchsorted(b, points, side="right") / len(b)
+    ).max()
+
+
+def test_trace_perturbations_have_the_law_of_a_symmetrized_gaussian():
+    # the trace draws lower triangles; 10k unit directions of S^3 drawn so
+    # must match 10k of (G + G^T) / 2 for a 3 x 3 Gaussian G on a diagonal
+    # and an off-diagonal coordinate (two-sample KS statistic below its 0.1%
+    # critical value 1.95 sqrt(2 / 10k)), and svec of a unit direction, uniform
+    # on the sphere of R^6, has second moment I/6 (entries' standard errors
+    # are at most 0.0019; 0.01 is over five of them)
+    n_samples = 10_000
+    rows = np.concatenate(list(subderivative._candidate_blocks(
+        np.random.default_rng(10), SymMat.zeros(3), 1.0, 1.0, n_samples
+    )))[1:]
+    drawn = lower_to_dense(3, rows)
+    drawn /= np.linalg.norm(drawn, axis=(1, 2))[:, None, None]
+    g = np.random.default_rng(11).standard_normal((n_samples, 3, 3))
+    symmetrized = 0.5 * (g + g.swapaxes(1, 2))
+    symmetrized /= np.linalg.norm(symmetrized, axis=(1, 2))[:, None, None]
+    for i, j in ((0, 0), (1, 0)):
+        assert two_sample_ks(drawn[:, i, j], symmetrized[:, i, j]) < 1.95 * np.sqrt(2 / n_samples)
+    vecs = svec(drawn)
+    assert np.allclose(vecs.T @ vecs / n_samples, np.eye(6) / 6, rtol=0.0, atol=0.01)
+
+
+class RecordingGenerator:
+    """A numpy Generator that records its standard_normal and random calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def standard_normal(self, size):
+        self.calls.append(("standard_normal", size))
+        return self.rng.standard_normal(size)
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("n_samples, blocks", [(64, [64]), (300, [256, 44])])
+def test_trace_draws_one_lower_triangle_per_sample(n_samples, blocks):
+    # m(m+1)/2 = 78 normals a sample at m = 12, not the 144 of a full matrix,
+    # then one uniform a sample, in one call each per block
+    v = random_symmat(np.random.default_rng(12), 12)
+    rng = RecordingGenerator(13)
+    for _ in subderivative._candidate_blocks(rng, v, 1e-3, 1.0, n_samples):
+        pass
+    assert rng.calls == [
+        call for size in blocks for call in (("standard_normal", (size, 78)), ("random", size))
+    ]
+
+
 def test_trace_memory_does_not_grow_with_samples():
-    # one draw of all 50k 12 x 12 noise matrices would allocate 57.6 MB; the
-    # blocks of _TRACE_BLOCK draws peak at about 1.4 MB
+    # one draw of all 50k 12 x 12 noise matrices would allocate 57.6 MB (31.2
+    # MB as lower triangles); the blocks of _TRACE_BLOCK draws peak at about
+    # 1.1 MB
     _, ystar, v, d = valid_triple(np.random.default_rng(33), 12, rank=6)
     tracemalloc.start()
     try:
