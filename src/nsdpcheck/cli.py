@@ -34,6 +34,7 @@ from .subderivative import (
     SAMPLING_RADIUS,
     ToleranceAnomalyError,
     estimate_from_trace,
+    require_multiplier,
     second_subderivative,
     subderivative_sampling_trace,
 )
@@ -300,13 +301,9 @@ def cmd_subderivative(args) -> int:
     try:
         d = eigen_decompose(y, args.rank_tol)
         _warn_rank_rounding(d)
-        # at the multiplier the trace samples at: a ystar that the tolerance
-        # admits outside the normal cone could read below 0.  The trace tests
-        # ystar as given; a Y that is not PSD has no normal cone to project
-        # onto and fails the closed form's test.
-        closed = second_subderivative(
-            d, project_normal_cone(d, ystar) if d.psd else ystar, v, args.tol
-        )
+        require_multiplier(d, ystar, args.tol)
+        # at the projection of Ystar, where the trace samples
+        closed = second_subderivative(d, project_normal_cone(d, ystar), v, args.tol)
         trace = subderivative_sampling_trace(
             d, ystar, v, radius=args.radius, n_samples=args.samples, seed=args.seed, tol=args.tol
         )

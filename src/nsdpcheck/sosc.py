@@ -320,13 +320,15 @@ def sample_critical_directions(
 # -- multiplier search ----------------------------------------------------------
 
 
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of a."""
+def _null_space(a: np.ndarray, rel: float = 0.0) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of a: the right singular
+    vectors of the singular values at or below the largest of
+    max(a.shape) eps s[0], 1e-14 s[0] and rel max(1, s[0])."""
     if a.size == 0:
         return np.eye(a.shape[1])
     u, s, vt = np.linalg.svd(a)
-    cutoff = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > max(cutoff, 1e-14 * (s[0] if s.size else 1.0))))
+    cutoff = max(a.shape) * np.finfo(float).eps * s[0]
+    rank = int(np.sum(s > max(cutoff, 1e-14 * s[0], rel * max(1.0, s[0]))))
     return vt[rank:].T
 
 
@@ -419,9 +421,11 @@ def _multiplier_search(
     u = np.asarray(u, dtype=float)
     k = len(d.omega)
 
-    # The stationarity rows, then the orthogonality row <W, (dF u)_omega> = 0.
+    # The stationarity rows, then the orthogonality row <W, (dF u)_omega> = 0,
+    # with their rank cut at tol: a candidate that is KKT to about tol, as
+    # solvers return them, keeps its multipliers.
     orthogonality = np.concatenate(([0.0], (u @ rows)[1:]))
-    basis = _null_space(np.vstack((rows, orthogonality)))
+    basis = _null_space(np.vstack((rows, orthogonality)), tol)
     trace = basis.T @ np.concatenate(([1.0], -svec(np.eye(k))))
     norm2 = float(trace @ trace)
     # G PSD gives tr G >= |G| = |z|, so a null space without trace holds no

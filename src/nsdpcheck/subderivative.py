@@ -237,22 +237,6 @@ def recovery_sequence(d: OrderedEigenDecomposition, v: SymMat, t: float) -> SymM
     return SymMat(d.m, lowers[0])
 
 
-def _grid_recovery(d: OrderedEigenDecomposition, v: SymMat, grid: np.ndarray):
-    """``(ok, lowers, failure)``: ``_recovery_points`` over the steps of
-    ``grid`` before the first whose recovery overflows, and that step's
-    FloatingPointError, or None when no step overflows."""
-    try:
-        return (*_recovery_points(d, v, grid), None)
-    except FloatingPointError as error:
-        failure = error
-    for stop in range(len(grid)):
-        try:
-            _recovery_points(d, v, grid[stop : stop + 1])
-        except FloatingPointError as error:
-            return (*_recovery_points(d, v, grid[:stop]), error)
-    raise failure
-
-
 def _infeasibility_screen(d: OrderedEigenDecomposition, v: SymMat):
     """A function ``(lowers, t, norms, slack) -> rejected`` that flags rows
     which the exact test of ``_samples_feasible`` provably rejects, or None
@@ -474,11 +458,10 @@ def subderivative_sampling_trace(
     more than its rounding term; only the undecided samples get the exact
     Schur-complement test, so the counts, minima and quotients are those of
     the full computation.
-    Raises FloatingPointError when the radius is so large that a sample's
-    norm overflows, which would make the feasibility slack infinite, or
-    where the recovery point's arithmetic overflows; of the two, the one met
-    first when the steps are walked in order, each recovery point before its
-    samples.
+    Raises FloatingPointError where the arithmetic of some step's recovery
+    point overflows, before any sample is drawn, or else when the radius is
+    so large that a sample's norm overflows, which would make the
+    feasibility slack infinite.
     """
     require_multiplier(d, ystar, tol)
     if not (math.isfinite(radius) and radius > 0):
@@ -498,24 +481,19 @@ def subderivative_sampling_trace(
     counts = np.zeros(len(grid), dtype=np.intp)
     lowest = np.full(len(grid), np.inf)
     recovery_q = [None] * len(grid)
-    sampled, failure = len(grid), None
     if tangent_cone_contains(d, v, tol):
-        ok, points, failure = _grid_recovery(d, v, grid)
-        # the steps from the first overflowing recovery on are never reached
-        sampled = len(ok)
+        ok, points = _recovery_points(d, v, grid)
         at = np.flatnonzero(ok)
         lowest[at] = _quotients(ystar, points, grid[at])
         counts[at] = 1
         for k in at:
             recovery_q[k] = float(lowest[k])
-    for rows, at in _candidate_batches(rng, v, t_values[:sampled], radius, n_samples):
+    for rows, at in _candidate_batches(rng, v, t_values, radius, n_samples):
         t = grid[at]
         kept = _samples_feasible(d, screen, rows, t)
         at = at[kept]
         counts += np.bincount(at, minlength=len(grid))
         np.minimum.at(lowest, at, _quotients(ystar, rows[kept], t[kept]))
-    if failure is not None:
-        raise failure
     return [
         {
             "t": t,

@@ -74,6 +74,37 @@ def test_check_sosc_verified(capsys):
     assert "problem.omega: [1]\n" in out  # rank decision is auditable
 
 
+@pytest.mark.parametrize(
+    "xbar, code",
+    [
+        ([1e-12, 0.0], 0),
+        ([1e-10, 0.0], 0),
+        ([-1e-9, 0.0], 0),
+        ([1e-9, 1e-9], 0),
+        ([0.0, 1e-9], 0),
+        ([0.0, -1e-10], 0),
+        # F(xbar) is positive definite and grad f = e_2: not stationary
+        ([0.0, 1e-7], 1),
+    ],
+)
+def test_check_sosc_gives_a_near_kkt_candidate_a_verdict(xbar, code, tmp_path, capsys):
+    # P1 moved off its KKT point by at most --tol keeps its multiplier
+    # alpha = 1, Ystar ~ diag(0, -1), whose stationarity residual is ~ |xbar|;
+    # p1_near_kkt.json is the first row
+    obj = json.loads((DATA / "p1.json").read_text())
+    obj["xbar"] = xbar
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(obj))
+    report = tmp_path / "report.json"
+    assert run_cli("check-sosc", str(path), "--json", str(report)) == code
+    capsys.readouterr()
+    result = json.loads(report.read_text())["result"]
+    if code == 0:
+        assert result["verdict"] == "VERIFIED_SAMPLED"
+        assert result["min_margin"] == pytest.approx(2.0, abs=1e-12)
+        assert max(c["stationarity_residual"] for c in result["certificates"]) < 1e-8
+
+
 def test_check_sosc_states_f_xbar_eigenvalues_once(capsys):
     assert run_cli("check-sosc", str(DATA / "p1.json")) == 0
     out = capsys.readouterr().out
@@ -100,6 +131,7 @@ def test_axis_directions_read_0_not_minus_0(tmp_path, capsys):
     [
         (("check-sosc", "p1.json", "--dirs", "16"), 0),
         (("check-sosc", "p1_negated.json", "--dirs", "16"), 1),
+        (("check-sosc", "p1_near_kkt.json", "--dirs", "16"), 0),
         (("check-sosc", "false_refutation.json", "--dirs", "16"), 0),
         (("check-sosc", "trivial_cone.json"), 0),
         (("growth", "p1.json", "--epsilon", "0.1", "--beta", "0.25", "--samples", "50"), 0),
@@ -451,10 +483,10 @@ def test_closed_form_checks_ystar_as_given(tmp_path, capsys):
     )
 
 
-def test_subderivative_tests_normal_cone_membership_twice(monkeypatch, capsys):
-    # once for the projection of Ystar, in the closed form, and once for
-    # Ystar as given, in the trace; the command used to test Ystar as given
-    # a second time, ahead of both
+def test_subderivative_tests_normal_cone_membership_three_times(monkeypatch, capsys):
+    # Ystar as given is tested first, so a hypothesis violation is reported
+    # ahead of any fault of the closed form or the trace; then the closed
+    # form tests the projection of Ystar and the trace Ystar as given
     calls = []
 
     def counted(*args, _orig=cone.normal_cone_residual):
@@ -464,7 +496,24 @@ def test_subderivative_tests_normal_cone_membership_twice(monkeypatch, capsys):
     monkeypatch.setattr(cone, "normal_cone_residual", counted)
     assert run_cli("subderivative", str(DATA / "triple_basic.json")) == 0
     capsys.readouterr()
-    assert len(calls) == 2
+    assert len(calls) == 3
+
+
+def test_subderivative_reports_a_hypothesis_violation_before_an_overflow(capsys):
+    # triple_invalid_overflow.json is triple_overflow.json with a Ystar of
+    # pi-block mass: the closed form would overflow, the hypotheses fail first
+    assert run_cli("subderivative", str(DATA / "triple_invalid_overflow.json")) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _parsed(captured.out)["error"] == {
+        "kind": "hypothesis_violation",
+        "message": "ystar is not in the normal cone at the base point",
+    }
+    assert run_cli("subderivative", str(DATA / "triple_overflow.json")) == 4
+    assert _parsed(capsys.readouterr().out)["error"] == {
+        "kind": "numerical_anomaly",
+        "message": "the closed form -2 <ystar, v pinv(y) v> overflows to inf",
+    }
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsdpcheck import (
     FAILED_AT_DIRECTION,
@@ -36,6 +38,7 @@ from nsdpcheck import (
     second_subderivative,
     verify_growth,
 )
+from nsdpcheck.cone import DEFAULT_TOL
 
 XBAR = np.zeros(2)
 OPTS = {"n_dirs": 8}
@@ -73,6 +76,22 @@ def test_condition_with_curvature_term_holds_below_c_1(c):
     assert report.verdict == VERIFIED_SAMPLED
     assert report.min_margin == pytest.approx(2.0 * (1.0 - c), abs=1e-9)
     assert _growth(c).feasible_min_ratio > 0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    c=st.sampled_from(HOLDS),
+    radius=st.floats(0.0, 1.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+)
+def test_condition_holds_at_points_within_tol_of_xbar(c, radius, angle):
+    # a solver's candidate is KKT to about tol, never exactly: moved by
+    # ||delta|| <= tol / 10, the stationarity residual of the multiplier is
+    # about 2 (1 - c) ||delta||, and the verdict stays
+    delta = (0.1 * DEFAULT_TOL * radius) * np.array([math.cos(angle), math.sin(angle)])
+    report = check_sosc(p1_c(c), XBAR + delta, **OPTS)
+    assert report.verdict == VERIFIED_SAMPLED
+    assert report.min_margin == pytest.approx(2.0 * (1.0 - c), abs=1e-6)
 
 
 @pytest.mark.parametrize("c", FAILS)

@@ -1563,6 +1563,29 @@ def test_start_inside_phase_two_skips_phase_one(monkeypatch):
     assert outcome.certificate.margin == pytest.approx(p.f.h[0, 0], abs=sosc._CERT_TOL)
 
 
+def test_phase_one_stops_at_its_reach(monkeypatch):
+    # f = |x|^2 / 2 and F(x) = x1 diag(1, 2) + x2 [[0, 1], [1, 0]] at 0: the
+    # one multiplier is alpha = 1, W = 0, with margin |u|^2, but the
+    # search's start, the least-norm multiplier of trace 1, has
+    # lambda_min(G0) = -1/6, so phase I runs until s > -cert_tol / 2
+    f = QuadraticScalar(c=0.0, g=np.zeros(2), h=np.eye(2))
+    swap = SymMat.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    cap = QuadraticMatrixMap(a0=SymMat.zeros(2), a=[SymMat.diagonal([1.0, 2.0]).lower, swap.lower])
+    p, xbar = NlsdpProblem(n=2, m=2, f=f, F=cap), np.zeros(2)
+    report, calls = newton_steps(monkeypatch, lambda: check_sosc(p, xbar, n_dirs=8))
+    assert report.verdict == VERIFIED_SAMPLED
+    assert report.min_margin == pytest.approx(1.0, abs=sosc._CERT_TOL)
+    phase_one = [(args, steps, short) for args, kwargs, steps, short in calls if "reach" in kwargs]
+    assert len(phase_one) == report.directions_checked
+    for args, steps, short in phase_one:
+        assert 0 < steps < args[5] and not short
+    # phase I checks its reach after every step, so an end above it is one
+    u = np.array([1.0, 0.0])
+    outcome = search(p, xbar, u, eigen_decompose(eval_F(p, xbar)))
+    assert outcome.best_interiority > -0.5 * sosc._CERT_TOL
+    assert not outcome.hit_cap
+
+
 def test_global_minimiser_is_not_refuted():
     p, xbar = problem_from_json(FALSE_REFUTATION)
     report = check_sosc(p, xbar, n_dirs=16)

@@ -682,24 +682,29 @@ def test_trace_judges_the_whole_grid_in_one_batch(monkeypatch):
     assert calls["samples_feasible"] <= 2
 
 
-def test_trace_raises_the_first_overflow_of_a_walk_down_the_grid():
+def test_trace_raises_a_recovery_overflow_before_any_sample():
     # on Y = diag(1, 0) the pivot 1 - 99.9 t fails at t = 0.1, and at t = 0.01
-    # the recovery's coupling 0.01 (5e153)^2 / 0.001 overflows.  A walk down
-    # the grid meets the overflowing sample norms of t = 0.1 first, so the
-    # recovery of a later step must not raise ahead of them
+    # the recovery's coupling 0.01 (5e153)^2 / 0.001 overflows.  The recovery
+    # points of every step are computed before any sample is drawn, so that
+    # overflow raises ahead of the overflowing sample norms of t = 0.1
     v = SymMat.from_dense([[-99.9, 5e153], [5e153, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError, match="norm that is not finite"):
+        with pytest.raises(FloatingPointError, match="overflow encountered"):
             subderivative_sampling_trace(
                 D_CORNER, YS_CORNER, v, t_grid=(0.1, 0.01), radius=1e200, n_samples=8
             )
-        # without the step t = 0.1 the recovery point overflows first
+        # without the step t = 0.01 the sample norms overflow
+        with pytest.raises(FloatingPointError, match="norm that is not finite"):
+            subderivative_sampling_trace(
+                D_CORNER, YS_CORNER, v, t_grid=(0.1,), radius=1e200, n_samples=8
+            )
+        # without the step t = 0.1 the recovery point overflows
         with pytest.raises(FloatingPointError, match="overflow encountered"):
             subderivative_sampling_trace(
                 D_CORNER, YS_CORNER, v, t_grid=(0.01,), radius=1e200, n_samples=8
             )
-        # and with sample norms that stay finite, after the steps before it
+        # and with sample norms that stay finite
         with pytest.raises(FloatingPointError, match="overflow encountered"):
             subderivative_sampling_trace(D_CORNER, YS_CORNER, v, t_grid=(0.1, 0.01, 1e-3))
 
